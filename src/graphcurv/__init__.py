@@ -44,6 +44,7 @@ from .assembly import (
 from .shape_oracle import ShapeData, curvature_oracle
 from .linearize import (
     EllipticOperator,
+    HeldLU,
     build_B,
     build_DK,
     build_JK,

@@ -316,6 +316,7 @@ def _run_solve(cfg):
             newton_total=res.iterations,
             residual_norm=res.residual_norm,
             margin=res.margin,
+            linear_solves=res.lu.counters(),
         )
         return res.f, domain, meta, res.history
     if sol["mode"] != "continuation":
@@ -346,6 +347,7 @@ def _run_solve(cfg):
         newton_total=state.newton_total,
         residual_norm=state.residual_norm,
         margin=assemble_curvature(chart, domain, f).margin,
+        linear_solves=state.lu.counters(),
     )
     return f, domain, meta, state.history
 

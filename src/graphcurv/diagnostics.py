@@ -97,6 +97,22 @@ def _radial_curvature(chart, svals, f, h1, n):
     return K, m1, m2
 
 
+def _band_entries(cols, dr, m):
+    """(rows, cols, values) of the nonzero tridiagonal entries in ``cols``.
+
+    ``dr`` is the finite-difference derivative of the residual along a bump
+    of the columns ``cols`` (one color of a 3-coloring), so column j owns
+    rows j-1, j, j+1; entries come column by column in that row order, rows
+    outside 0..m-1 and exact zeros dropped.
+    """
+    i = (cols[:, None] + np.arange(-1, 2)).ravel()
+    j = np.repeat(cols, 3)
+    inside = (i >= 0) & (i < m)
+    i, j = i[inside], j[inside]
+    keep = dr[i] != 0.0
+    return i[keep], j[keep], dr[i[keep]]
+
+
 def sphere_cap_barrier(chart, domain, k, refine=32, tol=1e-10, max_iter=60):
     """Constant-curvature-k cap over a polar ball, as a grid function.
 
@@ -151,9 +167,7 @@ def sphere_cap_barrier(chart, domain, k, refine=32, tol=1e-10, max_iter=60):
         if rnorm <= goal:
             break
         # tridiagonal Jacobian via 3-coloring of the unknowns 0..m-1
-        data = []
-        rows = []
-        colids = []
+        bands = []
         for color in range(3):
             bump = np.zeros(m + 1)
             idx = np.arange(color, m, 3)
@@ -161,12 +175,8 @@ def sphere_cap_barrier(chart, domain, k, refine=32, tol=1e-10, max_iter=60):
             rp, _ = resid(f + bump)
             rm, _ = resid(f - bump)
             dr = (rp - rm) / (2.0 * eps)
-            for j in idx:
-                for i in (j - 1, j, j + 1):
-                    if 0 <= i < m and dr[i] != 0.0:
-                        rows.append(i)
-                        colids.append(j)
-                        data.append(dr[i])
+            bands.append(_band_entries(idx, dr, m))
+        rows, colids, data = (np.concatenate(part) for part in zip(*bands))
         jac = sp.csc_matrix((data, (rows, colids)), shape=(m, m))
         try:
             delta = spla.splu(jac).solve(-r)

@@ -38,7 +38,14 @@ class SingularLinearSystem(GraphCurvError):
 
 
 class NoConvergence(GraphCurvError):
-    """Newton failed to reach tolerance within the iteration budget."""
+    """Newton failed to reach tolerance within the iteration budget.
+
+    ``steps`` is the number of Newton steps accepted before it gave up.
+    """
+
+    def __init__(self, message="", steps=0):
+        super().__init__(message)
+        self.steps = steps
 
 
 class StepsizeUnderflow(GraphCurvError):

@@ -27,6 +27,17 @@ operators obey DK = -(a0/n) JK, which the tests check matrix-to-matrix.
 
 All operators carry identity rows at boundary nodes, so ``solve`` enforces
 zero Dirichlet values.
+
+Factorization reuse: a sparse LU of DK costs tens of triangular solves, and
+DK moves little between Newton steps and between neighbouring continuation
+levels.  ``HeldLU`` keeps the last factorization of one domain and solves a
+later operator's system with GMRES preconditioned by it (restart 20, at most
+3 restart cycles, stop when the 2-norm residual falls to 1e-3 of the
+right-hand side's: a loose inexact-Newton forcing term, Eisenstat & Walker,
+SIAM J. Sci. Comput. 17, 1996).  When GMRES misses that, the operator is
+factorized directly, exactly as a plain ``solve`` does, and that
+factorization is held from then on.  A factorization is never applied to an
+operator over another domain.
 """
 
 from __future__ import annotations
@@ -43,6 +54,7 @@ from .riemann import normal_curvature_endomorphism
 
 __all__ = [
     "EllipticOperator",
+    "HeldLU",
     "frame_operators",
     "build_B",
     "build_L",
@@ -112,20 +124,26 @@ class EllipticOperator:
         v = self.domain.check_values(v)
         return self.matrix @ v
 
-    def solve(self, rhs):
-        """Solve (this operator) w = rhs with zero Dirichlet values.
-
-        Boundary entries of ``rhs`` are ignored (forced to the zero Dirichlet
-        data); the sparse LU factorization is cached for repeated solves.
-        """
-        rhs = self.domain.check_values(rhs).copy()
-        rhs[self.domain.boundary] = 0.0
+    def factor(self):
+        """Sparse LU factors of ``matrix``, computed once and cached."""
         if self._lu is None:
             try:
                 self._lu = spla.splu(self.matrix.tocsc())
             except RuntimeError as exc:
                 raise SingularLinearSystem(f"sparse factorization failed: {exc}") from exc
-        w = self._lu.solve(rhs)
+        return self._lu
+
+    def solve(self, rhs, held=None):
+        """Solve (this operator) w = rhs with zero Dirichlet values.
+
+        Boundary entries of ``rhs`` are ignored (forced to the zero Dirichlet
+        data).  Without ``held`` the system is solved directly with this
+        operator's cached sparse LU; with a ``HeldLU`` it is solved by
+        ``held.solve`` (preconditioned GMRES, direct on failure).
+        """
+        rhs = self.domain.check_values(rhs).copy()
+        rhs[self.domain.boundary] = 0.0
+        w = self.factor().solve(rhs) if held is None else held.solve(self, rhs)
         if not np.all(np.isfinite(w)):
             raise SingularLinearSystem("linear solve produced non-finite values")
         w[self.domain.boundary] = 0.0  # exact Dirichlet data, no rounding dust
@@ -138,6 +156,65 @@ class EllipticOperator:
         with open(path, "w") as fh:
             for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
                 fh.write(f"{r}\t{c}\t{v:.17g}\n")
+
+
+class HeldLU:
+    """One held sparse LU, reused to precondition later solves on its domain.
+
+    ``solve(op, rhs)`` runs GMRES on ``op.matrix`` preconditioned by the held
+    factors when they belong to ``op``'s domain; if GMRES misses its
+    tolerance (or there are no usable factors) it factorizes ``op``, holds
+    that factorization and solves directly.  Counters: ``factorizations``
+    (direct factorizations made here), ``krylov_iterations`` (inner GMRES
+    iterations over all attempts) and ``fallbacks`` (GMRES attempts that
+    ended in a factorization).
+    """
+
+    RTOL = 1e-3  # against the 2-norm of the right-hand side; atol = 0
+    RESTART = 20
+    MAXITER = 3  # restart cycles
+
+    def __init__(self):
+        self.domain = None
+        self.lu = None
+        self.factorizations = 0
+        self.krylov_iterations = 0
+        self.fallbacks = 0
+
+    def counters(self):
+        return {
+            "factorizations": self.factorizations,
+            "krylov_iterations": self.krylov_iterations,
+            "fallbacks": self.fallbacks,
+        }
+
+    def solve(self, op, rhs):
+        """w with op.matrix @ w = rhs (rhs already carries the boundary data)."""
+        if self.lu is not None and self.domain is op.domain:
+            w = self._krylov(op.matrix, rhs)
+            if w is not None:
+                return w
+            self.fallbacks += 1
+        self.factorizations += op._lu is None
+        self.lu = op.factor()
+        self.domain = op.domain
+        return self.lu.solve(rhs)
+
+    def _krylov(self, matrix, rhs):
+        """Preconditioned GMRES solution, or None when it misses RTOL."""
+
+        def count(_):
+            self.krylov_iterations += 1
+
+        precond = spla.LinearOperator(matrix.shape, matvec=self.lu.solve)
+        w, info = spla.gmres(
+            matrix, rhs, rtol=self.RTOL, atol=0.0, restart=self.RESTART,
+            maxiter=self.MAXITER, M=precond, callback=count,
+            callback_type="pr_norm",
+        )
+        if info != 0 or not np.all(np.isfinite(w)):
+            return None
+        return w
 
 
 def _operator_matrix(chart, domain, c2, drift, zeroth):

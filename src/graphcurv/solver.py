@@ -9,6 +9,15 @@ stays above a fraction of the previous one and the residual drops.
 gamma(tau) from an achievable start near the base curvature up to the goal,
 with secant prediction and automatic step halving/doubling.
 
+Linear systems: every Newton step builds DK exactly at the current iterate
+and solves DK delta = -r through a ``linearize.HeldLU`` (GMRES
+preconditioned by a held sparse LU; DK is factorized afresh only when GMRES
+misses its tolerance).  ``newton_solve`` takes the held factorization and
+hands it back on its result; ``continuation_solve`` keeps one on the state,
+so one factorization can serve the start step, later Newton steps, later
+tau-steps and the retries after failed correctors.  The line search, the
+admissibility and sandwich tests and ``tol`` see only the resulting step.
+
 Determinism: everything here is sequential and seed-driven; the only random
 ingredient is ``perturb_rhs`` / ``smooth_random_field``, which draw from
 ``numpy.random.default_rng(seed)`` (PCG64) so identical seeds give bitwise
@@ -29,7 +38,7 @@ from .errors import (
     SingularLinearSystem,
     StepsizeUnderflow,
 )
-from .linearize import build_DK
+from .linearize import HeldLU, build_DK
 
 __all__ = [
     "SolveTarget",
@@ -108,6 +117,7 @@ class NewtonResult:
     residual_norm: float
     margin: float
     history: list = field(default_factory=list)
+    lu: HeldLU | None = None
 
 
 def _residual(asm, target_values, interior):
@@ -124,17 +134,21 @@ def _inside_sandwich(f, sandwich, interior):
     return bool(ok)
 
 
-def newton_solve(f_init, target, opts=None):
+def newton_solve(f_init, target, opts=None, lu=None):
     """Damped Newton for K(f) = target with zero Dirichlet data.
 
-    Solves DK * delta = target - K(f) each iteration and takes the largest
+    Solves DK * delta = target - K(f) each iteration through the held
+    factorization ``lu`` (a fresh ``HeldLU`` when None; returned on the
+    result and updated in place) and takes the largest
     step s in {1, 1/2, ..., 2^-max_halvings} whose iterate (a) keeps the
     admissibility margin >= margin_fraction * (current margin), (b) drops the
     residual to <= (1 - s/4) * current, and (c) stays inside the sandwich
     when one is attached.  Raises NonAdmissibleInit, NoConvergence (iteration
-    cap or exhausted line search), or SingularLinearSystem.
+    cap or exhausted line search; its ``steps`` counts the accepted steps),
+    or SingularLinearSystem.
     """
     opts = opts or NewtonOptions()
+    lu = HeldLU() if lu is None else lu
     chart, domain = target.chart, target.domain
     interior = domain.interior
     sandwich = target.sandwich()
@@ -153,9 +167,9 @@ def newton_solve(f_init, target, opts=None):
     history = []
     for it in range(opts.max_iter):
         if rnorm <= opts.tol:
-            return NewtonResult(f, True, it, rnorm, asm.margin, history)
+            return NewtonResult(f, True, it, rnorm, asm.margin, history, lu)
         op = build_DK(chart, domain, f, assembly=asm)
-        delta = op.solve(-r)
+        delta = op.solve(-r, held=lu)
         accepted = False
         for k in range(opts.max_halvings + 1):
             s = 2.0**-k
@@ -179,12 +193,14 @@ def newton_solve(f_init, target, opts=None):
         if not accepted:
             raise NoConvergence(
                 f"line search exhausted at iteration {it + 1} "
-                f"(residual {rnorm:.3e}, margin {asm.margin:.3e})"
+                f"(residual {rnorm:.3e}, margin {asm.margin:.3e})",
+                steps=len(history),
             )
     if rnorm <= opts.tol:
-        return NewtonResult(f, True, opts.max_iter, rnorm, asm.margin, history)
+        return NewtonResult(f, True, opts.max_iter, rnorm, asm.margin, history, lu)
     raise NoConvergence(
-        f"no convergence in {opts.max_iter} iterations (residual {rnorm:.3e})"
+        f"no convergence in {opts.max_iter} iterations (residual {rnorm:.3e})",
+        steps=len(history),
     )
 
 
@@ -203,8 +219,10 @@ class ContinuationState:
 
     ``perturbation`` (zero by default) is added to the whole path; ``history``
     collects one row per accepted Newton step as dicts with keys
-    iter/tau/residual/margin/step; ``newton_total`` counts accepted Newton
-    steps across all correctors, including those of rejected tau-steps.
+    iter/tau/residual/margin/step, where ``iter`` is the running
+    ``newton_total``; ``newton_total`` counts accepted Newton steps across
+    all correctors, including those of rejected tau-steps (which add no
+    history rows).  ``lu`` is the factorization held across the whole walk.
     """
 
     target: SolveTarget
@@ -217,6 +235,7 @@ class ContinuationState:
     residual_norm: float = np.inf
     history: list = field(default_factory=list)
     newton_total: int = 0
+    lu: HeldLU = field(default_factory=HeldLU)
 
     def path_target(self, tau):
         """SolveTarget at path position tau (same sandwich as the goal)."""
@@ -297,7 +316,11 @@ def continuation_solve(state, opts=None):
 
     def correct(tau, f_start):
         tgt = state.path_target(tau)
-        res = newton_solve(f_start, tgt, opts.newton)
+        try:
+            res = newton_solve(f_start, tgt, opts.newton, state.lu)
+        except NoConvergence as exc:
+            state.newton_total += exc.steps
+            raise
         for row in res.history:
             state.newton_total += 1
             state.history.append({**row, "iter": state.newton_total, "tau": tau})
@@ -317,7 +340,7 @@ def continuation_solve(state, opts=None):
                 )
             op0 = build_DK(state.target.chart, domain, f0, assembly=asm0)
             r0 = _residual(asm0, tgt0.evaluate(f0), domain.interior)
-            f_start = f0 + op0.solve(-r0)
+            f_start = f0 + op0.solve(-r0, held=state.lu)
             try:
                 res = correct(0.0, f_start)
             except (NoConvergence, NonAdmissibleInit):

@@ -52,6 +52,10 @@ def test_solve_happy_path(tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows and set(rows[0]) == {"iter", "tau", "residual", "margin", "step"}
     assert float(rows[-1]["residual"]) <= 1e-9
+    solves = summary["linear_solves"]
+    assert set(solves) == {"factorizations", "krylov_iterations", "fallbacks"}
+    assert 1 <= solves["factorizations"] <= summary["newton_total"] + 1
+    assert 0 <= solves["fallbacks"] < solves["factorizations"]
 
 
 def test_solve_newton_mode(tmp_path):
@@ -64,6 +68,7 @@ def test_solve_newton_mode(tmp_path):
     assert main(["solve", "--config", str(cfg)]) == 0
     summary = read_summary(tmp_path)
     assert summary["status"] == "converged"
+    assert summary["linear_solves"]["factorizations"] >= 1
     dom, f, _ = load_grid(tmp_path / "out" / "solution.grid")
     s = dom.coords[:, 0]
     exact = np.sqrt(3.0) - np.sqrt(4.0 - s**2)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from graphcurv.assembly import assemble_curvature, order_compare
 from graphcurv.charts import EuclideanChart, HyperbolicChart
 from graphcurv.diagnostics import (
+    _band_entries,
     curvature_norm_report,
     make_barrier_pair,
     offset_barrier,
@@ -264,3 +265,21 @@ def test_square_split_rejects_bad_weight():
         square_split(1.0, 2.0, 0.0)
     with pytest.raises(OutOfRange):
         square_split(1.0, 2.0, -3.0)
+
+
+def test_band_entries_match_the_loop_reference():
+    m = 40
+    dr = np.random.default_rng(4).standard_normal(m)
+    dr[[0, 7, 8, 39]] = 0.0  # exact zeros are dropped
+    for color in range(3):
+        cols = np.arange(color, m, 3)
+        want = ([], [], [])
+        for j in cols:
+            for i in (j - 1, j, j + 1):
+                if 0 <= i < m and dr[i] != 0.0:
+                    want[0].append(i)
+                    want[1].append(j)
+                    want[2].append(dr[i])
+        got = _band_entries(cols, dr, m)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, np.array(w, dtype=g.dtype))

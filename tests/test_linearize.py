@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from graphcurv.assembly import assemble_curvature, frame_quantities
 from graphcurv.charts import EpsilonChart, EuclideanChart, HyperbolicChart
@@ -12,6 +14,8 @@ from graphcurv.errors import (
 )
 from graphcurv.grids import GridDomain
 from graphcurv.linearize import (
+    EllipticOperator,
+    HeldLU,
     build_B,
     build_DK,
     build_JK,
@@ -234,3 +238,65 @@ def test_export_triplets_is_deterministic(tmp_path):
     row0 = t1.splitlines()[0].split("\t")
     assert len(row0) == 3
     int(row0[0]), int(row0[1]), float(row0[2])
+
+
+# ---- held factorization ----------------------------------------------------------
+
+
+def test_held_lu_preconditions_a_neighbouring_operator():
+    chart = HyperbolicChart(n=2, offset=D)
+    dom = ball()
+    held = HeldLU()
+    rhs = np.sin(3 * dom.coords[:, 0]) + 0.2
+    build_DK(chart, dom, np.zeros(dom.num_nodes)).solve(rhs, held=held)
+    op = build_DK(chart, dom, safe_field(dom))
+    w = op.solve(rhs, held=held)
+    assert held.factorizations == 1
+    assert held.fallbacks == 0 and held.krylov_iterations > 0
+    assert op._lu is None  # the new operator was never factorized
+    b = np.where(dom.interior, rhs, 0.0)
+    assert np.linalg.norm(op.apply(w) - b) <= HeldLU.RTOL * np.linalg.norm(b)
+    assert np.all(w[dom.boundary] == 0.0)
+
+
+def test_held_lu_of_a_distant_operator_falls_back_to_direct():
+    # the diagonal of DK carries none of its coupling, so GMRES preconditioned
+    # by it misses the tolerance and the solve factorizes DK itself
+    chart = HyperbolicChart(n=2, offset=D)
+    dom = ball(32, 128)
+    op = build_DK(chart, dom, safe_field(dom))
+    diag = EllipticOperator(dom, sp.diags(op.matrix.diagonal()).tocsr(),
+                            op.second_order, op.drift, op.zeroth, kind="diag")
+    rhs = np.random.default_rng(3).standard_normal(dom.num_nodes)
+    held = HeldLU()
+    diag.solve(rhs, held=held)
+    w = op.solve(rhs, held=held)
+    assert held.fallbacks == 1
+    assert held.factorizations == 2
+    assert held.krylov_iterations == HeldLU.RESTART * HeldLU.MAXITER
+    assert held.lu is op._lu
+    b = np.where(dom.interior, rhs, 0.0)
+    direct = spla.splu(op.matrix.tocsc()).solve(b)
+    direct[dom.boundary] = 0.0
+    assert np.max(np.abs(w - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+def test_held_lu_is_never_applied_on_another_domain():
+    chart = HyperbolicChart(n=2, offset=D)
+    dom_a, dom_b = ball(), ball()  # same grid, distinct domains
+    held = HeldLU()
+    rhs = np.ones(dom_a.num_nodes)
+    build_DK(chart, dom_a, np.zeros(dom_a.num_nodes)).solve(rhs, held=held)
+
+    class Poisoned:
+        def solve(self, _):
+            raise AssertionError("factors of another domain were applied")
+
+    held.lu = Poisoned()
+    op_b = build_DK(chart, dom_b, np.zeros(dom_b.num_nodes))
+    w = op_b.solve(rhs, held=held)
+    assert held.counters() == {
+        "factorizations": 2, "krylov_iterations": 0, "fallbacks": 0,
+    }
+    assert held.domain is dom_b and held.lu is op_b._lu
+    assert np.array_equal(w, build_DK(chart, dom_b, np.zeros(dom_b.num_nodes)).solve(rhs))

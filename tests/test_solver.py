@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from graphcurv import linearize, solver
 from graphcurv.assembly import assemble_curvature
 from graphcurv.charts import EpsilonChart, EuclideanChart, HyperbolicChart
 from graphcurv.diagnostics import make_barrier_pair
@@ -93,6 +94,17 @@ def test_newton_iteration_cap():
         )
 
 
+def test_newton_failure_reports_accepted_steps():
+    dom = GridDomain.ball(1.0, 8, 32)
+    with pytest.raises(NoConvergence) as info:
+        newton_solve(
+            np.zeros(dom.num_nodes),
+            hyper_target(dom, 0.9),
+            NewtonOptions(max_iter=2),
+        )
+    assert info.value.steps == 2
+
+
 def test_newton_solution_stays_inside_sandwich():
     dom = GridDomain.ball(1.0, 8, 32)
     target = hyper_target(dom, 0.7, with_barrier=True)
@@ -122,6 +134,52 @@ def test_continuation_reaches_target():
     assert np.max(np.abs(asm.K[inner] - 0.9)) <= 1e-9
     taus = [row["tau"] for row in state.history]
     assert all(a <= b for a, b in zip(taus, taus[1:]))
+
+
+def test_continuation_counts_steps_of_failed_correctors(monkeypatch):
+    # two Newton steps are too few for most correctors, so many tau-steps
+    # are rejected after accepting steps; newton_total must include them
+    failed = []
+
+    def recording(*args, **kwargs):
+        try:
+            return newton_solve(*args, **kwargs)
+        except NoConvergence as exc:
+            failed.append(exc.steps)
+            raise
+
+    monkeypatch.setattr(solver, "newton_solve", recording)
+    dom = GridDomain.ball(1.0, 8, 32)
+    state = start_state(hyper_target(dom, 0.9, with_barrier=True))
+    continuation_solve(state, ContinuationOptions(newton=NewtonOptions(max_iter=2)))
+    assert state.tau == 1.0
+    assert failed and sum(failed) > 0
+    assert state.newton_total == len(state.history) + sum(failed)
+    assert state.history[-1]["iter"] == state.newton_total
+
+
+def test_continuation_reuses_factorizations(monkeypatch):
+    # the acceptance-battery path (33x128, k = 0.9 inside a cap sandwich)
+    dom = GridDomain.ball(1.0, 32, 128)
+    chart = HyperbolicChart(n=2, offset=D)
+    bp = make_barrier_pair(chart, dom, kind="cap", k=0.95)
+    target = SolveTarget(chart, dom, 0.9, lower=bp.lower, upper=bp.upper,
+                         phi_hat=bp.phi_hat)
+    factorized = []
+    splu = linearize.spla.splu
+    monkeypatch.setattr(
+        linearize.spla, "splu", lambda *a, **kw: factorized.append(1) or splu(*a, **kw)
+    )
+    state = start_state(target, delta0=0.05)
+    f = continuation_solve(state)
+    assert state.tau == 1.0
+    asm = assemble_curvature(chart, dom, f)
+    assert np.max(np.abs(asm.K[dom.interior] - 0.9)) <= 1e-9
+    # every factorization, the start step's included, goes through the
+    # held one and is counted there
+    assert len(factorized) == state.lu.factorizations
+    assert 1 <= state.lu.factorizations < state.newton_total
+    assert state.lu.krylov_iterations > 0
 
 
 def test_continuation_needs_positive_gap():
