@@ -130,6 +130,19 @@ def signed_root_det(mat):
     return np.sign(det) * np.sqrt(np.abs(det))
 
 
+def sym_inverse(mat):
+    """Inverses of symmetric (N, n, n) matrices, closed form."""
+    n = mat.shape[-1]
+    if n == 1:
+        return 1.0 / mat
+    inv_det = 1.0 / (mat[..., 0, 0] * mat[..., 1, 1] - mat[..., 0, 1] ** 2)
+    out = np.empty_like(mat)
+    out[..., 0, 0] = mat[..., 1, 1] * inv_det
+    out[..., 1, 1] = mat[..., 0, 0] * inv_det
+    out[..., 0, 1] = out[..., 1, 0] = -mat[..., 0, 1] * inv_det
+    return out
+
+
 # ---- assembly ---------------------------------------------------------------
 
 

@@ -62,6 +62,7 @@ class GridDomain:
     boundary: np.ndarray  # (N,) bool
     pole: int | None = None
     _ops: DerivOps | None = field(default=None, repr=False, compare=False)
+    _order: np.ndarray | None = field(default=None, repr=False, compare=False)
     _frame_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     # ---- constructors ----------------------------------------------------
@@ -217,6 +218,65 @@ class GridDomain:
             else:
                 self._ops = _box_ops(self)
         return self._ops
+
+    def dissection_order(self):
+        """Nested-dissection elimination order of the nodes (computed once).
+
+        ``order[k]`` is the node eliminated k-th.  The index grid is cut
+        recursively by single grid lines (each derivative stencil reaches one
+        line to either side, so one line separates) across its longer side,
+        each half ordered before its separator, down to blocks of at most
+        16 nodes kept in natural order.  A periodic axis is first cut at
+        index 0 and at its midpoint, the ball pole, which couples to the
+        whole first ring, comes last, and an interval keeps its natural
+        (already fill-free) order.
+        """
+        if self._order is None:
+            self._order = _dissection_order(self)
+        return self._order
+
+
+def _dissection_order(dom):
+    if dom.kind == "interval":
+        return np.arange(dom.num_nodes)
+    if dom.kind == "ball":
+        ids = 1 + np.arange(dom.num_nodes - 1).reshape(dom.shape[0] - 1, dom.shape[1])
+    else:
+        ids = np.arange(dom.num_nodes).reshape(dom.shape)
+    blocks, cuts = [ids], []
+    for ax, per in enumerate(dom.periodic):
+        if per:
+            m = ids.shape[ax]
+            halves = (np.arange(1, m // 2), np.arange(m // 2 + 1, m))
+            cuts += [np.take(b, [0, m // 2], axis=ax).ravel() for b in blocks]
+            blocks = [np.take(b, h, axis=ax) for b in blocks for h in halves]
+    out = []
+    for b in blocks:
+        _dissect(b, out)
+    out += cuts
+    if dom.pole is not None:
+        out.append(np.array([dom.pole]))
+    return np.concatenate(out)
+
+
+_DISSECTION_LEAF = 16
+
+
+def _dissect(block, out):
+    """Append the nested-dissection order of a 2-D block of node ids to out."""
+    rows, cols = block.shape
+    if block.size <= _DISSECTION_LEAF:
+        out.append(block.ravel())
+    elif rows >= cols:
+        mid = rows // 2
+        _dissect(block[:mid], out)
+        _dissect(block[mid + 1:], out)
+        out.append(block[mid])
+    else:
+        mid = cols // 2
+        _dissect(block[:, :mid], out)
+        _dissect(block[:, mid + 1:], out)
+        out.append(block[:, mid])
 
 
 def _1d_first(m, h, periodic):

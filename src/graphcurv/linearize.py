@@ -28,6 +28,22 @@ operators obey DK = -(a0/n) JK, which the tests check matrix-to-matrix.
 All operators carry identity rows at boundary nodes, so ``solve`` enforces
 zero Dirichlet values.
 
+Storage: every operator of one (chart, domain) is stored on one sparsity
+pattern, the union of the interior rows of the frame operators H[(a, b)]
+(a <= b) and P[a] and the diagonal, with boundary rows holding the diagonal
+alone.  The pattern is built with the first operator and cached on the
+domain, together with the int32 position in it of every entry of each frame
+operator; a build then only fills the values, one scatter-add per frame
+operator.  The stored pattern, and with it the fill of a factorization,
+therefore does not depend on f; entries that cancel stay as zeros.
+
+Factorization: a direct LU takes rows and columns in the domain's
+nested-dissection order (``GridDomain.dissection_order``) and SuperLU keeps
+that order (``permc_spec='NATURAL'``, symmetric mode) and pivots on the
+diagonal unless it is exactly zero, which suits an elliptic operator whose
+diagonal dominates.  On the 129x512 ball the factors hold about half the
+entries a COLAMD order gives (4.7 M against 9.7 M for L + U of DK at f = 0).
+
 Factorization reuse: a sparse LU of DK costs tens of triangular solves, and
 DK moves little between Newton steps and between neighbouring continuation
 levels.  ``HeldLU`` keeps the last factorization of one domain and solves a
@@ -48,7 +64,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import assemble_curvature, require_admissible
+from .assembly import assemble_curvature, require_admissible, sym_inverse
 from .errors import SingularLinearSystem, SingularShapeOperator
 from .riemann import normal_curvature_endomorphism
 
@@ -125,12 +141,22 @@ class EllipticOperator:
         return self.matrix @ v
 
     def factor(self):
-        """Sparse LU factors of ``matrix``, computed once and cached."""
+        """Sparse LU factors of ``matrix``, computed once and cached.
+
+        The rows and columns are taken in the domain's nested-dissection
+        order and SuperLU keeps it (no column reordering) and pivots on the
+        diagonal unless that is exactly zero.
+        """
         if self._lu is None:
+            perm = self.domain.dissection_order()
             try:
-                self._lu = spla.splu(self.matrix.tocsc())
+                lu = spla.splu(
+                    self.matrix[perm][:, perm].tocsc(), permc_spec="NATURAL",
+                    diag_pivot_thresh=0.0, options={"SymmetricMode": True},
+                )
             except RuntimeError as exc:
                 raise SingularLinearSystem(f"sparse factorization failed: {exc}") from exc
+            self._lu = _PermutedLU(lu, perm)
         return self._lu
 
     def solve(self, rhs, held=None):
@@ -158,6 +184,25 @@ class EllipticOperator:
                 fh.write(f"{r}\t{c}\t{v:.17g}\n")
 
 
+class _PermutedLU:
+    """LU factors of ``matrix[perm][:, perm]`` that solve systems of ``matrix``."""
+
+    def __init__(self, lu, perm):
+        self.lu = lu
+        self.perm = perm
+
+    @property
+    def nnz(self):
+        """Stored entries of both factors."""
+        return self.lu.nnz
+
+    def solve(self, rhs):
+        y = self.lu.solve(rhs[self.perm])
+        out = np.empty_like(y)
+        out[self.perm] = y
+        return out
+
+
 class HeldLU:
     """One held sparse LU, reused to precondition later solves on its domain.
 
@@ -166,8 +211,9 @@ class HeldLU:
     tolerance (or there are no usable factors) it factorizes ``op``, holds
     that factorization and solves directly.  Counters: ``factorizations``
     (direct factorizations made here), ``krylov_iterations`` (inner GMRES
-    iterations over all attempts) and ``fallbacks`` (GMRES attempts that
-    ended in a factorization).
+    iterations over all attempts), ``fallbacks`` (GMRES attempts that ended
+    in a factorization) and ``fill`` (stored entries of the held factors, 0
+    while none are held).
     """
 
     RTOL = 1e-3  # against the 2-norm of the right-hand side; atol = 0
@@ -186,6 +232,7 @@ class HeldLU:
             "factorizations": self.factorizations,
             "krylov_iterations": self.krylov_iterations,
             "fallbacks": self.fallbacks,
+            "fill": 0 if self.lu is None else self.lu.nnz,
         }
 
     def solve(self, op, rhs):
@@ -217,27 +264,88 @@ class HeldLU:
         return w
 
 
-def _operator_matrix(chart, domain, c2, drift, zeroth):
-    """Contract per-node coefficients with frame operators; identity boundary."""
+@dataclass(frozen=True)
+class _OperatorPattern:
+    """Union sparsity pattern of the operators ``_operator_matrix`` sums.
+
+    ``indptr``/``indices`` hold, on interior rows, every entry of the frame
+    operators and the diagonal; boundary rows hold the diagonal alone.
+    ``terms`` lists the frame operators with, per stored entry, its position
+    in the pattern (``nnz`` for entries on boundary rows, which are dropped).
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    terms: tuple  # ((frame operator, int32 positions), ...)
+    diagonal: np.ndarray  # position of (i, i) for every row i
+
+    @property
+    def nnz(self):
+        return len(self.indices)
+
+
+def _operator_pattern(chart, domain):
+    """The union pattern of ``_operator_matrix`` (cached per chart on the domain)."""
+    key = ("operator_pattern", chart.chart_id())
+    hit = domain._frame_cache.get(key)
+    if hit is not None:
+        return hit
     P, H = frame_operators(chart, domain)
     n = domain.n
     N = domain.num_nodes
-    mat = sp.csr_matrix((N, N))
-    for a in range(n):
-        for b in range(n):
-            coef = c2[:, a, b]
-            if np.any(coef):
-                mat = mat + sp.diags(coef) @ H[(min(a, b), max(a, b))]
-        if np.any(drift[:, a]):
-            mat = mat + sp.diags(drift[:, a]) @ P[a]
-    mat = mat + sp.diags(zeroth)
-    keep = sp.diags(domain.interior.astype(float))
-    bnd = sp.diags(domain.boundary.astype(float))
-    return (keep @ mat + bnd).tocsr()
+    ops = [H[(a, b)] for a in range(n) for b in range(a, n)] + list(P)
+    inner = domain.interior
+    # entry (i, j) has the key i * N + j, so row-major order is key order
+    rows, keys = [], []
+    for op in ops:
+        op.sum_duplicates()  # one position per stored entry; no-op when canonical
+        rows.append(np.repeat(np.arange(N, dtype=np.int64), np.diff(op.indptr)))
+        keys.append(rows[-1] * N + op.indices)
+    diag = np.arange(N, dtype=np.int64) * (N + 1)
+    union = np.sort(np.concatenate([k[inner[r]] for r, k in zip(rows, keys)] + [diag]))
+    union = union[np.diff(union, prepend=-1) != 0]
+    indptr = np.searchsorted(union, np.arange(N + 1, dtype=np.int64) * N).astype(np.int32)
+    indices = (union % N).astype(np.int32)
+    terms = tuple(
+        (op, np.where(inner[r], np.searchsorted(union, k), len(union)).astype(np.int32))
+        for op, r, k in zip(ops, rows, keys)
+    )
+    for arr in (indptr, indices):
+        arr.flags.writeable = False  # shared by every matrix built on it
+    out = _OperatorPattern(indptr, indices, terms, np.searchsorted(union, diag))
+    domain._frame_cache[key] = out
+    return out
+
+
+def _operator_matrix(chart, domain, c2, drift, zeroth):
+    """Contract per-node coefficients with frame operators; identity boundary.
+
+    The coefficient of H[(a, b)], a < b, is c2[a, b] + c2[b, a].  Every
+    matrix of one (chart, domain) is stored on the same pattern, whatever
+    its coefficients, with entries that happen to cancel kept as zeros.
+    """
+    pat = _operator_pattern(chart, domain)
+    n = domain.n
+    coefs = [
+        c2[:, a, a] if a == b else c2[:, a, b] + c2[:, b, a]
+        for a in range(n) for b in range(a, n)
+    ] + [drift[:, a] for a in range(n)]
+    data = np.zeros(pat.nnz + 1)  # the last slot collects boundary rows
+    for (op, pos), coef in zip(pat.terms, coefs):
+        np.add.at(data, pos, np.repeat(coef, np.diff(op.indptr)) * op.data)
+    data = data[:-1]
+    data[pat.diagonal] += zeroth
+    data[pat.diagonal[domain.boundary]] = 1.0
+    N = domain.num_nodes
+    return sp.csr_matrix((data, pat.indices, pat.indptr), shape=(N, N))
 
 
 def _warp_derivative_fields(chart, f, p, psi, n):
-    """(d_t Psi, tau, d_t psi, d_p psi) of the closed (psi, Psi) forms."""
+    """(sigma_t, tau_t, tau, d_t psi, d_p psi) of the closed (psi, Psi) forms.
+
+    d_t Psi = sigma_t Id + tau_t p p^T, so tr(X d_t Psi) is formed from
+    tr X and p^T X p without the (N, n, n) tensor.
+    """
     c, cp, cpp = chart.warp(f)
     c0 = chart.c0
     rho = c / c0
@@ -246,13 +354,10 @@ def _warp_derivative_fields(chart, f, p, psi, n):
     sig_t = -(cp * cp + c * cpp) / c0**2
     tau = -2.0 * cp / c
     tau_t = -2.0 * (cpp / c - (cp / c) ** 2)
-    dtPsi = sig_t[..., None, None] * np.eye(n) + tau_t[..., None, None] * (
-        p[..., :, None] * p[..., None, :]
-    )
     denom = rho * rho + q
     dtpsi = psi * ((n - 2.0) * rho_t / (n * rho) + (n + 2.0) * rho * rho_t / (n * denom))
     dppsi = psi[..., None] * (n + 2.0) * p / (n * denom[..., None])
-    return dtPsi, tau, dtpsi, dppsi
+    return sig_t, tau_t, tau, dtpsi, dppsi
 
 
 def build_B(assembly):
@@ -261,7 +366,7 @@ def build_B(assembly):
     n = assembly.M.shape[-1]
     idx = np.flatnonzero(assembly.domain.interior)
     out = np.zeros_like(assembly.M)
-    out[idx] = (assembly.psi[idx] / n)[:, None, None] * np.linalg.inv(assembly.M[idx])
+    out[idx] = (assembly.psi[idx] / n)[:, None, None] * sym_inverse(assembly.M[idx])
     return out
 
 
@@ -271,15 +376,16 @@ def _derivative_coefficients(chart, domain, assembly, det_side_only):
     K = assembly.K[idx]
     psi = assembly.psi[idx]
     p = assembly.grad[idx]
-    Minv = np.linalg.inv(assembly.M[idx])
-    dtPsi, tau, dtpsi, dppsi = _warp_derivative_fields(
+    Minv = sym_inverse(assembly.M[idx])
+    sig_t, tau_t, tau, dtpsi, dppsi = _warp_derivative_fields(
         chart, assembly.f[idx], p, psi, n
     )
     scale = K * psi if det_side_only else K  # det-side derivative vs full K
     Minv_p = np.einsum("xab,xb->xa", Minv, p)
     c2_i = (scale / n)[:, None, None] * Minv
     drift_i = (2.0 * scale * tau / n)[:, None] * Minv_p
-    c0_i = (scale / n) * np.einsum("xab,xba->x", Minv, dtPsi)
+    tr_Minv = np.trace(Minv, axis1=1, axis2=2)
+    c0_i = (scale / n) * (sig_t * tr_Minv + tau_t * np.sum(p * Minv_p, axis=-1))
     if not det_side_only:
         drift_i = drift_i - (K / psi)[:, None] * dppsi
         c0_i = c0_i - K * dtpsi / psi

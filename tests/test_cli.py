@@ -53,7 +53,8 @@ def test_solve_happy_path(tmp_path):
     assert rows and set(rows[0]) == {"iter", "tau", "residual", "margin", "step"}
     assert float(rows[-1]["residual"]) <= 1e-9
     solves = summary["linear_solves"]
-    assert set(solves) == {"factorizations", "krylov_iterations", "fallbacks"}
+    assert set(solves) == {"factorizations", "krylov_iterations", "fallbacks", "fill"}
+    assert solves["fill"] > 0
     assert 1 <= solves["factorizations"] <= summary["newton_total"] + 1
     assert 0 <= solves["fallbacks"] < solves["factorizations"]
 

@@ -321,3 +321,23 @@ def test_restrict_rejects_non_refinements():
                         GridDomain.interval(0.0, 1.0, 4), np.zeros(7))
     with pytest.raises(DomainMismatch):
         restrict_values(GridDomain.interval(0.0, 1.0, 8), coarse, np.zeros(9))
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [
+        GridDomain.interval(0.0, 1.0, 12),
+        GridDomain.box(((0.0, 1.0), (0.0, 2.0)), (6, 7)),
+        GridDomain.box(((0.0, 1.0), (0.0, 2.0)), (6, 8), periodic=(False, True)),
+        GridDomain.box(((0.0, 1.0), (0.0, 2.0)), (10, 12), periodic=(True, True)),
+        GridDomain.annulus(0.5, 1.5, 6, 16),
+        GridDomain.ball(1.0, 16, 64),
+    ],
+    ids=["interval", "box", "periodic-box", "torus", "annulus", "ball"],
+)
+def test_dissection_order_is_a_permutation(dom):
+    order = dom.dissection_order()
+    assert np.array_equal(np.sort(order), np.arange(dom.num_nodes))
+    assert dom.dissection_order() is order
+    if dom.pole is not None:
+        assert order[-1] == dom.pole

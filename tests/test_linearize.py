@@ -275,9 +275,8 @@ def test_held_lu_of_a_distant_operator_falls_back_to_direct():
     assert held.factorizations == 2
     assert held.krylov_iterations == HeldLU.RESTART * HeldLU.MAXITER
     assert held.lu is op._lu
-    b = np.where(dom.interior, rhs, 0.0)
-    direct = spla.splu(op.matrix.tocsc()).solve(b)
-    direct[dom.boundary] = 0.0
+    direct = EllipticOperator(dom, op.matrix, op.second_order, op.drift,
+                              op.zeroth).solve(rhs)
     assert np.max(np.abs(w - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
@@ -297,6 +296,89 @@ def test_held_lu_is_never_applied_on_another_domain():
     w = op_b.solve(rhs, held=held)
     assert held.counters() == {
         "factorizations": 2, "krylov_iterations": 0, "fallbacks": 0,
+        "fill": op_b._lu.nnz,
     }
     assert held.domain is dom_b and held.lu is op_b._lu
     assert np.array_equal(w, build_DK(chart, dom_b, np.zeros(dom_b.num_nodes)).solve(rhs))
+
+
+# ---- fixed sparsity pattern and dissection ordering ----------------------------
+
+
+LAYOUTS = {
+    "ball": lambda: GridDomain.ball(1.0, 8, 32),
+    "annulus": lambda: GridDomain.annulus(0.5, 1.0, 8, 32),
+    "box": lambda: GridDomain.box(((-1.0, 1.0), (-1.0, 1.0)), (13, 13)),
+    "interval": lambda: GridDomain.interval(-1.0, 1.0, 32),
+}
+
+
+def plane_xy(dom):
+    """Cartesian position of every node (y = 0 on an interval)."""
+    c = dom.coords
+    if dom.layout == "polar":
+        return c[:, 0] * np.cos(c[:, 1]), c[:, 0] * np.sin(c[:, 1])
+    if dom.layout == "cartesian":
+        return c[:, 0], c[:, 1]
+    return c[:, 0], np.zeros(dom.num_nodes)
+
+
+def convex_field(dom, wiggle=0.0):
+    """0.3 (|x|^2 - 2) plus a smooth bump with no rotational symmetry."""
+    x, y = plane_xy(dom)
+    return 0.3 * (x**2 + y**2 - 2.0) + wiggle * np.sin(2 * x + 0.3) * np.cos(3 * y + 0.2)
+
+
+def summed_operator_matrix(chart, op):
+    """The matrix of op as a sum of diags(coef) @ H and diags(coef) @ P products."""
+    dom = op.domain
+    P, H = frame_operators(chart, dom)
+    mat = sp.diags(op.zeroth)
+    for a in range(dom.n):
+        for b in range(dom.n):
+            mat = mat + sp.diags(op.second_order[:, a, b]) @ H[(min(a, b), max(a, b))]
+        mat = mat + sp.diags(op.drift[:, a]) @ P[a]
+    keep = sp.diags(dom.interior.astype(float))
+    return (keep @ mat + sp.diags(dom.boundary.astype(float))).toarray()
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_operator_pattern_is_fixed_per_domain(layout):
+    dom = LAYOUTS[layout]()
+    chart = HyperbolicChart(n=dom.n, offset=D)
+    fields = [np.zeros(dom.num_nodes), convex_field(dom), convex_field(dom, 0.02)]
+    ops = [build_DK(chart, dom, f) for f in fields]
+    for op in ops[1:]:
+        assert np.array_equal(op.matrix.indptr, ops[0].matrix.indptr)
+        assert np.array_equal(op.matrix.indices, ops[0].matrix.indices)
+    for op in ops:
+        got = op.matrix.toarray()
+        want = summed_operator_matrix(chart, op)
+        row_scale = np.max(np.abs(want), axis=1)
+        assert np.all(np.max(np.abs(got - want), axis=1) <= 1e-12 * row_scale)
+        # boundary rows are exact identity rows, stored as the diagonal alone
+        bnd = np.flatnonzero(dom.boundary)
+        assert np.array_equal(got[bnd], np.eye(dom.num_nodes)[bnd])
+        assert np.all(np.diff(op.matrix.indptr)[bnd] == 1)
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize(
+    "chart_of",
+    [lambda n: HyperbolicChart(n=n, offset=D), lambda n: EpsilonChart(n=n, eps=0.1)],
+    ids=["hyperbolic", "epsilon"],
+)
+def test_dissection_solve_matches_plain_sparse_lu(layout, chart_of):
+    dom = LAYOUTS[layout]()
+    op = build_DK(chart_of(dom.n), dom, convex_field(dom, 0.02))
+    rhs = np.where(dom.interior, np.random.default_rng(5).standard_normal(dom.num_nodes), 0.0)
+    want = spla.splu(op.matrix.tocsc()).solve(rhs)
+    got = op.solve(rhs)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_dissection_fill_is_below_colamd():
+    chart = HyperbolicChart(n=2, offset=D)
+    dom = ball(64, 256)
+    op = build_DK(chart, dom, safe_field(dom))
+    assert op.factor().nnz < spla.splu(op.matrix.tocsc()).nnz
