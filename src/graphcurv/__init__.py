@@ -30,6 +30,7 @@ from .grids import (
     GridDomain,
     export_csv,
     load_grid,
+    prolong_values,
     refine_domain,
     restrict_values,
     save_grid,
@@ -61,6 +62,7 @@ from .solver import (
     continuation_solve,
     newton_solve,
     perturb_rhs,
+    rhs_perturbation,
     smooth_random_field,
     start_state,
     uniqueness_probe,

@@ -78,25 +78,6 @@ class ConnectionForm:
 
     tensor: np.ndarray
 
-    @property
-    def dim(self):
-        return self.tensor.shape[-1]
-
-    def tangent_tangent(self):
-        """Components Omega(d_i, d_j) for horizontal i, j: shape (..., m, n, n)."""
-        n = self.dim - 1
-        return self.tensor[..., :, :n, :n]
-
-    def tangent_vertical(self):
-        """Components Omega(d_i, d_t): shape (..., m, n)."""
-        n = self.dim - 1
-        return self.tensor[..., :, :n, n]
-
-    def vertical_vertical(self):
-        """Components Omega(d_t, d_t): shape (..., m)."""
-        n = self.dim - 1
-        return self.tensor[..., :, n, n]
-
 
 @dataclass(frozen=True)
 class BaseHypersurface:
@@ -135,10 +116,6 @@ class Chart:
 
     def metric_at(self, points):
         """Ambient metric matrix at chart coordinates, shape (..., m, m)."""
-        raise NotImplementedError
-
-    def product_metric_at(self, points):
-        """Reference product metric (base x vertical) at the same coordinates."""
         raise NotImplementedError
 
     def connection_form_at(self, points):
@@ -208,10 +185,6 @@ class Chart:
             om[..., i, i, m - 1] = rat
             om[..., i, m - 1, i] = rat
         return ConnectionForm(om)
-
-    def sample_bounds(self):
-        """Coordinate box from which property tests may sample points."""
-        raise NotImplementedError
 
     # ---- model embedding -------------------------------------------------
 
@@ -283,22 +256,11 @@ class EuclideanChart(Chart):
         m = self.n + 1
         return np.broadcast_to(np.eye(m), points.shape[:-1] + (m, m)).copy()
 
-    def product_metric_at(self, points):
-        return self.metric_at(points)
-
-    def connection_form_at(self, points):
-        points = np.asarray(points, dtype=float)
-        m = self.n + 1
-        return ConnectionForm(np.zeros(points.shape[:-1] + (m, m, m)))
-
     def graph_coords(self, base, t, layout):
         base = np.asarray(base, dtype=float)
         t = np.asarray(t, dtype=float)
         xy = _base_cartesian(base, layout)
         return np.concatenate([xy, t[..., None]], axis=-1)
-
-    def sample_bounds(self):
-        return [(-3.0, 3.0)] * (self.n + 1)
 
     def embed(self, base, t, layout):
         return np.concatenate(
@@ -378,37 +340,6 @@ class HyperbolicChart(Chart):
             raise OutOfChart("polar coordinates degenerate at the pole")
         return _diag_metric([sec2, np.sinh(rho) ** 2 * sec2, sec2])
 
-    def product_metric_at(self, points):
-        points = np.asarray(points, dtype=float)
-        one = np.ones(points.shape[:-1])
-        if self.n == 1:
-            return _diag_metric([one, one])
-        rho = points[..., 0]
-        if np.any(rho < 1e-8):
-            raise OutOfChart("polar coordinates degenerate at the pole")
-        return _diag_metric([one, np.sinh(rho) ** 2, one])
-
-    def connection_form_at(self, points):
-        points = np.asarray(points, dtype=float)
-        theta = points[..., -1]
-        if np.any(np.abs(theta) >= 0.5 * np.pi):
-            raise OutOfChart("conformal angle too close to the ideal boundary")
-        tan = np.tan(theta)
-        m = self.n + 1
-        om = np.zeros(points.shape[:-1] + (m, m, m))
-        # Omega(d_i, d_j) = -g0_ij tan(theta) d_theta for horizontal i, j
-        om[..., m - 1, 0, 0] = -tan
-        if self.n == 2:
-            rho = points[..., 0]
-            om[..., m - 1, 1, 1] = -np.sinh(rho) ** 2 * tan
-        # Omega(d_i, d_theta) = tan(theta) d_i
-        for i in range(self.n):
-            om[..., i, i, m - 1] = tan
-            om[..., i, m - 1, i] = tan
-        # Omega(d_theta, d_theta) = tan(theta) d_theta
-        om[..., m - 1, m - 1, m - 1] = tan
-        return ConnectionForm(om)
-
     def graph_coords(self, base, t, layout):
         base = np.asarray(base, dtype=float)
         t = np.asarray(t, dtype=float)
@@ -421,11 +352,6 @@ class HyperbolicChart(Chart):
             rho = base[..., 0] / cd
             return np.stack([rho, base[..., 1], theta], axis=-1)
         raise OutOfRange(f"unsupported base layout {layout!r}")
-
-    def sample_bounds(self):
-        if self.n == 1:
-            return [(-2.0, 2.0), (-1.35, 1.35)]
-        return [(0.05, 3.0), (0.0, 2.0 * np.pi), (-1.35, 1.35)]
 
     minkowski = True
 
@@ -516,17 +442,6 @@ class EpsilonChart(Chart):
         w, _ = self.base_warp(r)
         return _diag_metric([c2 * w * w, c2, np.ones_like(c2)])
 
-    def product_metric_at(self, points):
-        points = np.asarray(points, dtype=float)
-        one = np.ones(points.shape[:-1])
-        if self.n == 1:
-            return _diag_metric([one, one])
-        r = points[..., 1]
-        if np.any(r < 1e-8):
-            raise OutOfChart("polar coordinates degenerate at the pole")
-        w, _ = self.base_warp(r)
-        return _diag_metric([w * w, one, one])
-
     def connection_form_at(self, points):
         points = np.asarray(points, dtype=float)
         c, cp, _ = self.warp(points[..., -1])
@@ -575,11 +490,6 @@ class EpsilonChart(Chart):
         return ConnectionForm(
             om[..., idx[:, None, None], idx[None, :, None], idx[None, None, :]]
         )
-
-    def sample_bounds(self):
-        if self.n == 1:
-            return [(0.05, 5.0), (-3.0, 3.0)]
-        return [(0.0, 2.0 * np.pi), (0.05, 5.0), (-3.0, 3.0)]
 
     minkowski = True
 

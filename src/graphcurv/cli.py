@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .errors import (
     GraphCurvError,
     NoConvergence,
     NonAdmissible,
+    NonAdmissibleInit,
     OutOfChart,
     OutOfRange,
     SingularLinearSystem,
@@ -38,8 +39,15 @@ from .errors import (
     StepsizeUnderflow,
     TransversalityFailure,
 )
-from .grids import export_csv, load_grid, refine_domain, restrict_values, save_grid
-from .linearize import stability_check
+from .grids import (
+    export_csv,
+    load_grid,
+    prolong_values,
+    refine_domain,
+    restrict_values,
+    save_grid,
+)
+from .linearize import HeldLU, stability_check
 from .shape_oracle import curvature_oracle
 from .solver import (
     ContinuationOptions,
@@ -47,7 +55,7 @@ from .solver import (
     SolveTarget,
     continuation_solve,
     newton_solve,
-    perturb_rhs,
+    rhs_perturbation,
     start_state,
 )
 
@@ -258,8 +266,21 @@ def cmd_curvature(cfg):
     return EXIT_CODES["ok"]
 
 
-def _run_solve(cfg):
-    """Shared solve core; returns (f, domain, meta, history)."""
+@dataclass
+class _Solve:
+    """One configured solve, set up but not yet run."""
+
+    sol: dict  # the config's solver block
+    target: SolveTarget  # problem.k with the barrier sandwich: the path's goal
+    goal: SolveTarget  # the tau = 1 target: target plus the seeded perturbation
+    bump: np.ndarray | None  # that perturbation (None for magnitude 0)
+    nopts: NewtonOptions
+    f_init: np.ndarray | None
+    meta: dict
+
+
+def _setup_solve(cfg):
+    """Chart, domain, barrier, targets and options of one solve."""
     chart = cfgmod.build_chart(cfg)
     domain = cfgmod.build_domain(cfg)
     kval = cfgmod.build_target_k(cfg, domain)
@@ -307,18 +328,35 @@ def _run_solve(cfg):
         "seed": int(sol["seed"]),
         "perturb_magnitude": float(sol["perturb"]["magnitude"]),
     }
+    pseed = sol["perturb"]["seed"]
+    pseed = int(sol["seed"]) if pseed is None else int(pseed)
+    bump = rhs_perturbation(domain, float(sol["perturb"]["magnitude"]), pseed)
+    if bump is not None:
+        meta["perturb_seed"] = pseed
+    return _Solve(sol, target, target.perturbed(bump), bump, nopts, f_init, meta)
+
+
+def _newton_meta(res):
+    """Summary fields of a Newton solve that converged at tau = 1."""
+    return dict(
+        tau=1.0,
+        newton_total=res.iterations,
+        residual_norm=res.residual_norm,
+        margin=res.margin,
+        linear_solves=res.lu.counters(),
+    )
+
+
+def _solve(run, lu):
+    """Run the configured mode through ``lu``; returns (f, history), fills meta."""
+    sol = run.sol
     if sol["mode"] == "newton":
+        f_init = run.f_init
         if f_init is None:
-            f_init = np.zeros(domain.num_nodes)
-        res = newton_solve(f_init, target, nopts)
-        meta.update(
-            tau=1.0,
-            newton_total=res.iterations,
-            residual_norm=res.residual_norm,
-            margin=res.margin,
-            linear_solves=res.lu.counters(),
-        )
-        return res.f, domain, meta, res.history
+            f_init = np.zeros(run.target.domain.num_nodes)
+        res = newton_solve(f_init, run.goal, run.nopts, lu)
+        run.meta.update(_newton_meta(res))
+        return res.f, res.history
     if sol["mode"] != "continuation":
         raise ConfigError(f"solver.mode must be continuation|newton, got {sol['mode']!r}")
     copts = ContinuationOptions(
@@ -326,30 +364,33 @@ def _run_solve(cfg):
         dtau_min=float(sol["dtau_min"]),
         dtau_max=float(sol["dtau_max"]),
         easy_iterations=int(sol["easy_iterations"]),
-        newton=nopts,
+        newton=run.nopts,
     )
     delta0 = sol["delta0"]
     state = start_state(
-        target,
+        run.target,
         copts,
         delta0=None if delta0 is None else float(delta0),
-        f_init=f_init,
+        f_init=run.f_init,
     )
-    mag = float(sol["perturb"]["magnitude"])
-    if mag != 0.0:
-        pseed = sol["perturb"]["seed"]
-        pseed = int(sol["seed"]) if pseed is None else int(pseed)
-        perturb_rhs(state, mag, pseed)
-        meta["perturb_seed"] = pseed
+    state.lu = lu
+    state.perturbation = run.bump
     f = continuation_solve(state, copts)
-    meta.update(
+    run.meta.update(
         tau=state.tau,
         newton_total=state.newton_total,
         residual_norm=state.residual_norm,
-        margin=assemble_curvature(chart, domain, f).margin,
-        linear_solves=state.lu.counters(),
+        margin=assemble_curvature(run.target.chart, run.target.domain, f).margin,
+        linear_solves=lu.counters(),
     )
-    return f, domain, meta, state.history
+    return f, state.history
+
+
+def _run_solve(cfg):
+    """Shared solve core; returns (f, domain, meta, history)."""
+    run = _setup_solve(cfg)
+    f, history = _solve(run, HeldLU())
+    return f, run.target.domain, run.meta, history
 
 
 def cmd_solve(cfg):
@@ -475,39 +516,69 @@ def cmd_validate(cfg):
     return EXIT_CODES["ok"] if passed else EXIT_CODES["validation_failed"]
 
 
-def _sweep_worker(raw_cfg, level):
-    """Solve one refinement level; used by cmd_sweep (possibly in a subprocess)."""
-    cfg = cfgmod.parse_config(raw_cfg)
-    base = cfgmod.build_domain(cfg)
-    domain = refine_domain(base, 2**level)
+def _level_config(cfg, domain):
+    """``cfg`` with its domain block resized to ``domain``'s shape."""
+    dom = dict(cfg["domain"])
     if domain.kind in ("ball", "annulus"):
-        cfg["domain"]["nr"] = domain.shape[0] - 1
-        cfg["domain"]["nphi"] = domain.shape[1]
+        dom["nr"] = domain.shape[0] - 1
+        dom["nphi"] = domain.shape[1]
     elif domain.kind == "interval":
-        cfg["domain"]["cells"] = domain.shape[0] - 1
+        dom["cells"] = domain.shape[0] - 1
     else:
-        cfg["domain"]["shape"] = list(domain.shape)
-    f, _, meta, _ = _run_solve(cfg)
-    return level, f, meta
+        dom["shape"] = list(domain.shape)
+    return {**cfg, "domain": dom}
 
 
-def cmd_sweep(cfg, raw_cfg, jobs):
+def _nested_solve(run, coarse, f_coarse):
+    """Solve a finer sweep level from the prolonged coarser solution.
+
+    Newton starts from ``prolong_values(coarse, domain, f_coarse)`` against
+    the tau = 1 target; if that raises NoConvergence or NonAdmissibleInit
+    the level is solved the configured way instead, on the same held LU,
+    and ``newton_total`` counts the steps of both attempts.
+    """
+    lu = HeldLU()
+    f0 = prolong_values(coarse, run.target.domain, f_coarse)
+    try:
+        res = newton_solve(f0, run.goal, run.nopts, lu)
+    except (NoConvergence, NonAdmissibleInit) as exc:
+        f, _ = _solve(run, lu)
+        run.meta["newton_total"] += getattr(exc, "steps", 0)
+        run.meta["start"] = run.sol["mode"]
+        return f
+    run.meta.update(_newton_meta(res), start="prolonged")
+    return res.f
+
+
+def cmd_sweep(cfg):
+    """Grid-refinement study: solve on ``sweep.levels`` nested grids in order.
+
+    Level 0 is solved as ``solve`` would; every finer level (mesh halved)
+    starts Newton from the cubic prolongation of the level before it and
+    falls back to the configured solve when that fails (``_nested_solve``).
+    Each ``per_level`` entry records its ``start``: ``"prolonged"`` or the
+    solver mode.  The differences between successive levels, sampled at the
+    coarser nodes, give the observed orders of convergence.
+    """
     t0 = time.perf_counter()
     levels = int(cfg["sweep"]["levels"])
     if levels < 1:
         raise ConfigError("sweep.levels must be >= 1")
     base = cfgmod.build_domain(cfg)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_worker, [raw_cfg] * levels, range(levels)))
-    else:
-        results = [_sweep_worker(raw_cfg, lvl) for lvl in range(levels)]
-    results.sort(key=lambda t: t[0])
     domains = [refine_domain(base, 2**lvl) for lvl in range(levels)]
+    results = []
+    for lvl, domain in enumerate(domains):
+        run = _setup_solve(_level_config(cfg, domain))
+        if lvl == 0:
+            f, _ = _solve(run, HeldLU())
+            run.meta["start"] = run.sol["mode"]
+        else:
+            f = _nested_solve(run, domains[lvl - 1], results[-1][0])
+        results.append((f, run.meta))
     diffs = []
     for lvl in range(levels - 1):
-        restricted = restrict_values(domains[lvl + 1], domains[lvl], results[lvl + 1][1])
-        d = np.abs(results[lvl][1] - restricted)[domains[lvl].interior]
+        restricted = restrict_values(domains[lvl + 1], domains[lvl], results[lvl + 1][0])
+        d = np.abs(results[lvl][0] - restricted)[domains[lvl].interior]
         diffs.append(float(np.max(d)))
     orders = [
         float(np.log2(diffs[i] / diffs[i + 1])) for i in range(len(diffs) - 1)
@@ -515,7 +586,7 @@ def cmd_sweep(cfg, raw_cfg, jobs):
     table_path = _out_path(cfg, "table")
     with open(table_path, "w") as fh:
         fh.write("level,shape,h,residual,margin,newton_total,diff_to_next,order\n")
-        for lvl, (_, f, meta) in enumerate(results):
+        for lvl, (_, meta) in enumerate(results):
             dom = domains[lvl]
             cells = [
                 str(lvl),
@@ -532,11 +603,10 @@ def cmd_sweep(cfg, raw_cfg, jobs):
         "command": "sweep",
         "status": "ok",
         "levels": levels,
-        "jobs": jobs,
         "diffs": diffs,
         "orders": orders,
         "table": table_path,
-        "per_level": [meta for _, _, meta in results],
+        "per_level": [meta for _, meta in results],
         "elapsed_s": time.perf_counter() - t0,
     }
     _write_summary(cfg, summary)
@@ -567,7 +637,8 @@ def main(argv=None):
         p.add_argument("--seed", type=int, default=None, help="override solver.seed")
         p.add_argument("--out", default=None, help="override output.dir")
         p.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers (sweep only)")
+                       help="accepted for compatibility; no effect (sweep "
+                            "levels are solved in order)")
     args = parser.parse_args(argv)
     try:
         try:
@@ -591,7 +662,7 @@ def main(argv=None):
             return cmd_solve(cfg)
         if args.command == "validate":
             return cmd_validate(cfg)
-        return cmd_sweep(cfg, raw_cfg, max(1, args.jobs))
+        return cmd_sweep(cfg)
     except GraphCurvError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return exit_code_for(exc)

@@ -18,6 +18,9 @@ fits (rim/endpoint nodes) are zero; consumers only read interior rows.
 
 All stencils are second-order centered; the node conventions above are chosen
 so one-sided differencing is never needed.
+
+Node vectors move between a grid and its ``refine_domain`` refinement by
+injection (``restrict_values``) and cubic interpolation (``prolong_values``).
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ __all__ = [
     "export_csv",
     "refine_domain",
     "restrict_values",
+    "prolong_values",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -445,18 +449,21 @@ def _ball_ops(dom):
     )
     # mixed derivative: radial-centered composition of the ring angular
     # derivative (the pole column contributes zero, as d_phi vanishes there),
-    # then a 45-degree pole stencil for the xi1-xi2 derivative
-    d_sp = (d_s @ d_phi_ring).tolil()
-    d_sp[0, :] = 0.0
+    # with the product's pole row replaced by a 45-degree pole stencil for
+    # the xi1-xi2 derivative
+    d_sp = d_s @ d_phi_ring
+    d_sp.sort_indices()
+    cut = d_sp.indptr[1]  # end of the product's pole row
     half = 0.5 / (ds * ds)
-    for col, w in [
-        (idx(1, e), half),
-        (idx(1, 5 * e), half),
-        (idx(1, 3 * e), -half),
-        (idx(1, 7 * e), -half),
-    ]:
-        d_sp[0, col] += w
-    d_sp = d_sp.tocsr()
+    pole_cols = idx(1, np.array([e, 3 * e, 5 * e, 7 * e]))
+    d_sp = sp.csr_matrix(
+        (
+            np.concatenate([[half, -half, half, -half], d_sp.data[cut:]]),
+            np.concatenate([pole_cols, d_sp.indices[cut:]]),
+            np.concatenate([[0], d_sp.indptr[1:] - cut + 4]),
+        ),
+        shape=(num, num),
+    )
 
     return DerivOps(d1=(d_s, d_phi), d2={(0, 0): d_ss, (0, 1): d_sp, (1, 1): d_pp})
 
@@ -562,15 +569,10 @@ def refine_domain(domain, factor=2):
     return GridDomain.box(domain.extent, shape, domain.periodic)
 
 
-def restrict_values(fine, coarse, values):
-    """Sample a fine-grid node vector at the coarse grid's nodes (no averaging).
-
-    The fine grid must be ``refine_domain(coarse, 2**k)`` for some k; every
-    coarse node then coincides with a fine node and the restriction is exact.
-    """
-    values = fine.check_values(values)
+def _refinement_ratio(fine, coarse):
+    """k with ``fine`` shaped as ``refine_domain(coarse, k)``; else DomainMismatch."""
     if fine.kind != coarse.kind:
-        raise DomainMismatch(f"cannot restrict {fine.kind} onto {coarse.kind}")
+        raise DomainMismatch(f"cannot map {fine.kind} onto {coarse.kind}")
     if fine.kind in ("ball", "annulus"):
         ratios = {
             (fine.shape[0] - 1) // (coarse.shape[0] - 1),
@@ -592,22 +594,76 @@ def restrict_values(fine, coarse, values):
         raise DomainMismatch(
             f"{fine.kind}{fine.shape} is not a refinement of {coarse.shape}"
         )
-    out = np.empty(coarse.num_nodes)
+    return ratio
+
+
+def restrict_values(fine, coarse, values):
+    """Sample a fine-grid node vector at the coarse grid's nodes (injection).
+
+    The fine grid must be ``refine_domain(coarse, 2**k)`` for some k; every
+    coarse node then coincides with a fine node and the restriction copies
+    its value exactly, with no averaging.  The partner of
+    :func:`prolong_values`: restricting a prolonged vector gives the coarse
+    vector back bitwise.
+    """
+    values = fine.check_values(values)
+    ratio = _refinement_ratio(fine, coarse)
     if coarse.kind == "ball":
-        out[0] = values[0]
-        nr, nphi = coarse.shape[0] - 1, coarse.shape[1]
-        for i in range(1, nr + 1):
-            for j in range(nphi):
-                out[coarse.node_index(i, j)] = values[fine.node_index(ratio * i, ratio * j)]
-        return out
-    if coarse.kind == "interval":
-        return values[:: ratio]
-    m1c = coarse.shape[1]
-    m1f = fine.shape[1]
-    for i in range(coarse.shape[0]):
-        fi = ratio * i
-        out[i * m1c : (i + 1) * m1c] = values[fi * m1f : fi * m1f + m1f : ratio]
-    return out
+        rings = values[1:].reshape(fine.shape[0] - 1, fine.shape[1])
+        return np.concatenate([values[:1], rings[ratio - 1::ratio, ::ratio].ravel()])
+    return values.reshape(fine.shape)[(slice(None, None, ratio),) * fine.n].ravel()
+
+
+def _refine_axis(v, axis, periodic):
+    """Nodes of ``v`` along ``axis`` interleaved with cubic midpoint values.
+
+    Interior midpoints take the centered weights (-1, 9, 9, -1)/16; a
+    periodic axis wraps, and the first and last midpoints of a non-periodic
+    one take the one-sided cubic (5, 15, -5, 1)/16 and its mirror image.
+    """
+    v = np.moveaxis(v, axis, 0)
+    if periodic:
+        a, b, c, d = np.roll(v, 1, 0), v, np.roll(v, -1, 0), np.roll(v, -2, 0)
+        mid = (9.0 * (b + c) - (a + d)) / 16.0
+    else:
+        mid = np.empty((v.shape[0] - 1,) + v.shape[1:])
+        mid[1:-1] = (9.0 * (v[1:-2] + v[2:-1]) - (v[:-3] + v[3:])) / 16.0
+        mid[0] = (5.0 * v[0] + 15.0 * v[1] - 5.0 * v[2] + v[3]) / 16.0
+        mid[-1] = (5.0 * v[-1] + 15.0 * v[-2] - 5.0 * v[-3] + v[-4]) / 16.0
+    out = np.empty((v.shape[0] + mid.shape[0],) + v.shape[1:])
+    out[0::2] = v
+    out[1::2] = mid
+    return np.moveaxis(out, 0, axis)
+
+
+def prolong_values(coarse, fine, values):
+    """Cubic interpolation of a coarse-grid node vector onto ``fine``.
+
+    ``fine`` must be ``refine_domain(coarse, 2)`` (else DomainMismatch).
+    Coarse nodes are copied exactly; the new nodes are filled axis by axis
+    with 4-point cubic midpoint weights (see ``_refine_axis``), so the result
+    is exact for polynomials of degree 3 in each Cartesian grid coordinate.
+    On the ball the radial stencil of each ray continues through the pole
+    onto the opposite ray (ring 1 rotated by pi); the angular axis wraps.
+    """
+    values = coarse.check_values(values)
+    if _refinement_ratio(fine, coarse) != 2:
+        raise DomainMismatch(
+            f"{fine.kind}{fine.shape} is not the factor-2 refinement of {coarse.shape}"
+        )
+    if coarse.kind == "ball":
+        nphi = coarse.shape[1]
+        rings = values[1:].reshape(coarse.shape[0] - 1, nphi)
+        # one ray through the pole: ring 1 at phi + pi, pole, rings 1..nr at phi
+        ray = np.concatenate(
+            [np.roll(rings[:1], -nphi // 2, axis=1), np.full((1, nphi), values[0]), rings]
+        )
+        radial = _refine_axis(ray, 0, False)[3:]  # fine rings 1..2 nr
+        return np.concatenate([values[:1], _refine_axis(radial, 1, True).ravel()])
+    out = values.reshape(coarse.shape)
+    for axis, per in enumerate(coarse.periodic):
+        out = _refine_axis(out, axis, per)
+    return out.ravel()
 
 
 def export_csv(path, domain, columns):

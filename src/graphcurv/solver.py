@@ -19,14 +19,14 @@ tau-steps and the retries after failed correctors.  The line search, the
 admissibility and sandwich tests and ``tol`` see only the resulting step.
 
 Determinism: everything here is sequential and seed-driven; the only random
-ingredient is ``perturb_rhs`` / ``smooth_random_field``, which draw from
+ingredient is ``rhs_perturbation`` / ``smooth_random_field``, which draw from
 ``numpy.random.default_rng(seed)`` (PCG64) so identical seeds give bitwise
 identical perturbations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,6 +50,7 @@ __all__ = [
     "start_state",
     "continuation_solve",
     "perturb_rhs",
+    "rhs_perturbation",
     "smooth_random_field",
     "uniqueness_probe",
 ]
@@ -84,6 +85,12 @@ class SolveTarget:
                 np.asarray(self.k, dtype=float), (self.domain.num_nodes,)
             ).astype(float)
         return self.domain.check_values(out)
+
+    def perturbed(self, bump):
+        """The same target plus the fixed node vector ``bump`` (self if None)."""
+        if bump is None:
+            return self
+        return replace(self, k=lambda coords, f: self.evaluate(f) + bump)
 
     def sandwich(self):
         if self.lower is None and self.upper is None:
@@ -425,18 +432,27 @@ def smooth_random_field(domain, rng, modes=6):
     return out / np.max(np.abs(out))
 
 
-def perturb_rhs(state, magnitude, seed):
-    """Add a reproducible smooth perturbation of ∞-norm = magnitude to the path.
+def rhs_perturbation(domain, magnitude, seed):
+    """Reproducible smooth node vector of ∞-norm = magnitude (None for 0).
 
-    The same seed yields the same perturbation bit-exactly; magnitude 0
-    leaves the state unchanged.  Returns the state.
+    The same seed yields the same vector bit-exactly.
     """
     if magnitude < 0:
         raise OutOfRange("perturbation magnitude must be >= 0")
     if magnitude == 0:
-        return state
+        return None
     rng = np.random.default_rng(seed)
-    bump = smooth_random_field(state.target.domain, rng) * magnitude
+    return smooth_random_field(domain, rng) * magnitude
+
+
+def perturb_rhs(state, magnitude, seed):
+    """Add ``rhs_perturbation(domain, magnitude, seed)`` to the whole path.
+
+    Magnitude 0 leaves the state unchanged.  Returns the state.
+    """
+    bump = rhs_perturbation(state.target.domain, magnitude, seed)
+    if bump is None:
+        return state
     if state.perturbation is None:
         state.perturbation = bump
     else:

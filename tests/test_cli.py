@@ -6,10 +6,13 @@ import json
 import numpy as np
 import pytest
 
+from graphcurv import cli
 from graphcurv import errors as err
+from graphcurv.assembly import assemble_curvature
 from graphcurv.charts import HyperbolicChart
 from graphcurv.cli import EXIT_CODES, exit_code_for, main
-from graphcurv.grids import GridDomain, load_grid, save_grid
+from graphcurv.grids import GridDomain, load_grid, restrict_values, save_grid
+from graphcurv.solver import smooth_random_field
 
 
 def write_cfg(tmp_path, name="run.json", **overrides):
@@ -74,6 +77,26 @@ def test_solve_newton_mode(tmp_path):
     s = dom.coords[:, 0]
     exact = np.sqrt(3.0) - np.sqrt(4.0 - s**2)
     assert np.max(np.abs(f - exact)) < 5e-4
+
+
+def test_solve_newton_mode_applies_the_perturbation(tmp_path):
+    sols = {}
+    for mag in (0.0, 1e-3):
+        out = tmp_path / f"o{mag}"
+        cfg = write_cfg(
+            tmp_path,
+            name=f"n{mag}.json",
+            output={"dir": str(out)},
+            problem={"k": 0.6, "barrier": {"kind": "none"}},
+            solver={"mode": "newton", "perturb": {"magnitude": mag}},
+        )
+        assert main(["solve", "--config", str(cfg), "--seed", "3"]) == 0
+        sols[mag] = load_grid(out / "solution.grid")
+    dom, f, _ = sols[1e-3]
+    assert not np.array_equal(f, sols[0.0][1])
+    target = 0.6 + 1e-3 * smooth_random_field(dom, np.random.default_rng(3))
+    K = assemble_curvature(HyperbolicChart(n=2, offset=0.5), dom, f).K
+    assert np.max(np.abs(K - target)[dom.interior]) <= 1e-9
 
 
 def test_solve_infeasible_target_fails_honestly(tmp_path):
@@ -206,6 +229,64 @@ def test_sweep_reports_convergence_order(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 3
     assert rows[0]["diff_to_next"] != ""
+    starts = [meta["start"] for meta in summary["per_level"]]
+    assert starts == ["continuation", "prolonged", "prolonged"]
+    assert "jobs" not in summary
+
+
+def test_sweep_level_falls_back_to_the_continuation(tmp_path, monkeypatch):
+    # a concave start is not admissible, so level 1 must be solved by the
+    # full continuation, exactly as a plain solve on that grid would
+    monkeypatch.setattr(
+        cli, "prolong_values", lambda coarse, fine, v: 1.0 - fine.coords[:, 0] ** 2
+    )
+    cfg = write_cfg(tmp_path, domain={"kind": "ball", "nr": 4, "nphi": 16},
+                    sweep={"levels": 2})
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    summary = read_summary(tmp_path)
+    assert [m["start"] for m in summary["per_level"]] == ["continuation"] * 2
+
+    sols, metas = [], []
+    for nr, nphi in [(4, 16), (8, 32)]:
+        out = tmp_path / f"solve{nr}"
+        solve_cfg = write_cfg(tmp_path, name=f"solve{nr}.json",
+                              domain={"kind": "ball", "nr": nr, "nphi": nphi},
+                              output={"dir": str(out)})
+        assert main(["solve", "--config", str(solve_cfg)]) == 0
+        sols.append(load_grid(out / "solution.grid"))
+        with open(out / "summary.json") as fh:
+            metas.append(json.load(fh))
+    for meta, ref in zip(summary["per_level"], metas):
+        for key in ("newton_total", "residual_norm", "margin", "linear_solves"):
+            assert meta[key] == ref[key]
+    (coarse, f0, _), (fine, f1, _) = sols
+    diff = np.max(np.abs(f0 - restrict_values(fine, coarse, f1))[coarse.interior])
+    assert summary["diffs"] == [diff]
+
+
+def test_sweep_counts_the_steps_of_a_failed_prolonged_start(tmp_path, monkeypatch):
+    def solve_sweep(name):
+        cfg = write_cfg(tmp_path, name=f"{name}.json",
+                        output={"dir": str(tmp_path / name)},
+                        domain={"kind": "ball", "nr": 4, "nphi": 16},
+                        sweep={"levels": 2})
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        with open(tmp_path / name / "summary.json") as fh:
+            return json.load(fh)["per_level"][1]
+
+    def prolonged_start_gives_up(f_init, target, opts, lu):
+        # in continuation mode the CLI calls newton_solve only for a
+        # prolonged start; the continuation calls it through the solver
+        raise err.NoConvergence("line search exhausted", steps=2)
+
+    monkeypatch.setattr(
+        cli, "prolong_values", lambda coarse, fine, v: 1.0 - fine.coords[:, 0] ** 2
+    )
+    refused = solve_sweep("refused")
+    monkeypatch.setattr(cli, "newton_solve", prolonged_start_gives_up)
+    gave_up = solve_sweep("gave_up")
+    assert refused["start"] == gave_up["start"] == "continuation"
+    assert gave_up["newton_total"] == refused["newton_total"] + 2
 
 
 def test_sweep_parallel_matches_serial(tmp_path):

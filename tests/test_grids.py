@@ -10,6 +10,7 @@ from graphcurv.grids import (
     GridDomain,
     export_csv,
     load_grid,
+    prolong_values,
     refine_domain,
     restrict_values,
     save_grid,
@@ -174,6 +175,31 @@ def test_ball_mixed_derivative_exact_on_separable_field():
     # symbol sin(dphi)/dphi, so the discrete mixed derivative is known exactly
     want = 2 * s * np.cos(phi) * np.sin(dphi) / dphi
     assert np.allclose(got[rings], want[rings], atol=1e-11)
+
+
+@pytest.mark.parametrize("nr, nphi", [(4, 16), (16, 64), (64, 256)])
+def test_ball_mixed_pole_row_matches_lil_rewrite(nr, nphi):
+    # the mixed operator's pole row used to be rewritten through LIL; DK's
+    # union pattern and its fill depend on the exact CSR arrays, so the
+    # current construction must reproduce that route to the bit
+    dom = GridDomain.ball(1.0, nr, nphi)
+    ops = dom.derivative_ops()
+    ds = dom.spacing[0]
+    d_phi_ring = ops.d1[1].tolil()
+    d_phi_ring[0, :] = 0.0
+    old = (ops.d1[0] @ d_phi_ring.tocsr()).tolil()
+    old[0, :] = 0.0
+    half = 0.5 / (ds * ds)
+    e = nphi // 8
+    for j, w in [(e, half), (5 * e, half), (3 * e, -half), (7 * e, -half)]:
+        old[0, dom.node_index(1, j)] += w
+    old = old.tocsr()
+    new = ops.d2[(0, 1)]
+    assert new.format == "csr"
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(new, name), getattr(old, name)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 # ---- grid file round trip ----------------------------------------------------
@@ -341,3 +367,83 @@ def test_dissection_order_is_a_permutation(dom):
     assert dom.dissection_order() is order
     if dom.pole is not None:
         assert order[-1] == dom.pole
+
+
+# ---- prolongation --------------------------------------------------------------
+
+
+_PROLONG_DOMAINS = [
+    GridDomain.ball(1.0, 4, 16),
+    GridDomain.annulus(0.5, 1.5, 6, 16),
+    GridDomain.interval(0.0, 1.0, 6),
+    GridDomain.box(((0.0, 1.0), (0.0, 2.0)), (6, 7)),
+    GridDomain.box(((0.0, 1.0), (0.0, 2.0)), (6, 8), periodic=(True, True)),
+]
+
+
+@pytest.mark.parametrize(
+    "dom", _PROLONG_DOMAINS,
+    ids=["ball", "annulus", "interval", "box", "periodic-box"],
+)
+def test_restrict_undoes_prolong_bitwise(dom):
+    fine = refine_domain(dom, 2)
+    vals = np.random.default_rng(3).standard_normal(dom.num_nodes)
+    prolonged = prolong_values(dom, fine, vals)
+    assert prolonged.shape == (fine.num_nodes,)
+    assert np.array_equal(restrict_values(fine, dom, prolonged), vals)
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [GridDomain.interval(-1.0, 2.0, 6), GridDomain.box(((0.0, 1.0), (-1.0, 2.0)), (5, 7))],
+    ids=["interval", "box"],
+)
+def test_prolong_is_exact_on_cubics(dom):
+    def cubic(coords):
+        x = coords[:, 0]
+        out = 1.0 + 2.0 * x - 3.0 * x**2 + 0.7 * x**3
+        if coords.shape[1] > 1:
+            y = coords[:, 1]
+            out = out * (2.0 - y + 0.5 * y**2 - 0.3 * y**3)
+        return out
+
+    fine = refine_domain(dom, 2)
+    got = prolong_values(dom, fine, cubic(dom.coords))
+    assert np.allclose(got, cubic(fine.coords), rtol=0.0, atol=1e-13)
+
+
+def test_prolong_on_the_ball_is_fourth_order_through_the_pole():
+    def field(dom):
+        s, phi = dom.coords[:, 0], dom.coords[:, 1]
+        x, y = s * np.cos(phi), s * np.sin(phi)
+        return np.exp(0.7 * x - 0.4 * y) * np.cos(1.3 * x * y + 0.5 * y)
+
+    errs, ring1 = [], []
+    for nr, nphi in [(8, 32), (16, 64), (32, 128)]:
+        coarse = GridDomain.ball(1.0, nr, nphi)
+        fine = refine_domain(coarse, 2)
+        err = np.abs(prolong_values(coarse, fine, field(coarse)) - field(fine))
+        errs.append(err.max())
+        ring1.append(err[1:1 + fine.shape[1]].max())
+    assert ring1[0] > 0.0
+    for a, b in zip(errs, errs[1:]):
+        assert a >= 10.0 * b
+    for a, b in zip(ring1, ring1[1:]):
+        assert a >= 10.0 * b
+
+
+def test_prolong_rejects_anything_but_a_factor_two_refinement():
+    coarse = GridDomain.ball(1.0, 4, 16)
+    vals = np.zeros(coarse.num_nodes)
+    with pytest.raises(DomainMismatch):
+        prolong_values(coarse, refine_domain(coarse, 4), vals)
+    with pytest.raises(DomainMismatch):
+        prolong_values(coarse, coarse, vals)
+    with pytest.raises(DomainMismatch):
+        prolong_values(coarse, GridDomain.ball(1.0, 6, 16), vals)
+    with pytest.raises(DomainMismatch):
+        prolong_values(coarse, GridDomain.ball(2.0, 8, 32), vals)
+    with pytest.raises(DomainMismatch):
+        prolong_values(coarse, GridDomain.interval(0.0, 1.0, 8), vals)
+    with pytest.raises(DomainMismatch):
+        prolong_values(coarse, refine_domain(coarse, 2), np.zeros(5))
