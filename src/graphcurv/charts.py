@@ -201,12 +201,8 @@ class Chart:
     # ---- base hypersurface ------------------------------------------------
 
     def base_hypersurface(self):
-        a0 = self.base_shape_coefficient()
+        a0 = float(self.constant_slice_curvature(0.0))
         return BaseHypersurface(chart=self, a0=a0, phi0=a0)
-
-    def base_shape_coefficient(self):
-        c, cp, _ = self.warp(0.0)
-        return float(-cp / c)
 
     def constant_slice_curvature(self, fbar):
         """Extrinsic curvature of the constant graph f = fbar."""
@@ -317,10 +313,6 @@ class HyperbolicChart(Chart):
         s = np.asarray(s, dtype=float)
         cd = np.cosh(self.offset)
         return cd * np.sinh(s / cd), np.cosh(s / cd)
-
-    @property
-    def theta_base(self):
-        return float(theta_of_alpha(-self.offset))
 
     def theta_of_height(self, t):
         """Conformal angle of the slice holding graph value t."""

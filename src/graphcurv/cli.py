@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .errors import (
     TransversalityFailure,
 )
 from .grids import (
+    coarsen_domain,
     export_csv,
     load_grid,
     prolong_values,
@@ -51,6 +52,7 @@ from .linearize import HeldLU, stability_check
 from .shape_oracle import curvature_oracle
 from .solver import (
     ContinuationOptions,
+    ContinuationState,
     NewtonOptions,
     SolveTarget,
     continuation_solve,
@@ -178,10 +180,13 @@ def _build_barrier(cfg, chart, domain, k_ceiling):
     raise ConfigError(f"problem.barrier.kind must be cap|offset|user|none, got {kind!r}")
 
 
-def _initial_iterate(cfg, chart, domain, barrier):
-    """Initial f for Newton mode / seeded continuation; None = default path."""
+def _initial_iterate(cfg, chart, domain, barrier, seeded):
+    """Initial f for Newton mode / seeded continuation; None = default path.
+
+    ``solver.init`` when ``seeded``, else the default start (kind 'auto').
+    """
     spec = cfg["solver"]["init"]
-    kind = spec["kind"]
+    kind = spec["kind"] if seeded else "auto"
     if kind == "auto":
         if abs(chart.base_hypersurface().a0) > 1e-12:
             return None  # base slice is admissible; the solver starts itself
@@ -218,12 +223,9 @@ def _initial_iterate(cfg, chart, domain, barrier):
 
 def _target_bounds(kval, domain):
     """(min, max) of the target at f = 0 over the interior."""
-    f0 = np.zeros(domain.num_nodes)
-    if callable(kval):
-        vals = np.asarray(kval(domain.coords, f0), dtype=float)
-        vals = np.broadcast_to(vals, f0.shape)[domain.interior]
-        return float(np.min(vals)), float(np.max(vals))
-    return float(kval), float(kval)
+    vals = SolveTarget(None, domain, kval).evaluate(np.zeros(domain.num_nodes))
+    vals = vals[domain.interior]
+    return float(np.min(vals)), float(np.max(vals))
 
 
 # ---- commands ------------------------------------------------------------------
@@ -266,9 +268,14 @@ def cmd_curvature(cfg):
     return EXIT_CODES["ok"]
 
 
+# Coarsest grid of a nested solve: the configured grid is halved while the
+# halved grid keeps at least this many cells on its shortest non-periodic axis.
+COARSEST_CELLS = 16
+
+
 @dataclass
 class _Solve:
-    """One configured solve, set up but not yet run."""
+    """One level of a walk, set up but not yet run."""
 
     sol: dict  # the config's solver block
     target: SolveTarget  # problem.k with the barrier sandwich: the path's goal
@@ -277,12 +284,18 @@ class _Solve:
     nopts: NewtonOptions
     f_init: np.ndarray | None
     meta: dict
+    lu: HeldLU = field(default_factory=HeldLU)  # the level's held factorization
+    spent: int = 0  # Newton steps of a prolonged start that failed
+    state: ContinuationState | None = None  # the configured continuation, once begun
 
 
-def _setup_solve(cfg):
-    """Chart, domain, barrier, targets and options of one solve."""
+def _setup_solve(cfg, domain, seeded):
+    """Chart, barrier, targets and options of one solve on ``domain``.
+
+    The initial iterate is ``solver.init``'s when ``seeded``, else the
+    default start (kind 'auto').
+    """
     chart = cfgmod.build_chart(cfg)
-    domain = cfgmod.build_domain(cfg)
     kval = cfgmod.build_target_k(cfg, domain)
     kmin, kmax = _target_bounds(kval, domain)
     phi0 = chart.base_hypersurface().phi0
@@ -315,7 +328,7 @@ def _setup_solve(cfg):
         max_halvings=int(sol["max_halvings"]),
         margin_fraction=float(sol["margin_fraction"]),
     )
-    f_init = _initial_iterate(cfg, chart, domain, barrier)
+    f_init = _initial_iterate(cfg, chart, domain, barrier, seeded)
     meta = {
         "chart": chart.chart_id(),
         "domain": f"{domain.kind}{list(domain.shape)}",
@@ -343,18 +356,17 @@ def _newton_meta(res):
         newton_total=res.iterations,
         residual_norm=res.residual_norm,
         margin=res.margin,
-        linear_solves=res.lu.counters(),
     )
 
 
-def _solve(run, lu):
-    """Run the configured mode through ``lu``; returns (f, history), fills meta."""
+def _solve(run):
+    """Run the configured mode on ``run.lu``; returns (f, history), fills meta."""
     sol = run.sol
     if sol["mode"] == "newton":
         f_init = run.f_init
         if f_init is None:
             f_init = np.zeros(run.target.domain.num_nodes)
-        res = newton_solve(f_init, run.goal, run.nopts, lu)
+        res = newton_solve(f_init, run.goal, run.nopts, run.lu)
         run.meta.update(_newton_meta(res))
         return res.f, res.history
     if sol["mode"] != "continuation":
@@ -367,13 +379,13 @@ def _solve(run, lu):
         newton=run.nopts,
     )
     delta0 = sol["delta0"]
-    state = start_state(
+    state = run.state = start_state(
         run.target,
         copts,
         delta0=None if delta0 is None else float(delta0),
         f_init=run.f_init,
     )
-    state.lu = lu
+    state.lu = run.lu
     state.perturbation = run.bump
     f = continuation_solve(state, copts)
     run.meta.update(
@@ -381,40 +393,131 @@ def _solve(run, lu):
         newton_total=state.newton_total,
         residual_norm=state.residual_norm,
         margin=assemble_curvature(run.target.chart, run.target.domain, f).margin,
-        linear_solves=lu.counters(),
     )
     return f, state.history
 
 
-def _run_solve(cfg):
-    """Shared solve core; returns (f, domain, meta, history)."""
-    run = _setup_solve(cfg)
-    f, history = _solve(run, HeldLU())
-    return f, run.target.domain, run.meta, history
+def _nested_solve(run, coarse, f_coarse):
+    """Solve a finer level from the prolonged coarser solution.
+
+    Newton starts from ``prolong_values(coarse, domain, f_coarse)`` against
+    the tau = 1 target; if that raises NoConvergence or NonAdmissibleInit
+    the level is solved the configured way instead, on the same held LU,
+    and ``run.spent`` keeps the steps of the failed start.
+    """
+    f0 = prolong_values(coarse, run.target.domain, f_coarse)
+    try:
+        res = newton_solve(f0, run.goal, run.nopts, run.lu)
+    except (NoConvergence, NonAdmissibleInit) as exc:
+        run.spent = getattr(exc, "steps", 0)
+        run.meta["start"] = run.sol["mode"]
+        return _solve(run)
+    run.meta.update(_newton_meta(res), start="prolonged")
+    return res.f, res.history
+
+
+def _totals(metas):
+    """``newton_total`` and ``linear_solves`` summed over levels, but the last
+    level's ``fill``."""
+    solves = {key: sum(m["linear_solves"][key] for m in metas)
+              for key in HeldLU().counters()}
+    solves["fill"] = metas[-1]["linear_solves"]["fill"] if metas else 0
+    return {"newton_total": sum(m["newton_total"] for m in metas),
+            "linear_solves": solves}
+
+
+def _walk(cfg, command, grids):
+    """Nested iteration over grids, coarse to fine: the path of solve and sweep.
+
+    ``grids(cfg)`` lists the grids, each the factor-2 refinement of the one
+    before.  The first is solved the configured way from ``solver.init``,
+    every finer one by ``_nested_solve`` from the solution below.  Each
+    level builds its own targets (with the seeded perturbation on its grid)
+    and its own held LU.  Returns (domain, f, meta, history) per level; the
+    histories' ``iter`` runs on over the levels.  A GraphCurvError writes
+    ``command``'s summary with the counters up to the failure and the failed
+    level's last accepted tau and residual (None where it has none), and
+    propagates.  Of the failed level's accepted Newton steps it counts only
+    those the error reports: a NoConvergence's ``steps`` and the finished
+    correctors of a continuation, not the steps of a Newton solve that
+    raised another error.
+    """
+    t0 = time.perf_counter()
+    levels, domain, run = [], None, None
+    try:
+        for domain in grids(cfg):
+            run = None  # lets the level below release its factors
+            run = _setup_solve(cfg, domain, seeded=not levels)
+            if levels:
+                f, history = _nested_solve(run, *levels[-1][:2])
+            else:
+                run.meta["start"] = run.sol["mode"]
+                f, history = _solve(run)
+            shift = sum(meta["newton_total"] for _, _, meta, _ in levels) + run.spent
+            run.meta["newton_total"] += run.spent
+            run.meta["linear_solves"] = run.lu.counters()
+            history = [{**row, "iter": row["iter"] + shift} for row in history]
+            levels.append((domain, f, run.meta, history))
+            domain.drop_caches()  # later levels need only its values
+        return levels
+    except GraphCurvError as exc:
+        metas = [meta for _, _, meta, _ in levels]
+        begun, last = list(metas), {"tau": None, "residual_norm": None}
+        if run is not None:
+            state = run.state
+            steps = getattr(exc, "steps", 0) if state is None else state.newton_total
+            begun.append({"newton_total": run.spent + steps,
+                          "linear_solves": run.lu.counters()})
+            if state is None:
+                last["residual_norm"] = getattr(exc, "residual", None)
+            elif state.f is not None:
+                last.update(tau=state.tau, residual_norm=state.residual_norm)
+        grid = None if domain is None else f"{domain.kind}{list(domain.shape)}"
+        _write_summary(cfg, {
+            "command": command, "status": type(exc).__name__, "error": str(exc),
+            **_totals(begun), **last, "per_level": metas, "failed_level": len(metas),
+            "failed_grid": grid, "elapsed_s": time.perf_counter() - t0,
+        })
+        raise
+
+
+def _solve_grids(cfg):
+    """The grids of ``solve``, coarsest first, ending on the configured one.
+
+    The configured grid is halved while ``coarsen_domain`` allows it.  A
+    ``file`` seed and a ``user`` barrier are read from files written on the
+    configured grid, which then stays alone.
+    """
+    grids = [cfgmod.build_domain(cfg)]
+    if (cfg["solver"]["init"]["kind"] != "file"
+            and cfg["problem"]["barrier"]["kind"] != "user"):
+        while (coarse := coarsen_domain(grids[0], COARSEST_CELLS)) is not None:
+            grids.insert(0, coarse)
+    return grids
 
 
 def cmd_solve(cfg):
+    """Solve on the configured grid by nested iteration (``_walk``).
+
+    The configured mode runs on the coarsest grid of ``_solve_grids`` and
+    Newton from the prolonged solution on every finer one; ``newton_total``
+    and ``linear_solves`` are summed over the levels.
+    """
     t0 = time.perf_counter()
-    try:
-        f, domain, meta, history = _run_solve(cfg)
-    except GraphCurvError as exc:
-        summary = {
-            "command": "solve",
-            "status": type(exc).__name__,
-            "error": str(exc),
-            "elapsed_s": time.perf_counter() - t0,
-        }
-        _write_summary(cfg, summary)
-        raise
+    levels = _walk(cfg, "solve", _solve_grids)
+    domain, f, meta, _ = levels[-1]
+    metas = [m for _, _, m, _ in levels]
     save_grid(_out_path(cfg, "solution"), domain, f, meta["chart"])
-    _write_history(cfg, history)
-    summary = {"command": "solve", "status": "converged", **meta,
-               "elapsed_s": time.perf_counter() - t0,
+    _write_history(cfg, [row for *_, history in levels for row in history])
+    summary = {"command": "solve", "status": "converged", **meta, **_totals(metas),
+               "per_level": metas, "elapsed_s": time.perf_counter() - t0,
                "solution": _out_path(cfg, "solution")}
     _write_summary(cfg, summary)
     print(
-        "solve: converged, tau %.3g, %d Newton iterations, residual %.3e, margin %.6g"
-        % (meta["tau"], meta["newton_total"], meta["residual_norm"], meta["margin"])
+        "solve: converged, tau %.3g, %d Newton iterations on %d level(s), "
+        "residual %.3e, margin %.6g"
+        % (meta["tau"], summary["newton_total"], len(levels), meta["residual_norm"],
+           meta["margin"])
     )
     return EXIT_CODES["ok"]
 
@@ -430,9 +533,10 @@ def cmd_validate(cfg):
     data = curvature_oracle(chart, domain, f)
     interior = domain.interior
 
-    kval = None
+    kval = target = None
     if cfgmod.provided(cfg, "problem", "k") is not None:
         kval = cfgmod.build_target_k(cfg, domain)
+        target = SolveTarget(chart, domain, kval).evaluate(f)
     checks = {}
     details = {}
 
@@ -444,18 +548,12 @@ def cmd_validate(cfg):
         dom2.check_compatible(domain)
         barrier = make_barrier_pair(chart, domain, kind="user", lower=fhat)
     else:
-        _, kmax = (None, None) if kval is None else _target_bounds(kval, domain)
-        if kmax is None:
-            kmax = float(np.max(asm.K[interior]))
+        # sized by the target at f = 0, as solve sizes it
+        kmax = (float(np.max(asm.K[interior])) if kval is None
+                else _target_bounds(kval, domain)[1])
         barrier = _build_barrier(cfg, chart, domain, kmax)
     if barrier is not None:
-        target_vals = None
-        if kval is not None:
-            target_vals = (
-                kval(domain.coords, f) if callable(kval)
-                else np.full(domain.num_nodes, float(kval))
-            )
-        rep = validate_sandwich(f, barrier, target=target_vals)
+        rep = validate_sandwich(f, barrier, target=target)
         checks["sandwich"] = bool(rep["passed"])
         details["sandwich"] = {
             k: v for k, v in rep.items() if k not in ("above_upper", "below_lower")
@@ -471,9 +569,8 @@ def cmd_validate(cfg):
     details["oracle_gap"] = gap
     details["oracle_gap_tol"] = gap_tol
 
-    if kval is not None:
-        kv = kval(domain.coords, f) if callable(kval) else float(kval)
-        resid = float(np.max(np.abs(np.where(interior, asm.K - kv, 0.0))))
+    if target is not None:
+        resid = float(np.max(np.abs(np.where(interior, asm.K - target, 0.0))))
         checks["residual"] = bool(resid <= 1e-6)
         details["residual_norm"] = resid
 
@@ -516,78 +613,36 @@ def cmd_validate(cfg):
     return EXIT_CODES["ok"] if passed else EXIT_CODES["validation_failed"]
 
 
-def _level_config(cfg, domain):
-    """``cfg`` with its domain block resized to ``domain``'s shape."""
-    dom = dict(cfg["domain"])
-    if domain.kind in ("ball", "annulus"):
-        dom["nr"] = domain.shape[0] - 1
-        dom["nphi"] = domain.shape[1]
-    elif domain.kind == "interval":
-        dom["cells"] = domain.shape[0] - 1
-    else:
-        dom["shape"] = list(domain.shape)
-    return {**cfg, "domain": dom}
-
-
-def _nested_solve(run, coarse, f_coarse):
-    """Solve a finer sweep level from the prolonged coarser solution.
-
-    Newton starts from ``prolong_values(coarse, domain, f_coarse)`` against
-    the tau = 1 target; if that raises NoConvergence or NonAdmissibleInit
-    the level is solved the configured way instead, on the same held LU,
-    and ``newton_total`` counts the steps of both attempts.
-    """
-    lu = HeldLU()
-    f0 = prolong_values(coarse, run.target.domain, f_coarse)
-    try:
-        res = newton_solve(f0, run.goal, run.nopts, lu)
-    except (NoConvergence, NonAdmissibleInit) as exc:
-        f, _ = _solve(run, lu)
-        run.meta["newton_total"] += getattr(exc, "steps", 0)
-        run.meta["start"] = run.sol["mode"]
-        return f
-    run.meta.update(_newton_meta(res), start="prolonged")
-    return res.f
-
-
-def cmd_sweep(cfg):
-    """Grid-refinement study: solve on ``sweep.levels`` nested grids in order.
-
-    Level 0 is solved as ``solve`` would; every finer level (mesh halved)
-    starts Newton from the cubic prolongation of the level before it and
-    falls back to the configured solve when that fails (``_nested_solve``).
-    Each ``per_level`` entry records its ``start``: ``"prolonged"`` or the
-    solver mode.  The differences between successive levels, sampled at the
-    coarser nodes, give the observed orders of convergence.
-    """
-    t0 = time.perf_counter()
+def _sweep_grids(cfg):
+    """``sweep.levels`` grids: ``refine_domain(base, 2**l)`` of the configured one."""
     levels = int(cfg["sweep"]["levels"])
     if levels < 1:
         raise ConfigError("sweep.levels must be >= 1")
     base = cfgmod.build_domain(cfg)
-    domains = [refine_domain(base, 2**lvl) for lvl in range(levels)]
-    results = []
-    for lvl, domain in enumerate(domains):
-        run = _setup_solve(_level_config(cfg, domain))
-        if lvl == 0:
-            f, _ = _solve(run, HeldLU())
-            run.meta["start"] = run.sol["mode"]
-        else:
-            f = _nested_solve(run, domains[lvl - 1], results[-1][0])
-        results.append((f, run.meta))
+    return [refine_domain(base, 2**lvl) for lvl in range(levels)]
+
+
+def cmd_sweep(cfg):
+    """Grid-refinement study: the walk of ``solve`` over ``_sweep_grids``.
+
+    Every ``per_level`` entry keeps its own counters and its ``start``:
+    ``"prolonged"`` or the solver mode.  The differences between successive
+    levels, sampled at the coarser nodes, give the observed orders of
+    convergence.
+    """
+    t0 = time.perf_counter()
+    results = _walk(cfg, "sweep", _sweep_grids)
     diffs = []
-    for lvl in range(levels - 1):
-        restricted = restrict_values(domains[lvl + 1], domains[lvl], results[lvl + 1][0])
-        d = np.abs(results[lvl][0] - restricted)[domains[lvl].interior]
-        diffs.append(float(np.max(d)))
+    for (coarse, f_coarse, _, _), (fine, f_fine, _, _) in zip(results, results[1:]):
+        restricted = restrict_values(fine, coarse, f_fine)
+        diffs.append(float(np.max(np.abs(f_coarse - restricted)[coarse.interior])))
     orders = [
         float(np.log2(diffs[i] / diffs[i + 1])) for i in range(len(diffs) - 1)
     ]
     table_path = _out_path(cfg, "table")
     with open(table_path, "w") as fh:
         fh.write("level,shape,h,residual,margin,newton_total,diff_to_next,order\n")
-        for lvl, (_, meta) in enumerate(results):
-            dom = domains[lvl]
+        for lvl, (dom, _, meta, _) in enumerate(results):
             cells = [
                 str(lvl),
                 '"%s"' % "x".join(str(m) for m in dom.shape),
@@ -602,18 +657,18 @@ def cmd_sweep(cfg):
     summary = {
         "command": "sweep",
         "status": "ok",
-        "levels": levels,
+        "levels": len(results),
         "diffs": diffs,
         "orders": orders,
         "table": table_path,
-        "per_level": [meta for _, meta in results],
+        "per_level": [meta for _, _, meta, _ in results],
         "elapsed_s": time.perf_counter() - t0,
     }
     _write_summary(cfg, summary)
     for i, o in enumerate(orders):
         print("sweep: order between levels %d-%d-%d: %.3f" % (i, i + 1, i + 2, o))
     if not orders:
-        print("sweep: %d level(s), no order estimate" % levels)
+        print("sweep: %d level(s), no order estimate" % len(results))
     return EXIT_CODES["ok"]
 
 

@@ -40,12 +40,14 @@ class SingularLinearSystem(GraphCurvError):
 class NoConvergence(GraphCurvError):
     """Newton failed to reach tolerance within the iteration budget.
 
-    ``steps`` is the number of Newton steps accepted before it gave up.
+    ``steps`` is the number of Newton steps accepted before it gave up and
+    ``residual`` the residual norm of its last iterate (None when unknown).
     """
 
-    def __init__(self, message="", steps=0):
+    def __init__(self, message="", steps=0, residual=None):
         super().__init__(message)
         self.steps = steps
+        self.residual = residual
 
 
 class StepsizeUnderflow(GraphCurvError):

@@ -20,7 +20,8 @@ All stencils are second-order centered; the node conventions above are chosen
 so one-sided differencing is never needed.
 
 Node vectors move between a grid and its ``refine_domain`` refinement by
-injection (``restrict_values``) and cubic interpolation (``prolong_values``).
+injection (``restrict_values``) and cubic interpolation (``prolong_values``);
+``coarsen_domain`` undoes one factor-2 refinement.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "load_grid",
     "export_csv",
     "refine_domain",
+    "coarsen_domain",
     "restrict_values",
     "prolong_values",
 ]
@@ -238,6 +240,10 @@ class GridDomain:
         if self._order is None:
             self._order = _dissection_order(self)
         return self._order
+
+    def drop_caches(self):
+        """Forget the cached derivative operators, ordering and frame data."""
+        self._ops, self._order, self._frame_cache = None, None, {}
 
 
 def _dissection_order(dom):
@@ -487,15 +493,6 @@ def _boundary_rle(mask):
     return ",".join(runs)
 
 
-def _boundary_from_rle(text, n):
-    mask = np.zeros(n, dtype=bool)
-    if text:
-        for run in text.split(","):
-            start, length = run.split(":")
-            mask[int(start):int(start) + int(length)] = True
-    return mask
-
-
 def save_grid(path, domain, values, chart_id):
     """Write a grid file: one JSON header line + one %.17g value per line."""
     values = domain.check_values(values)
@@ -548,43 +545,54 @@ def load_grid(path):
     return dom, values, header["chart"]
 
 
+def _cells(domain):
+    """Cells per axis: nodes on a periodic axis, nodes - 1 on any other."""
+    return [m if per else m - 1 for m, per in zip(domain.shape, domain.periodic)]
+
+
+def _with_cells(domain, cells):
+    """A grid of ``domain``'s kind and extent with ``cells`` cells per axis."""
+    if domain.kind == "ball":
+        return GridDomain.ball(domain.extent[0][1], *cells)
+    if domain.kind == "annulus":
+        (r0, r1), _ = domain.extent
+        return GridDomain.annulus(r0, r1, *cells)
+    if domain.kind == "interval":
+        (lo, hi), = domain.extent
+        return GridDomain.interval(lo, hi, *cells)
+    shape = [c if per else c + 1 for c, per in zip(cells, domain.periodic)]
+    return GridDomain.box(domain.extent, shape, domain.periodic)
+
+
 def refine_domain(domain, factor=2):
     """Same extent, mesh halved ``factor`` must be a power of 2 >= 1."""
     if factor < 1 or factor & (factor - 1):
         raise OutOfRange("refinement factor must be a power of two")
-    if domain.kind == "ball":
-        nr, nphi = domain.shape[0] - 1, domain.shape[1]
-        return GridDomain.ball(domain.extent[0][1], factor * nr, factor * nphi)
-    if domain.kind == "annulus":
-        nr, nphi = domain.shape[0] - 1, domain.shape[1]
-        (r0, r1), _ = domain.extent
-        return GridDomain.annulus(r0, r1, factor * nr, factor * nphi)
-    if domain.kind == "interval":
-        (lo, hi), = domain.extent
-        return GridDomain.interval(lo, hi, factor * (domain.shape[0] - 1))
-    shape = tuple(
-        factor * m if per else factor * (m - 1) + 1
-        for m, per in zip(domain.shape, domain.periodic)
-    )
-    return GridDomain.box(domain.extent, shape, domain.periodic)
+    return _with_cells(domain, [factor * c for c in _cells(domain)])
+
+
+def coarsen_domain(domain, min_cells):
+    """The grid whose ``refine_domain(., 2)`` is ``domain``, or None.
+
+    None when an axis has an odd number of cells, when the halved grid is
+    not a valid grid (a ball needs nphi divisible by 8), or when its
+    shortest non-periodic axis would keep fewer than ``min_cells`` cells.
+    """
+    cells = _cells(domain)
+    spans = [c for c, per in zip(cells, domain.periodic) if not per]
+    if any(c % 2 for c in cells) or min(spans, default=0) < 2 * min_cells:
+        return None
+    try:
+        return _with_cells(domain, [c // 2 for c in cells])
+    except OutOfRange:
+        return None
 
 
 def _refinement_ratio(fine, coarse):
     """k with ``fine`` shaped as ``refine_domain(coarse, k)``; else DomainMismatch."""
     if fine.kind != coarse.kind:
         raise DomainMismatch(f"cannot map {fine.kind} onto {coarse.kind}")
-    if fine.kind in ("ball", "annulus"):
-        ratios = {
-            (fine.shape[0] - 1) // (coarse.shape[0] - 1),
-            fine.shape[1] // coarse.shape[1],
-        }
-    elif fine.kind == "interval":
-        ratios = {(fine.shape[0] - 1) // (coarse.shape[0] - 1)}
-    else:
-        ratios = {
-            mf // mc if per else (mf - 1) // (mc - 1)
-            for mf, mc, per in zip(fine.shape, coarse.shape, fine.periodic)
-        }
+    ratios = {f // c for f, c in zip(_cells(fine), _cells(coarse))}
     ratio = ratios.pop()
     try:
         ok = not ratios and ratio >= 1 and refine_domain(coarse, ratio).shape == fine.shape

@@ -212,8 +212,9 @@ class HeldLU:
     that factorization and solves directly.  Counters: ``factorizations``
     (direct factorizations made here), ``krylov_iterations`` (inner GMRES
     iterations over all attempts), ``fallbacks`` (GMRES attempts that ended
-    in a factorization) and ``fill`` (stored entries of the held factors, 0
-    while none are held).
+    in a factorization), ``trisolves`` (applications of the held factors:
+    one per direct solve and per preconditioner application) and ``fill``
+    (stored entries of the held factors, 0 while none are held).
     """
 
     RTOL = 1e-3  # against the 2-norm of the right-hand side; atol = 0
@@ -226,12 +227,14 @@ class HeldLU:
         self.factorizations = 0
         self.krylov_iterations = 0
         self.fallbacks = 0
+        self.trisolves = 0
 
     def counters(self):
         return {
             "factorizations": self.factorizations,
             "krylov_iterations": self.krylov_iterations,
             "fallbacks": self.fallbacks,
+            "trisolves": self.trisolves,
             "fill": 0 if self.lu is None else self.lu.nnz,
         }
 
@@ -245,6 +248,11 @@ class HeldLU:
         self.factorizations += op._lu is None
         self.lu = op.factor()
         self.domain = op.domain
+        return self._apply(rhs)
+
+    def _apply(self, rhs):
+        """The held factors' solution of ``rhs`` (counted in ``trisolves``)."""
+        self.trisolves += 1
         return self.lu.solve(rhs)
 
     def _krylov(self, matrix, rhs):
@@ -253,7 +261,7 @@ class HeldLU:
         def count(_):
             self.krylov_iterations += 1
 
-        precond = spla.LinearOperator(matrix.shape, matvec=self.lu.solve)
+        precond = spla.LinearOperator(matrix.shape, matvec=self._apply)
         w, info = spla.gmres(
             matrix, rhs, rtol=self.RTOL, atol=0.0, restart=self.RESTART,
             maxiter=self.MAXITER, M=precond, callback=count,

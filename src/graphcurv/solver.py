@@ -202,12 +202,14 @@ def newton_solve(f_init, target, opts=None, lu=None):
                 f"line search exhausted at iteration {it + 1} "
                 f"(residual {rnorm:.3e}, margin {asm.margin:.3e})",
                 steps=len(history),
+                residual=rnorm,
             )
     if rnorm <= opts.tol:
         return NewtonResult(f, True, opts.max_iter, rnorm, asm.margin, history, lu)
     raise NoConvergence(
         f"no convergence in {opts.max_iter} iterations (residual {rnorm:.3e})",
         steps=len(history),
+        residual=rnorm,
     )
 
 

@@ -7,12 +7,20 @@ import numpy as np
 import pytest
 
 from graphcurv import cli
+from graphcurv import config as cfgmod
 from graphcurv import errors as err
 from graphcurv.assembly import assemble_curvature
-from graphcurv.charts import HyperbolicChart
+from graphcurv.charts import EuclideanChart, HyperbolicChart
 from graphcurv.cli import EXIT_CODES, exit_code_for, main
+from graphcurv.diagnostics import make_barrier_pair
 from graphcurv.grids import GridDomain, load_grid, restrict_values, save_grid
-from graphcurv.solver import smooth_random_field
+from graphcurv.solver import (
+    SolveTarget,
+    continuation_solve,
+    newton_solve,
+    smooth_random_field,
+    start_state,
+)
 
 
 def write_cfg(tmp_path, name="run.json", **overrides):
@@ -56,7 +64,8 @@ def test_solve_happy_path(tmp_path):
     assert rows and set(rows[0]) == {"iter", "tau", "residual", "margin", "step"}
     assert float(rows[-1]["residual"]) <= 1e-9
     solves = summary["linear_solves"]
-    assert set(solves) == {"factorizations", "krylov_iterations", "fallbacks", "fill"}
+    assert set(solves) == {"factorizations", "krylov_iterations", "fallbacks",
+                           "trisolves", "fill"}
     assert solves["fill"] > 0
     assert 1 <= solves["factorizations"] <= summary["newton_total"] + 1
     assert 0 <= solves["fallbacks"] < solves["factorizations"]
@@ -132,6 +141,158 @@ def test_solve_determinism_and_seed_override(tmp_path):
                      solver={"perturb": {"magnitude": 1e-4}})
     assert main(["solve", "--config", str(cfg3), "--seed", "10"]) == 0
     assert (tmp_path / "o3" / "solution.grid").read_bytes() != b1
+
+
+# ---- nested solve --------------------------------------------------------------
+
+
+def solve_summary(tmp_path, name, **overrides):
+    out = tmp_path / name
+    cfg = write_cfg(tmp_path, name=f"{name}.json", output={"dir": str(out)}, **overrides)
+    rc = main(["solve", "--config", str(cfg)])
+    with open(out / "summary.json") as fh:
+        return rc, json.load(fh)
+
+
+def test_solve_nests_from_the_coarsest_grid(tmp_path):
+    rc, summary = solve_summary(tmp_path, "nested",
+                                domain={"kind": "ball", "nr": 32, "nphi": 128})
+    assert rc == 0
+    levels = summary["per_level"]
+    assert [m["domain"] for m in levels] == ["ball[17, 64]", "ball[33, 128]"]
+    assert [m["start"] for m in levels] == ["continuation", "prolonged"]
+    assert summary["residual_norm"] <= 1e-9 and summary["tau"] == 1.0
+    assert summary["newton_total"] == sum(m["newton_total"] for m in levels)
+    solves = summary["linear_solves"]
+    for key in ("factorizations", "krylov_iterations", "fallbacks", "trisolves"):
+        assert solves[key] == sum(m["linear_solves"][key] for m in levels)
+    assert solves["fill"] == levels[-1]["linear_solves"]["fill"]
+    with open(tmp_path / "nested" / "iterations.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    iters = [int(row["iter"]) for row in rows]
+    assert iters == sorted(set(iters)) and iters[-1] == summary["newton_total"]
+    fine_rows = rows[-levels[-1]["newton_total"]:]
+    assert fine_rows and all(float(row["tau"]) == 1.0 for row in fine_rows)
+
+    dom, f, _ = load_grid(tmp_path / "nested" / "solution.grid")
+    chart = HyperbolicChart(n=2, offset=0.5)
+    bp = make_barrier_pair(chart, dom, kind="cap", k=0.75)  # barrier.k "auto"
+    target = SolveTarget(chart, dom, 0.7, lower=bp.lower, upper=bp.upper,
+                         phi_hat=bp.phi_hat)
+    plain = continuation_solve(start_state(target))
+    assert np.max(np.abs(f - plain)) <= 1e-8
+
+
+@pytest.mark.parametrize("nr, nphi", [(8, 32), (32, 136), (33, 128)],
+                         ids=["4-rings-below", "nphi-68", "odd-nr"])
+def test_solve_keeps_one_level_where_the_grid_cannot_be_halved(tmp_path, nr, nphi):
+    rc, summary = solve_summary(tmp_path, "one", domain={"kind": "ball", "nr": nr,
+                                                         "nphi": nphi})
+    assert rc == 0
+    assert [m["domain"] for m in summary["per_level"]] == [f"ball[{nr + 1}, {nphi}]"]
+    assert summary["start"] == "continuation"
+
+
+def test_solve_nests_in_newton_mode(tmp_path):
+    rc, summary = solve_summary(
+        tmp_path, "newton",
+        chart={"kind": "euclidean"},
+        domain={"kind": "ball", "nr": 32, "nphi": 128},
+        problem={"k": 0.5},
+        solver={"mode": "newton", "init": {"kind": "paraboloid", "scale": 0.25}},
+    )
+    assert rc == 0
+    assert [m["start"] for m in summary["per_level"]] == ["newton", "prolonged"]
+    dom, f, _ = load_grid(tmp_path / "newton" / "solution.grid")
+    s = dom.coords[:, 0]
+    plain = newton_solve(0.25 * (s**2 - 1.0), SolveTarget(EuclideanChart(n=2), dom, 0.5))
+    assert summary["residual_norm"] <= 1e-9
+    assert np.max(np.abs(f - plain.f)) <= 1e-8
+
+
+def test_solve_falls_back_on_the_finest_level(tmp_path, monkeypatch):
+    # a concave start is not admissible, so the finest level runs the
+    # configured continuation from the default start
+    monkeypatch.setattr(
+        cli, "prolong_values", lambda coarse, fine, v: 1.0 - fine.coords[:, 0] ** 2
+    )
+    rc, summary = solve_summary(tmp_path, "fallback",
+                                domain={"kind": "ball", "nr": 32, "nphi": 128})
+    assert rc == 0
+    assert [m["start"] for m in summary["per_level"]] == ["continuation"] * 2
+    assert summary["start"] == "continuation"
+    assert summary["tau"] == 1.0 and summary["residual_norm"] <= 1e-9
+
+
+def test_file_seed_is_used_on_its_own_grid_only(tmp_path):
+    rc, _ = solve_summary(tmp_path, "seed", domain={"kind": "ball", "nr": 4, "nphi": 16})
+    assert rc == 0
+    seed = {"kind": "file", "path": str(tmp_path / "seed" / "solution.grid")}
+    cfg = write_cfg(tmp_path, domain={"kind": "ball", "nr": 4, "nphi": 16},
+                    problem={"k": 0.72}, solver={"init": seed}, sweep={"levels": 2})
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    summary = read_summary(tmp_path)
+    assert [m["start"] for m in summary["per_level"]] == ["continuation", "prolonged"]
+
+    # a file seed keeps solve on the configured grid, which could be halved
+    parsed = cfgmod.parse_config(json.loads(
+        write_cfg(tmp_path, name="big.json", domain={"kind": "ball", "nr": 32, "nphi": 128},
+                  solver={"init": seed}).read_text()))
+    assert [d.shape for d in cli._solve_grids(parsed)] == [(33, 128)]
+    parsed["solver"]["init"]["kind"] = "auto"
+    assert [d.shape for d in cli._solve_grids(parsed)] == [(17, 64), (33, 128)]
+
+
+def test_user_barrier_keeps_solve_on_its_own_grid(tmp_path):
+    big = {"kind": "ball", "nr": 32, "nphi": 128}
+    rc, _ = solve_summary(tmp_path, "barrier", domain=big, problem={"k": 0.75})
+    assert rc == 0
+    barrier = {"kind": "user", "path": str(tmp_path / "barrier" / "solution.grid")}
+    rc, summary = solve_summary(tmp_path, "user", domain=big,
+                                problem={"k": 0.7, "barrier": barrier})
+    assert rc == 0
+    assert summary["barrier"] == "user"
+    assert [m["domain"] for m in summary["per_level"]] == ["ball[33, 128]"]
+    assert summary["residual_norm"] <= 1e-9 and summary["tau"] == 1.0
+
+
+# ---- failed runs --------------------------------------------------------------
+
+
+INFEASIBLE = dict(
+    problem={"k": 1.5, "barrier": {"kind": "offset", "depth": 2.0}},
+    domain={"kind": "ball", "nr": 6, "nphi": 16},
+    solver={"dtau_min": 1e-2},
+)
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_failed_run_writes_its_counters(tmp_path, command):
+    cfg = write_cfg(tmp_path, sweep={"levels": 2}, **INFEASIBLE)
+    assert main([command, "--config", str(cfg)]) == EXIT_CODES["StepsizeUnderflow"]
+    summary = read_summary(tmp_path)
+    assert summary["command"] == command
+    assert summary["status"] == "StepsizeUnderflow"
+    assert "underflow" in summary["error"]
+    assert summary["newton_total"] > 0
+    assert 0.0 <= summary["tau"] < 1.0
+    assert summary["residual_norm"] <= 1e-9  # of the last accepted corrector
+    solves = summary["linear_solves"]
+    assert solves["factorizations"] >= 1 and solves["trisolves"] >= 1
+    assert solves["fill"] > 0
+    assert summary["per_level"] == []
+    assert summary["failed_level"] == 0
+    assert summary["failed_grid"] == "ball[7, 16]"
+
+
+def test_failed_newton_run_reports_its_last_residual(tmp_path):
+    cfg = write_cfg(tmp_path, solver={"mode": "newton", "max_iter": 1})
+    assert main(["solve", "--config", str(cfg)]) == EXIT_CODES["NoConvergence"]
+    summary = read_summary(tmp_path)
+    assert summary["newton_total"] == 1
+    assert summary["tau"] is None
+    assert summary["residual_norm"] > 1e-9
+    assert summary["linear_solves"]["factorizations"] == 1
 
 
 # ---- curvature -----------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from graphcurv.errors import DomainMismatch, OutOfRange
 from graphcurv.grids import (
     GridDomain,
+    coarsen_domain,
     export_csv,
     load_grid,
     prolong_values,
@@ -369,6 +370,24 @@ def test_dissection_order_is_a_permutation(dom):
         assert order[-1] == dom.pole
 
 
+def test_drop_caches_forgets_and_rebuilds_the_operators():
+    from graphcurv.charts import HyperbolicChart
+    from graphcurv.linearize import build_DK
+
+    dom = GridDomain.ball(1.0, 8, 32)
+    dk = build_DK(HyperbolicChart(n=2, offset=0.5), dom, np.zeros(dom.num_nodes))
+    ops, order = dom.derivative_ops(), dom.dissection_order()
+    assert dom._frame_cache
+    dom.drop_caches()
+    assert not dom._frame_cache
+    assert dom.derivative_ops() is not ops and dom.dissection_order() is not order
+    assert np.array_equal(dom.dissection_order(), order)
+    for new, old in zip(dom.derivative_ops().d1, ops.d1):
+        assert (new != old).nnz == 0
+    again = build_DK(HyperbolicChart(n=2, offset=0.5), dom, np.zeros(dom.num_nodes))
+    assert (again.matrix != dk.matrix).nnz == 0
+
+
 # ---- prolongation --------------------------------------------------------------
 
 
@@ -447,3 +466,51 @@ def test_prolong_rejects_anything_but_a_factor_two_refinement():
         prolong_values(coarse, GridDomain.interval(0.0, 1.0, 8), vals)
     with pytest.raises(DomainMismatch):
         prolong_values(coarse, refine_domain(coarse, 2), np.zeros(5))
+
+
+# ---- coarsening ------------------------------------------------------------------
+
+
+def test_coarsen_halves_the_ball_down_to_16_rings():
+    dom = GridDomain.ball(1.0, 128, 512)
+    shapes = [dom.shape]
+    while (dom := coarsen_domain(dom, 16)) is not None:
+        shapes.append(dom.shape)
+    assert shapes == [(129, 512), (65, 256), (33, 128), (17, 64)]
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [
+        GridDomain.ball(1.0, 32, 128),
+        GridDomain.annulus(0.5, 1.5, 32, 64),
+        GridDomain.interval(0.0, 1.0, 64),
+        GridDomain.box(((0.0, 1.0), (0.0, 2.0)), (33, 65)),
+        GridDomain.box(((0.0, 1.0), (0.0, 2.0)), (33, 64), periodic=(False, True)),
+    ],
+    ids=["ball", "annulus", "interval", "box", "periodic-box"],
+)
+def test_coarsen_undoes_one_refinement(dom):
+    coarse = coarsen_domain(dom, 16)
+    assert coarse.kind == dom.kind
+    fine = refine_domain(coarse, 2)
+    assert fine.shape == dom.shape
+    assert np.array_equal(fine.coords, dom.coords)
+    assert np.array_equal(fine.boundary, dom.boundary)
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [
+        GridDomain.ball(1.0, 8, 32),  # 4 rings would be left
+        GridDomain.ball(1.0, 32, 136),  # nphi / 2 = 68 is not divisible by 8
+        GridDomain.ball(1.0, 33, 128),  # odd number of rings
+        GridDomain.interval(0.0, 1.0, 31),
+        GridDomain.box(((0.0, 1.0), (0.0, 2.0)), (33, 63), periodic=(False, True)),
+        GridDomain.box(((0.0, 1.0), (0.0, 2.0)), (64, 64), periodic=(True, True)),
+    ],
+    ids=["ball-4-rings", "ball-nphi", "ball-odd", "interval-odd", "box-odd-period",
+         "torus"],
+)
+def test_coarsen_refuses_grids_it_cannot_halve(dom):
+    assert coarsen_domain(dom, 16) is None

@@ -16,6 +16,7 @@ from graphcurv.grids import GridDomain
 from graphcurv.linearize import (
     EllipticOperator,
     HeldLU,
+    _PermutedLU,
     build_B,
     build_DK,
     build_JK,
@@ -259,6 +260,22 @@ def test_held_lu_preconditions_a_neighbouring_operator():
     assert np.all(w[dom.boundary] == 0.0)
 
 
+def test_held_lu_counts_every_application_of_its_factors(monkeypatch):
+    applied = []
+    real = _PermutedLU.solve
+    monkeypatch.setattr(_PermutedLU, "solve",
+                        lambda self, rhs: applied.append(1) or real(self, rhs))
+    chart = HyperbolicChart(n=2, offset=D)
+    dom = ball()
+    held = HeldLU()
+    rhs = np.sin(3 * dom.coords[:, 0]) + 0.2
+    build_DK(chart, dom, np.zeros(dom.num_nodes)).solve(rhs, held=held)
+    assert held.trisolves == len(applied) == 1
+    build_DK(chart, dom, safe_field(dom)).solve(rhs, held=held)
+    assert held.krylov_iterations > 0 and held.factorizations == 1
+    assert held.counters()["trisolves"] == len(applied) > 1 + held.krylov_iterations
+
+
 def test_held_lu_of_a_distant_operator_falls_back_to_direct():
     # the diagonal of DK carries none of its coupling, so GMRES preconditioned
     # by it misses the tolerance and the solve factorizes DK itself
@@ -296,7 +313,7 @@ def test_held_lu_is_never_applied_on_another_domain():
     w = op_b.solve(rhs, held=held)
     assert held.counters() == {
         "factorizations": 2, "krylov_iterations": 0, "fallbacks": 0,
-        "fill": op_b._lu.nnz,
+        "trisolves": 2, "fill": op_b._lu.nnz,
     }
     assert held.domain is dom_b and held.lu is op_b._lu
     assert np.array_equal(w, build_DK(chart, dom_b, np.zeros(dom_b.num_nodes)).solve(rhs))
