@@ -409,7 +409,7 @@ def _nested_solve(run, coarse, f_coarse):
     try:
         res = newton_solve(f0, run.goal, run.nopts, run.lu)
     except (NoConvergence, NonAdmissibleInit) as exc:
-        run.spent = getattr(exc, "steps", 0)
+        run.spent = exc.steps
         run.meta["start"] = run.sol["mode"]
         return _solve(run)
     run.meta.update(_newton_meta(res), start="prolonged")
@@ -437,10 +437,9 @@ def _walk(cfg, command, grids):
     histories' ``iter`` runs on over the levels.  A GraphCurvError writes
     ``command``'s summary with the counters up to the failure and the failed
     level's last accepted tau and residual (None where it has none), and
-    propagates.  Of the failed level's accepted Newton steps it counts only
-    those the error reports: a NoConvergence's ``steps`` and the finished
-    correctors of a continuation, not the steps of a Newton solve that
-    raised another error.
+    propagates.  The failed level's accepted Newton steps are those of the
+    continuation's correctors, or the ``steps`` of the error that ended its
+    Newton solve.
     """
     t0 = time.perf_counter()
     levels, domain, run = [], None, None
@@ -465,11 +464,11 @@ def _walk(cfg, command, grids):
         begun, last = list(metas), {"tau": None, "residual_norm": None}
         if run is not None:
             state = run.state
-            steps = getattr(exc, "steps", 0) if state is None else state.newton_total
+            steps = exc.steps if state is None else state.newton_total
             begun.append({"newton_total": run.spent + steps,
                           "linear_solves": run.lu.counters()})
             if state is None:
-                last["residual_norm"] = getattr(exc, "residual", None)
+                last["residual_norm"] = exc.residual
             elif state.f is not None:
                 last.update(tau=state.tau, residual_norm=state.residual_norm)
         grid = None if domain is None else f"{domain.kind}{list(domain.shape)}"
@@ -530,7 +529,7 @@ def cmd_validate(cfg):
     chart = cfgmod.build_chart(cfg)
     domain, f = _load_solution(src, chart)
     asm = assemble_curvature(chart, domain, f)
-    data = curvature_oracle(chart, domain, f)
+    data = curvature_oracle(chart, domain, f)  # one pass: the gap and the monitor
     interior = domain.interior
 
     kval = target = None
@@ -576,17 +575,11 @@ def cmd_validate(cfg):
 
     # the remaining probes need library calls that can refuse bad input;
     # a refusal is a failed check here, never an abort
-    try:
-        stab = stability_check(chart, domain, f)
-        checks["stable"] = bool(stab["stable"])
-    except GraphCurvError as exc:
-        checks["stable"] = False
-        details["stability_error"] = str(exc)
-
     mon = cfg["monitor"]
     try:
         po = pogorelov_monitor(
-            chart, domain, f, alpha=float(mon["alpha"]), eps_x=float(mon["eps_x"])
+            chart, domain, f, alpha=float(mon["alpha"]), eps_x=float(mon["eps_x"]),
+            shape=data,
         )
         checks["transversal"] = True
         details["pogorelov_sup"] = po["sup"]
@@ -595,6 +588,15 @@ def cmd_validate(cfg):
     except GraphCurvError as exc:
         checks["transversal"] = False
         details["pogorelov_error"] = str(exc)
+    # the stability probe's factorization is validate's memory peak, so it
+    # runs last, with the oracle's fields released
+    del data
+    try:
+        stab = stability_check(chart, domain, f, assembly=asm)
+        checks["stable"] = bool(stab["stable"])
+    except GraphCurvError as exc:
+        checks["stable"] = False
+        details["stability_error"] = str(exc)
 
     passed = all(checks.values())
     summary = {
@@ -614,10 +616,18 @@ def cmd_validate(cfg):
 
 
 def _sweep_grids(cfg):
-    """``sweep.levels`` grids: ``refine_domain(base, 2**l)`` of the configured one."""
+    """``sweep.levels`` grids: ``refine_domain(base, 2**l)`` of the configured one.
+
+    A ``user`` barrier file holds one grid, so it allows a single level.
+    """
     levels = int(cfg["sweep"]["levels"])
     if levels < 1:
         raise ConfigError("sweep.levels must be >= 1")
+    if levels > 1 and cfg["problem"]["barrier"]["kind"] == "user":
+        raise ConfigError(
+            "barrier.kind 'user' needs sweep.levels = 1: a user barrier is "
+            "stored on one grid"
+        )
     base = cfgmod.build_domain(cfg)
     return [refine_domain(base, 2**lvl) for lvl in range(levels)]
 

@@ -389,19 +389,21 @@ def _default_cutoff(domain):
 
 
 def pogorelov_monitor(chart, domain, f, alpha=1.0, cutoff=None, x_field=None,
-                      eps_x=1e-3):
+                      eps_x=1e-3, shape=None):
     """sup of Phi = alpha log(phi_cut) - <X, N> + log |A| over the cutoff support.
 
     X defaults to the chart's unit vertical along the graph; the inner
     product comes from the embedding model through the curvature oracle.
-    Raises TransversalityFailure when <X, N> < eps_x somewhere on the
-    support.  Returns {'sup': float, 'node': int, 'alpha': alpha,
-    'x_min': float, 'values': masked array of Phi}.
+    ``shape`` is ``curvature_oracle(chart, domain, f)`` when the caller
+    already has it (computed here when None).  Raises TransversalityFailure
+    when <X, N> < eps_x somewhere on the support.  Returns {'sup': float,
+    'node': int, 'alpha': alpha, 'x_min': float, 'values': masked array of
+    Phi}.
     """
     if alpha < 1.0:
         raise OutOfRange("pogorelov exponent alpha must be >= 1")
     f = domain.check_values(f)
-    data = curvature_oracle(chart, domain, f)
+    data = curvature_oracle(chart, domain, f) if shape is None else shape
     phi_cut = _default_cutoff(domain) if cutoff is None else domain.check_values(cutoff)
     if np.any(phi_cut < 0):
         raise OutOfRange("cutoff must be non-negative")

@@ -6,7 +6,16 @@ GraphCurvError, so callers (and the CLI exit-code map) can stay total.
 
 
 class GraphCurvError(Exception):
-    """Base class for all graphcurv errors."""
+    """Base class for all graphcurv errors.
+
+    An error that ends a Newton solve carries its progress: ``steps``, the
+    Newton steps accepted before it, and ``residual``, the residual norm of
+    the last accepted iterate (None when there is none).  Other errors keep
+    the defaults 0 and None.
+    """
+
+    steps = 0
+    residual = None
 
 
 class OutOfChart(GraphCurvError):
@@ -38,11 +47,7 @@ class SingularLinearSystem(GraphCurvError):
 
 
 class NoConvergence(GraphCurvError):
-    """Newton failed to reach tolerance within the iteration budget.
-
-    ``steps`` is the number of Newton steps accepted before it gave up and
-    ``residual`` the residual norm of its last iterate (None when unknown).
-    """
+    """Newton failed to reach tolerance within the iteration budget."""
 
     def __init__(self, message="", steps=0, residual=None):
         super().__init__(message)

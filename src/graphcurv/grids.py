@@ -289,69 +289,35 @@ def _dissect(block, out):
         out.append(block[:, mid])
 
 
-def _1d_first(m, h, periodic):
-    if periodic:
-        rows = np.arange(m)
-        data_p = np.full(m, 0.5 / h)
-        mat = sp.coo_matrix(
-            (
-                np.concatenate([data_p, -data_p]),
-                (
-                    np.concatenate([rows, rows]),
-                    np.concatenate([(rows + 1) % m, (rows - 1) % m]),
-                ),
-            ),
-            shape=(m, m),
-        )
-        return mat.tocsr()
-    rows = np.arange(1, m - 1)
-    data = np.full(m - 2, 0.5 / h)
+def _1d_stencil(m, weights, periodic):
+    """m x m CSR matrix applying ``weights`` ({offset: weight}) along one axis.
+
+    Periodic axes wrap every row around; otherwise rows 0 and m-1 stay zero.
+    """
+    rows = np.arange(m) if periodic else np.arange(1, m - 1)
     mat = sp.coo_matrix(
         (
-            np.concatenate([data, -data]),
-            (np.concatenate([rows, rows]), np.concatenate([rows + 1, rows - 1])),
+            np.concatenate([np.full(len(rows), w) for w in weights.values()]),
+            (
+                np.tile(rows, len(weights)),
+                np.concatenate([(rows + k) % m for k in weights]),
+            ),
         ),
         shape=(m, m),
     )
     return mat.tocsr()
 
 
-def _1d_second(m, h, periodic):
+def _central(h):
+    """{offset: weight} of the central first and second differences at spacing h."""
     c = 1.0 / (h * h)
-    if periodic:
-        rows = np.arange(m)
-        mat = sp.coo_matrix(
-            (
-                np.concatenate([np.full(m, c), np.full(m, -2 * c), np.full(m, c)]),
-                (
-                    np.concatenate([rows, rows, rows]),
-                    np.concatenate([(rows + 1) % m, rows, (rows - 1) % m]),
-                ),
-            ),
-            shape=(m, m),
-        )
-        return mat.tocsr()
-    rows = np.arange(1, m - 1)
-    mat = sp.coo_matrix(
-        (
-            np.concatenate(
-                [np.full(m - 2, c), np.full(m - 2, -2 * c), np.full(m - 2, c)]
-            ),
-            (
-                np.concatenate([rows, rows, rows]),
-                np.concatenate([rows + 1, rows, rows - 1]),
-            ),
-        ),
-        shape=(m, m),
-    )
-    return mat.tocsr()
+    return {1: 0.5 / h, -1: -0.5 / h}, {1: c, 0: -2 * c, -1: c}
 
 
 def _interval_ops(dom):
     (m,) = dom.shape
     (h,) = dom.spacing
-    d1 = _1d_first(m, h, False)
-    d2 = _1d_second(m, h, False)
+    d1, d2 = (_1d_stencil(m, w, False) for w in _central(h))
     return DerivOps(d1=(d1,), d2={(0, 0): d2})
 
 
@@ -361,10 +327,8 @@ def _box_ops(dom):
     p0, p1 = dom.periodic
     i0 = sp.identity(m0, format="csr")
     i1 = sp.identity(m1, format="csr")
-    a1 = _1d_first(m0, h0, p0)
-    b1 = _1d_first(m1, h1, p1)
-    a2 = _1d_second(m0, h0, p0)
-    b2 = _1d_second(m1, h1, p1)
+    a1, a2 = (_1d_stencil(m0, w, p0) for w in _central(h0))
+    b1, b2 = (_1d_stencil(m1, w, p1) for w in _central(h1))
     d1 = (sp.kron(a1, i1).tocsr(), sp.kron(i0, b1).tocsr())
     d2 = {
         (0, 0): sp.kron(a2, i1).tocsr(),

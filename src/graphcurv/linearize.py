@@ -493,14 +493,15 @@ def build_JK(base, domain):
     )
 
 
-def stability_check(chart, domain, f):
+def stability_check(chart, domain, f, assembly=None):
     """Inverse-negativity probe of the linearized operator at f.
 
     Solves DK(f) w = 1 (interior source) with zero Dirichlet data; ``stable``
     is true iff w < 0 at every interior node, and w is returned as the
-    witness.
+    witness.  ``assembly`` is ``assemble_curvature(chart, domain, f)`` when
+    the caller already has it, handed on to ``build_DK``.
     """
-    op = build_DK(chart, domain, f)
+    op = build_DK(chart, domain, f, assembly=assembly)
     rhs = np.where(domain.interior, 1.0, 0.0)
     w = op.solve(rhs)
     stable = bool(np.all(w[domain.interior] < 0.0))

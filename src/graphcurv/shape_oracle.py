@@ -42,11 +42,17 @@ def _euclid_cross(rows):
     if m == 3:
         return np.cross(rows[..., 0, :], rows[..., 1, :])
     if m == 4:
-        cols = np.arange(4)
+        # (-1)^l det(rows without column l), each 3x3 determinant expanded
+        # along the first row over the 2x2 minors of the other two
+        x, y, z = (rows[..., i, :] for i in range(3))
+        minor2 = {(i, j): y[..., i] * z[..., j] - y[..., j] * z[..., i]
+                  for i in range(4) for j in range(i + 1, 4)}
         out = []
         for l in range(4):
-            minor = rows[..., :, cols != l]
-            out.append((-1.0) ** l * np.linalg.det(minor))
+            a, b, c = (k for k in range(4) if k != l)
+            det = (x[..., a] * minor2[b, c] - x[..., b] * minor2[a, c]
+                   + x[..., c] * minor2[a, b])
+            out.append(-det if l % 2 else det)
         return np.stack(out, axis=-1)
     raise ValueError(f"unsupported ambient dimension {m}")
 

@@ -32,6 +32,7 @@ import numpy as np
 
 from .assembly import assemble_curvature
 from .errors import (
+    GraphCurvError,
     NoConvergence,
     NonAdmissibleInit,
     OutOfRange,
@@ -151,66 +152,67 @@ def newton_solve(f_init, target, opts=None, lu=None):
     admissibility margin >= margin_fraction * (current margin), (b) drops the
     residual to <= (1 - s/4) * current, and (c) stays inside the sandwich
     when one is attached.  Raises NonAdmissibleInit, NoConvergence (iteration
-    cap or exhausted line search; its ``steps`` counts the accepted steps),
-    or SingularLinearSystem.
+    cap or exhausted line search) or SingularLinearSystem, or the assembly's
+    errors; every error raised here carries ``steps`` (the accepted steps)
+    and ``residual`` (the last accepted iterate's residual norm).
     """
     opts = opts or NewtonOptions()
     lu = HeldLU() if lu is None else lu
-    chart, domain = target.chart, target.domain
-    interior = domain.interior
-    sandwich = target.sandwich()
-    f = domain.check_values(f_init).copy()
-    f[domain.boundary] = 0.0
-    asm = assemble_curvature(chart, domain, f)
-    if not asm.admissible:
-        raise NonAdmissibleInit(
-            f"initial iterate is not admissible: margin = {asm.margin:.3e}"
-        )
-    if not _inside_sandwich(f, sandwich, interior):
-        raise NonAdmissibleInit("initial iterate violates the barrier sandwich")
-    kvals = target.evaluate(f)
-    r = _residual(asm, kvals, interior)
-    rnorm = float(np.max(np.abs(r)))
-    history = []
-    for it in range(opts.max_iter):
+    history, rnorm = [], None
+    try:
+        chart, domain = target.chart, target.domain
+        interior = domain.interior
+        sandwich = target.sandwich()
+        f = domain.check_values(f_init).copy()
+        f[domain.boundary] = 0.0
+        asm = assemble_curvature(chart, domain, f)
+        if not asm.admissible:
+            raise NonAdmissibleInit(
+                f"initial iterate is not admissible: margin = {asm.margin:.3e}"
+            )
+        if not _inside_sandwich(f, sandwich, interior):
+            raise NonAdmissibleInit("initial iterate violates the barrier sandwich")
+        kvals = target.evaluate(f)
+        r = _residual(asm, kvals, interior)
+        rnorm = float(np.max(np.abs(r)))
+        for it in range(opts.max_iter):
+            if rnorm <= opts.tol:
+                return NewtonResult(f, True, it, rnorm, asm.margin, history, lu)
+            op = build_DK(chart, domain, f, assembly=asm)
+            delta = op.solve(-r, held=lu)
+            accepted = False
+            for k in range(opts.max_halvings + 1):
+                s = 2.0**-k
+                f_new = f + s * delta
+                asm_new = assemble_curvature(chart, domain, f_new)
+                if asm_new.margin < opts.margin_fraction * asm.margin:
+                    continue
+                if not _inside_sandwich(f_new, sandwich, interior):
+                    continue
+                k_new = target.evaluate(f_new)
+                r_new = _residual(asm_new, k_new, interior)
+                rnorm_new = float(np.max(np.abs(r_new)))
+                if rnorm_new > (1.0 - s / 4.0) * rnorm:
+                    continue
+                f, asm, r, rnorm = f_new, asm_new, r_new, rnorm_new
+                history.append(
+                    {"iter": it + 1, "residual": rnorm, "margin": asm.margin, "step": s}
+                )
+                accepted = True
+                break
+            if not accepted:
+                raise NoConvergence(
+                    f"line search exhausted at iteration {it + 1} "
+                    f"(residual {rnorm:.3e}, margin {asm.margin:.3e})"
+                )
         if rnorm <= opts.tol:
-            return NewtonResult(f, True, it, rnorm, asm.margin, history, lu)
-        op = build_DK(chart, domain, f, assembly=asm)
-        delta = op.solve(-r, held=lu)
-        accepted = False
-        for k in range(opts.max_halvings + 1):
-            s = 2.0**-k
-            f_new = f + s * delta
-            asm_new = assemble_curvature(chart, domain, f_new)
-            if asm_new.margin < opts.margin_fraction * asm.margin:
-                continue
-            if not _inside_sandwich(f_new, sandwich, interior):
-                continue
-            k_new = target.evaluate(f_new)
-            r_new = _residual(asm_new, k_new, interior)
-            rnorm_new = float(np.max(np.abs(r_new)))
-            if rnorm_new > (1.0 - s / 4.0) * rnorm:
-                continue
-            f, asm, r, rnorm = f_new, asm_new, r_new, rnorm_new
-            history.append(
-                {"iter": it + 1, "residual": rnorm, "margin": asm.margin, "step": s}
-            )
-            accepted = True
-            break
-        if not accepted:
-            raise NoConvergence(
-                f"line search exhausted at iteration {it + 1} "
-                f"(residual {rnorm:.3e}, margin {asm.margin:.3e})",
-                steps=len(history),
-                residual=rnorm,
-            )
-    if rnorm <= opts.tol:
-        return NewtonResult(f, True, opts.max_iter, rnorm, asm.margin, history, lu)
-    raise NoConvergence(
-        f"no convergence in {opts.max_iter} iterations (residual {rnorm:.3e})",
-        steps=len(history),
-        residual=rnorm,
-    )
+            return NewtonResult(f, True, opts.max_iter, rnorm, asm.margin, history, lu)
+        raise NoConvergence(
+            f"no convergence in {opts.max_iter} iterations (residual {rnorm:.3e})"
+        )
+    except GraphCurvError as exc:
+        exc.steps, exc.residual = len(history), rnorm
+        raise
 
 
 @dataclass
@@ -327,7 +329,7 @@ def continuation_solve(state, opts=None):
         tgt = state.path_target(tau)
         try:
             res = newton_solve(f_start, tgt, opts.newton, state.lu)
-        except NoConvergence as exc:
+        except GraphCurvError as exc:
             state.newton_total += exc.steps
             raise
         for row in res.history:

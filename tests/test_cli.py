@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from graphcurv import cli
+from graphcurv import cli, diagnostics, linearize
 from graphcurv import config as cfgmod
 from graphcurv import errors as err
 from graphcurv.assembly import assemble_curvature
@@ -295,6 +295,27 @@ def test_failed_newton_run_reports_its_last_residual(tmp_path):
     assert summary["linear_solves"]["factorizations"] == 1
 
 
+def test_failed_newton_run_counts_the_steps_before_a_singular_solve(tmp_path, monkeypatch):
+    solve = linearize.EllipticOperator.solve
+    calls = []
+
+    def second_solve_fails(op, rhs, held=None):
+        calls.append(rhs)
+        if len(calls) == 2:
+            raise err.SingularLinearSystem("forced on the second Newton step")
+        return solve(op, rhs, held)
+
+    monkeypatch.setattr(linearize.EllipticOperator, "solve", second_solve_fails)
+    cfg = write_cfg(tmp_path, solver={"mode": "newton"})
+    assert main(["solve", "--config", str(cfg)]) == EXIT_CODES["SingularLinearSystem"]
+    summary = read_summary(tmp_path)
+    assert summary["status"] == "SingularLinearSystem"
+    assert summary["newton_total"] == 1
+    assert summary["linear_solves"]["trisolves"] == 1
+    # the residual the first step reached is minus the second solve's rhs
+    assert summary["residual_norm"] == np.max(np.abs(calls[1]))
+
+
 # ---- curvature -----------------------------------------------------------------
 
 
@@ -373,6 +394,29 @@ def test_validate_rejects_corrupted_solution(tmp_path):
     assert not all(summary["checks"].values())
 
 
+def test_validate_builds_the_oracle_and_the_assembly_once(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path)
+    assert main(["solve", "--config", str(cfg)]) == 0
+    sol = tmp_path / "out" / "solution.grid"
+    _, f_sol, _ = load_grid(sol)
+    calls = {"curvature_oracle": 0, "assemble_curvature": 0}
+
+    def counted(name, fn):
+        def wrapper(chart, domain, f, *args, **kwargs):
+            calls[name] += bool(np.array_equal(f, f_sol))
+            return fn(chart, domain, f, *args, **kwargs)
+        return wrapper
+
+    for mod in (cli, diagnostics, linearize):
+        for name in calls:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    vcfg = write_cfg(tmp_path, name="validate.json", input={"solution": str(sol)},
+                     output={"dir": str(tmp_path / "vout")})
+    assert main(["validate", "--config", str(vcfg)]) == 0
+    assert calls == {"curvature_oracle": 1, "assemble_curvature": 1}
+
+
 # ---- sweep ----------------------------------------------------------------------
 
 
@@ -448,6 +492,27 @@ def test_sweep_counts_the_steps_of_a_failed_prolonged_start(tmp_path, monkeypatc
     gave_up = solve_sweep("gave_up")
     assert refused["start"] == gave_up["start"] == "continuation"
     assert gave_up["newton_total"] == refused["newton_total"] + 2
+
+
+def test_sweep_refuses_a_user_barrier_on_more_than_one_level(tmp_path, capsys):
+    small = {"kind": "ball", "nr": 4, "nphi": 16}
+    rc, _ = solve_summary(tmp_path, "barrier", domain=small, problem={"k": 0.75})
+    assert rc == 0
+    barrier = {"kind": "user", "path": str(tmp_path / "barrier" / "solution.grid")}
+    cfg = write_cfg(tmp_path, domain=small, problem={"k": 0.7, "barrier": barrier},
+                    sweep={"levels": 2})
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(cfg)]) == EXIT_CODES["ConfigError"]
+    assert "a user barrier is stored on one grid" in capsys.readouterr().err
+    summary = read_summary(tmp_path)
+    assert summary["status"] == "ConfigError"
+    assert summary["per_level"] == [] and summary["failed_grid"] is None
+    assert summary["newton_total"] == 0
+    assert summary["linear_solves"]["factorizations"] == 0
+
+    one = write_cfg(tmp_path, name="one.json", domain=small,
+                    problem={"k": 0.7, "barrier": barrier}, sweep={"levels": 1})
+    assert main(["sweep", "--config", str(one)]) == 0
 
 
 def test_sweep_parallel_matches_serial(tmp_path):

@@ -224,6 +224,19 @@ def test_pogorelov_monitor_guards():
         pogorelov_monitor(chart, dom, f, x_field=-sd.normal)
 
 
+def test_pogorelov_monitor_reuses_given_shape_data_bitwise():
+    chart = HyperbolicChart(n=2, offset=D)
+    dom = GridDomain.ball(1.0, 16, 64)
+    s, phi = dom.coords[:, 0], dom.coords[:, 1]
+    f = -0.05 * (1 - s**2) - 0.008 * s**3 * np.cos(3 * phi) * (1 - s**2)
+    fresh = pogorelov_monitor(chart, dom, f, alpha=1.5)
+    shared = pogorelov_monitor(chart, dom, f, alpha=1.5,
+                               shape=curvature_oracle(chart, dom, f))
+    assert shared["values"].tobytes() == fresh["values"].tobytes()
+    for key in ("sup", "node", "alpha", "x_min"):
+        assert shared[key] == fresh[key]
+
+
 def test_pogorelov_default_cutoff_vanishes_near_rim():
     chart = HyperbolicChart(n=2, offset=D)
     dom = GridDomain.ball(1.0, 16, 64)

@@ -203,6 +203,17 @@ def test_stability_witness_is_negative():
     assert np.all(w[dom.boundary] == 0.0)
 
 
+def test_stability_check_reuses_a_given_assembly_bitwise():
+    chart = HyperbolicChart(n=2, offset=D)
+    dom = ball()
+    f = safe_field(dom)
+    asm = assemble_curvature(chart, dom, f)
+    fresh = stability_check(chart, dom, f)
+    shared = stability_check(chart, dom, f, assembly=asm)
+    assert shared["stable"] == fresh["stable"]
+    assert shared["witness"].tobytes() == fresh["witness"].tobytes()
+
+
 def test_solve_enforces_exact_dirichlet_zero():
     chart = HyperbolicChart(n=2, offset=D)
     dom = ball()

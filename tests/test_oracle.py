@@ -6,7 +6,7 @@ import pytest
 from graphcurv.assembly import assemble_curvature
 from graphcurv.charts import EpsilonChart, EuclideanChart, HyperbolicChart
 from graphcurv.grids import GridDomain
-from graphcurv.shape_oracle import curvature_oracle
+from graphcurv.shape_oracle import _euclid_cross, _inner, curvature_oracle
 
 
 def test_constant_slice_oracle_is_second_order():
@@ -83,3 +83,31 @@ def test_oracle_interval_case():
     dom = GridDomain.interval(-1.0, 1.0, 64)
     sd = curvature_oracle(chart, dom, np.zeros(dom.num_nodes))
     assert np.max(np.abs(sd.K[dom.interior] - np.tanh(0.5))) < 1e-3
+
+
+def _cross_by_minors(rows):
+    """(-1)^l det(rows without column l), by LU determinants."""
+    cols = np.arange(4)
+    return np.stack(
+        [(-1.0) ** l * np.linalg.det(rows[..., :, cols != l]) for l in range(4)],
+        axis=-1,
+    )
+
+
+def test_minkowski_normal_matches_the_determinants_of_minors():
+    rows = np.random.default_rng(7).standard_normal((2000, 3, 4))
+    got = _euclid_cross(rows)
+    want = _cross_by_minors(rows)
+    scale = np.prod(np.linalg.norm(rows, axis=-1), axis=-1)
+    assert np.max(np.abs(got - want) / scale[:, None]) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_euclid_cross_is_orthogonal_to_its_rows(m):
+    rows = np.random.default_rng(m).standard_normal((500, m - 1, m))
+    nu = _euclid_cross(rows)
+    scale = np.prod(np.linalg.norm(rows, axis=-1), axis=-1)[:, None]
+    assert np.max(np.abs(np.einsum("xkm,xm->xk", rows, nu)) / scale) <= 1e-14
+    # with the time component negated, Minkowski-orthogonal instead
+    mink = nu * np.where(np.arange(m) == 0, -1.0, 1.0)
+    assert np.max(np.abs(_inner(rows, mink[:, None, :], True)) / scale) <= 1e-14

@@ -11,6 +11,7 @@ from graphcurv.errors import (
     NoConvergence,
     NonAdmissibleInit,
     OutOfRange,
+    SingularLinearSystem,
     StepsizeUnderflow,
 )
 from graphcurv.grids import GridDomain
@@ -103,6 +104,27 @@ def test_newton_failure_reports_accepted_steps():
             NewtonOptions(max_iter=2),
         )
     assert info.value.steps == 2
+
+
+def test_every_newton_error_reports_its_accepted_steps(monkeypatch):
+    dom = GridDomain.ball(1.0, 8, 32)
+    with pytest.raises(NoConvergence) as one_step:
+        newton_solve(np.zeros(dom.num_nodes), hyper_target(dom, 0.9),
+                     NewtonOptions(max_iter=1))
+    solve = linearize.EllipticOperator.solve
+    calls = []
+
+    def second_solve_fails(op, rhs, held=None):
+        calls.append(rhs)
+        if len(calls) == 2:
+            raise SingularLinearSystem("forced")
+        return solve(op, rhs, held)
+
+    monkeypatch.setattr(linearize.EllipticOperator, "solve", second_solve_fails)
+    with pytest.raises(SingularLinearSystem) as info:
+        newton_solve(np.zeros(dom.num_nodes), hyper_target(dom, 0.9))
+    assert info.value.steps == 1
+    assert info.value.residual == one_step.value.residual
 
 
 def test_newton_solution_stays_inside_sandwich():
