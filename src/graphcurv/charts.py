@@ -290,8 +290,60 @@ def _base_cartesian(base, layout):
     raise OutOfRange(f"unsupported base layout {layout!r}")
 
 
+class _HyperboloidChart(Chart):
+    """A chart whose slices are equidistants in a Minkowski hyperboloid.
+
+    Subclasses supply two hooks: ``_model(s, t)`` returns the geodesic
+    radius of base radius s, the signed height of slice t and the model
+    scale (the hyperboloid has radius 1/scale), and ``_from_model(dist)``
+    turns a distance on the model's totally geodesic slice back into a base
+    distance.
+    """
+
+    minkowski = True
+
+    @staticmethod
+    def _base_unit(rho, base, layout):
+        """Unit-hyperboloid image of a base point at geodesic radius rho."""
+        if layout == "interval":
+            cols = [np.cosh(rho), np.sinh(rho)]
+        elif layout == "polar":
+            phi = base[..., 1]
+            cols = [np.cosh(rho), np.sinh(rho) * np.cos(phi), np.sinh(rho) * np.sin(phi)]
+        else:
+            raise OutOfRange(f"unsupported base layout {layout!r}")
+        return np.stack(cols + [np.zeros_like(cols[0])], axis=-1)
+
+    def embed(self, base, t, layout):
+        base = np.asarray(base, dtype=float)
+        rho, sigma, scale = self._model(base[..., 0], np.asarray(t, dtype=float))
+        xhat = self._base_unit(rho, base, layout)
+        out = (np.cosh(sigma) / scale)[..., None] * xhat
+        out[..., -1] += np.sinh(sigma) / scale
+        return out
+
+    def vertical(self, base, t, layout):
+        base = np.asarray(base, dtype=float)
+        rho, sigma, _ = self._model(base[..., 0], np.asarray(t, dtype=float))
+        xhat = self._base_unit(rho, base, layout)
+        out = np.sinh(sigma)[..., None] * xhat
+        out[..., -1] += np.cosh(sigma)
+        return out
+
+    def base_distance(self, a, b, layout):
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        ra, rb = self._model(a[..., 0])[0], self._model(b[..., 0])[0]
+        if layout == "interval":
+            return np.abs(a[..., 0] - b[..., 0])
+        arg = np.cosh(ra) * np.cosh(rb) - np.sinh(ra) * np.sinh(rb) * np.cos(
+            a[..., 1] - b[..., 1]
+        )
+        return self._from_model(np.arccosh(np.maximum(arg, 1.0)))
+
+
 @dataclass(frozen=True)
-class HyperbolicChart(Chart):
+class HyperbolicChart(_HyperboloidChart):
     """Equidistant family over the base at geodesic depth D below the
     totally geodesic hypersurface of hyperbolic space.
 
@@ -345,57 +397,18 @@ class HyperbolicChart(Chart):
             return np.stack([rho, base[..., 1], theta], axis=-1)
         raise OutOfRange(f"unsupported base layout {layout!r}")
 
-    minkowski = True
+    def _model(self, s, t=0.0):
+        return s / np.cosh(self.offset), t - self.offset, 1.0
 
-    def _base_unit(self, base, layout):
-        """Unit-hyperboloid image of a base point (totally geodesic copy)."""
-        cd = np.cosh(self.offset)
-        if layout == "interval":
-            x = base[..., 0] / cd
-            cols = [np.cosh(x), np.sinh(x)]
-        elif layout == "polar":
-            rho = base[..., 0] / cd
-            phi = base[..., 1]
-            cols = [np.cosh(rho), np.sinh(rho) * np.cos(phi), np.sinh(rho) * np.sin(phi)]
-        else:
-            raise OutOfRange(f"unsupported base layout {layout!r}")
-        xhat = np.stack(cols + [np.zeros_like(cols[0])], axis=-1)
-        return xhat
-
-    def embed(self, base, t, layout):
-        base = np.asarray(base, dtype=float)
-        sigma = np.asarray(t, dtype=float) - self.offset
-        xhat = self._base_unit(base, layout)
-        out = np.cosh(sigma)[..., None] * xhat
-        out[..., -1] += np.sinh(sigma)
-        return out
-
-    def vertical(self, base, t, layout):
-        base = np.asarray(base, dtype=float)
-        sigma = np.asarray(t, dtype=float) - self.offset
-        xhat = self._base_unit(base, layout)
-        out = np.sinh(sigma)[..., None] * xhat
-        out[..., -1] += np.cosh(sigma)
-        return out
-
-    def base_distance(self, a, b, layout):
-        cd = np.cosh(self.offset)
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if layout == "interval":
-            return np.abs(a[..., 0] - b[..., 0])
-        ra, rb = a[..., 0] / cd, b[..., 0] / cd
-        arg = np.cosh(ra) * np.cosh(rb) - np.sinh(ra) * np.sinh(rb) * np.cos(
-            a[..., 1] - b[..., 1]
-        )
-        return cd * np.arccosh(np.maximum(arg, 1.0))
+    def _from_model(self, dist):
+        return np.cosh(self.offset) * dist
 
     def chart_id(self):
         return f"hyperbolic:n={self.n}:D={self.offset:.17g}"
 
 
 @dataclass(frozen=True)
-class EpsilonChart(Chart):
+class EpsilonChart(_HyperboloidChart):
     """Warped family cosh^2(eps*t) * base ⊕ dt^2 over a polar base.
 
     ``normalized`` selects the base warp sinh(eps*r)/eps (constant sectional
@@ -483,8 +496,6 @@ class EpsilonChart(Chart):
             om[..., idx[:, None, None], idx[None, :, None], idx[None, None, :]]
         )
 
-    minkowski = True
-
     def _require_model(self):
         if not self.normalized:
             raise OutOfRange(
@@ -492,49 +503,13 @@ class EpsilonChart(Chart):
                 "use normalized=True for embedding-based computations"
             )
 
-    def _base_unit(self, base, layout):
+    def _model(self, s, t=0.0):
+        self._require_model()
         e = self.eps
-        if layout == "interval":
-            er = e * base[..., 0]
-            cols = [np.cosh(er), np.sinh(er)]
-        elif layout == "polar":
-            er = e * base[..., 0]
-            phi = base[..., 1]
-            cols = [np.cosh(er), np.sinh(er) * np.cos(phi), np.sinh(er) * np.sin(phi)]
-        else:
-            raise OutOfRange(f"unsupported base layout {layout!r}")
-        return np.stack(cols + [np.zeros_like(cols[0])], axis=-1)
+        return e * s, e * t, e
 
-    def embed(self, base, t, layout):
-        self._require_model()
-        base = np.asarray(base, dtype=float)
-        et = self.eps * np.asarray(t, dtype=float)
-        xhat = self._base_unit(base, layout)
-        out = (np.cosh(et) / self.eps)[..., None] * xhat
-        out[..., -1] += np.sinh(et) / self.eps
-        return out
-
-    def vertical(self, base, t, layout):
-        self._require_model()
-        base = np.asarray(base, dtype=float)
-        et = self.eps * np.asarray(t, dtype=float)
-        xhat = self._base_unit(base, layout)
-        out = np.sinh(et)[..., None] * xhat
-        out[..., -1] += np.cosh(et)
-        return out
-
-    def base_distance(self, a, b, layout):
-        self._require_model()
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        e = self.eps
-        if layout == "interval":
-            return np.abs(a[..., 0] - b[..., 0])
-        ra, rb = e * a[..., 0], e * b[..., 0]
-        arg = np.cosh(ra) * np.cosh(rb) - np.sinh(ra) * np.sinh(rb) * np.cos(
-            a[..., 1] - b[..., 1]
-        )
-        return np.arccosh(np.maximum(arg, 1.0)) / e
+    def _from_model(self, dist):
+        return dist / self.eps
 
     def chart_id(self):
         return (

@@ -26,18 +26,11 @@ from .assembly import assemble_curvature
 from .diagnostics import make_barrier_pair, pogorelov_monitor, validate_sandwich
 from .errors import (
     ConfigError,
-    DegenerateMetric,
     DomainMismatch,
     GraphCurvError,
     NoConvergence,
-    NonAdmissible,
     NonAdmissibleInit,
-    OutOfChart,
     OutOfRange,
-    SingularLinearSystem,
-    SingularShapeOperator,
-    StepsizeUnderflow,
-    TransversalityFailure,
 )
 from .grids import (
     coarsen_domain,
@@ -52,7 +45,6 @@ from .linearize import HeldLU, stability_check
 from .shape_oracle import curvature_oracle
 from .solver import (
     ContinuationOptions,
-    ContinuationState,
     NewtonOptions,
     SolveTarget,
     continuation_solve,
@@ -81,26 +73,15 @@ EXIT_CODES = {
     "validation_failed": 14,
 }
 
-_ERROR_ORDER = (
-    (ConfigError, "ConfigError"),
-    (OutOfChart, "OutOfChart"),
-    (DomainMismatch, "DomainMismatch"),
-    (DegenerateMetric, "DegenerateMetric"),
-    (NonAdmissible, "NonAdmissible"),  # covers NonAdmissibleInit
-    (SingularShapeOperator, "SingularShapeOperator"),
-    (SingularLinearSystem, "SingularLinearSystem"),
-    (NoConvergence, "NoConvergence"),
-    (StepsizeUnderflow, "StepsizeUnderflow"),
-    (TransversalityFailure, "TransversalityFailure"),
-    (OutOfRange, "OutOfRange"),
-)
-
 
 def exit_code_for(exc):
-    for cls, name in _ERROR_ORDER:
-        if isinstance(exc, cls):
-            return EXIT_CODES[name]
-    if isinstance(exc, OSError):
+    """The code of the nearest class of a GraphCurvError named in EXIT_CODES
+    (a NonAdmissibleInit exits as a NonAdmissible); 3 for an OSError."""
+    if isinstance(exc, GraphCurvError):
+        for cls in type(exc).__mro__:
+            if cls.__name__ in EXIT_CODES:
+                return EXIT_CODES[cls.__name__]
+    elif isinstance(exc, OSError):
         return EXIT_CODES["IOError"]
     return EXIT_CODES["unexpected"]
 
@@ -142,9 +123,10 @@ def _write_history(cfg, rows):
     return path
 
 
-def _load_solution(path, chart):
+def _load_solution(path, chart, domain=None):
+    """(grid, values) of a grid file written for ``chart`` (and on ``domain``)."""
     try:
-        domain, values, cid = load_grid(path)
+        grid, values, cid = load_grid(path)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: malformed grid header: {exc.msg}")
     except ValueError as exc:
@@ -153,7 +135,9 @@ def _load_solution(path, chart):
         raise DomainMismatch(
             f"file {path} was written for chart {cid}, config says {chart.chart_id()}"
         )
-    return domain, values
+    if domain is not None:
+        grid.check_compatible(domain)
+    return grid, values
 
 
 def _build_barrier(cfg, chart, domain, k_ceiling):
@@ -174,8 +158,7 @@ def _build_barrier(cfg, chart, domain, k_ceiling):
     if kind == "user":
         if not spec["path"]:
             raise ConfigError("barrier.kind 'user' needs barrier.path")
-        dom2, fhat = _load_solution(spec["path"], chart)
-        dom2.check_compatible(domain)
+        _, fhat = _load_solution(spec["path"], chart, domain)
         return make_barrier_pair(chart, domain, kind="user", lower=fhat)
     raise ConfigError(f"problem.barrier.kind must be cap|offset|user|none, got {kind!r}")
 
@@ -213,9 +196,7 @@ def _initial_iterate(cfg, chart, domain, barrier, seeded):
     if kind == "file":
         if not spec["path"]:
             raise ConfigError("init.kind 'file' needs init.path")
-        dom2, f0 = _load_solution(spec["path"], chart)
-        dom2.check_compatible(domain)
-        return f0
+        return _load_solution(spec["path"], chart, domain)[1]
     raise ConfigError(
         f"init.kind must be auto|zeros|paraboloid|scaled_barrier|file, got {kind!r}"
     )
@@ -286,7 +267,6 @@ class _Solve:
     meta: dict
     lu: HeldLU = field(default_factory=HeldLU)  # the level's held factorization
     spent: int = 0  # Newton steps of a prolonged start that failed
-    state: ContinuationState | None = None  # the configured continuation, once begun
 
 
 def _setup_solve(cfg, domain, seeded):
@@ -379,7 +359,7 @@ def _solve(run):
         newton=run.nopts,
     )
     delta0 = sol["delta0"]
-    state = run.state = start_state(
+    state = start_state(
         run.target,
         copts,
         delta0=None if delta0 is None else float(delta0),
@@ -392,7 +372,7 @@ def _solve(run):
         tau=state.tau,
         newton_total=state.newton_total,
         residual_norm=state.residual_norm,
-        margin=assemble_curvature(run.target.chart, run.target.domain, f).margin,
+        margin=state.margin,
     )
     return f, state.history
 
@@ -435,11 +415,10 @@ def _walk(cfg, command, grids):
     level builds its own targets (with the seeded perturbation on its grid)
     and its own held LU.  Returns (domain, f, meta, history) per level; the
     histories' ``iter`` runs on over the levels.  A GraphCurvError writes
-    ``command``'s summary with the counters up to the failure and the failed
-    level's last accepted tau and residual (None where it has none), and
-    propagates.  The failed level's accepted Newton steps are those of the
-    continuation's correctors, or the ``steps`` of the error that ended its
-    Newton solve.
+    ``command``'s summary with the counters up to the failure and
+    propagates.  The failed level's Newton steps, last accepted tau and
+    residual are the ones the error carries (see ``newton_solve`` and
+    ``continuation_solve``), plus the steps of a failed prolonged start.
     """
     t0 = time.perf_counter()
     levels, domain, run = [], None, None
@@ -461,20 +440,15 @@ def _walk(cfg, command, grids):
         return levels
     except GraphCurvError as exc:
         metas = [meta for _, _, meta, _ in levels]
-        begun, last = list(metas), {"tau": None, "residual_norm": None}
+        begun = list(metas)
         if run is not None:
-            state = run.state
-            steps = exc.steps if state is None else state.newton_total
-            begun.append({"newton_total": run.spent + steps,
+            begun.append({"newton_total": run.spent + exc.steps,
                           "linear_solves": run.lu.counters()})
-            if state is None:
-                last["residual_norm"] = exc.residual
-            elif state.f is not None:
-                last.update(tau=state.tau, residual_norm=state.residual_norm)
         grid = None if domain is None else f"{domain.kind}{list(domain.shape)}"
         _write_summary(cfg, {
             "command": command, "status": type(exc).__name__, "error": str(exc),
-            **_totals(begun), **last, "per_level": metas, "failed_level": len(metas),
+            **_totals(begun), "tau": exc.tau, "residual_norm": exc.residual,
+            "per_level": metas, "failed_level": len(metas),
             "failed_grid": grid, "elapsed_s": time.perf_counter() - t0,
         })
         raise
@@ -543,8 +517,7 @@ def cmd_validate(cfg):
     details["margin"] = asm.margin
 
     if cfg["input"]["barrier"]:
-        dom2, fhat = _load_solution(cfg["input"]["barrier"], chart)
-        dom2.check_compatible(domain)
+        _, fhat = _load_solution(cfg["input"]["barrier"], chart, domain)
         barrier = make_barrier_pair(chart, domain, kind="user", lower=fhat)
     else:
         # sized by the target at f = 0, as solve sizes it
@@ -706,20 +679,11 @@ def main(argv=None):
                             "levels are solved in order)")
     args = parser.parse_args(argv)
     try:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                raw_cfg = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.config}:{exc.lineno}: {exc.msg}")
-        if not isinstance(raw_cfg, dict):
-            raise ConfigError(f"{args.config}: top level must be an object")
+        cfg = cfgmod.load_config(args.config)
         if args.seed is not None:
-            raw_cfg.setdefault("solver", {})["seed"] = args.seed
+            cfg["solver"]["seed"] = args.seed
         if args.out is not None:
-            raw_cfg.setdefault("output", {})["dir"] = args.out
-        cfg = cfgmod.parse_config(raw_cfg)
+            cfg["output"]["dir"] = args.out
         os.makedirs(cfg["output"]["dir"], exist_ok=True)
         if args.command == "curvature":
             return cmd_curvature(cfg)

@@ -106,7 +106,6 @@ DEFAULTS = {
     },
     "monitor": {
         "alpha": 1.0,
-        "cutoff": None,  # None = default radial bump
         "eps_x": 1e-3,
     },
 }
@@ -160,7 +159,7 @@ def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         obj = json.loads(text)

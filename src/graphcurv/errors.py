@@ -8,14 +8,18 @@ GraphCurvError, so callers (and the CLI exit-code map) can stay total.
 class GraphCurvError(Exception):
     """Base class for all graphcurv errors.
 
-    An error that ends a Newton solve carries its progress: ``steps``, the
-    Newton steps accepted before it, and ``residual``, the residual norm of
-    the last accepted iterate (None when there is none).  Other errors keep
-    the defaults 0 and None.
+    An error that ends a Newton solve or a continuation carries its
+    progress: ``steps``, the Newton steps accepted before it, and
+    ``residual``, the residual norm of the last accepted iterate.  An error
+    that ends a continuation also carries ``tau``, the path position of that
+    iterate.  ``residual`` and ``tau`` are None where there is no such
+    iterate (before the continuation's start corrector finishes); other
+    errors keep the defaults 0, None and None.
     """
 
     steps = 0
     residual = None
+    tau = None
 
 
 class OutOfChart(GraphCurvError):

@@ -233,7 +233,9 @@ class ContinuationState:
     iter/tau/residual/margin/step, where ``iter`` is the running
     ``newton_total``; ``newton_total`` counts accepted Newton steps across
     all correctors, including those of rejected tau-steps (which add no
-    history rows).  ``lu`` is the factorization held across the whole walk.
+    history rows).  ``residual_norm`` and ``margin`` are those of ``f``, the
+    last accepted iterate.  ``lu`` is the factorization held across the
+    whole walk.
     """
 
     target: SolveTarget
@@ -244,6 +246,7 @@ class ContinuationState:
     perturbation: np.ndarray | None = None
     seed_iterate: np.ndarray | None = None
     residual_norm: float = np.inf
+    margin: float | None = None
     history: list = field(default_factory=list)
     newton_total: int = 0
     lu: HeldLU = field(default_factory=HeldLU)
@@ -320,7 +323,10 @@ def continuation_solve(state, opts=None):
     dtau_min, below which StepsizeUnderflow reports the last good (tau, f);
     correctors finishing in <= easy_iterations steps double dtau up to
     dtau_max.  SingularLinearSystem propagates with tau context (the remedy
-    is ``perturb_rhs``).  ``state`` is updated in place.
+    is ``perturb_rhs``).  ``state`` is updated in place.  Every error raised
+    here carries ``steps`` (``state.newton_total``) and the ``residual`` and
+    ``tau`` of the last accepted corrector (None before the start corrector
+    finishes).
     """
     opts = opts or ContinuationOptions()
     domain = state.target.domain
@@ -337,73 +343,80 @@ def continuation_solve(state, opts=None):
             state.history.append({**row, "iter": state.newton_total, "tau": tau})
         return res
 
-    if state.f is None:
-        if state.seed_iterate is not None:
-            res = correct(0.0, state.seed_iterate)
-        else:
-            f0 = np.zeros(domain.num_nodes)
-            tgt0 = state.path_target(0.0)
-            asm0 = assemble_curvature(state.target.chart, domain, f0)
-            if not asm0.admissible:
-                raise NonAdmissibleInit(
-                    "base slice is not admissible (totally geodesic base?); "
-                    "supply a seed iterate via start_state(f_init=...)"
+    try:
+        if state.f is None:
+            if state.seed_iterate is not None:
+                res = correct(0.0, state.seed_iterate)
+            else:
+                f0 = np.zeros(domain.num_nodes)
+                tgt0 = state.path_target(0.0)
+                asm0 = assemble_curvature(state.target.chart, domain, f0)
+                if not asm0.admissible:
+                    raise NonAdmissibleInit(
+                        "base slice is not admissible (totally geodesic base?); "
+                        "supply a seed iterate via start_state(f_init=...)"
+                    )
+                op0 = build_DK(state.target.chart, domain, f0, assembly=asm0)
+                r0 = _residual(asm0, tgt0.evaluate(f0), domain.interior)
+                f_start = f0 + op0.solve(-r0, held=state.lu)
+                try:
+                    res = correct(0.0, f_start)
+                except (NoConvergence, NonAdmissibleInit):
+                    res = correct(0.0, f0)  # fall back to the base slice itself
+            state.f = res.f
+            state.tau = 0.0
+            state.residual_norm, state.margin = res.residual_norm, res.margin
+            # constant or already-solved path: check the goal before stepping
+            asm_end = assemble_curvature(state.target.chart, domain, state.f)
+            r_end = _residual(
+                asm_end, state.path_target(1.0).evaluate(state.f), domain.interior
+            )
+            if float(np.max(np.abs(r_end))) <= opts.newton.tol:
+                state.tau = 1.0
+                state.residual_norm = float(np.max(np.abs(r_end)))
+                return state.f
+        tau_prev = None
+        f_prev = None
+        while state.tau < 1.0:
+            dtau = min(state.dtau, 1.0 - state.tau)
+            if dtau < opts.dtau_min:
+                raise StepsizeUnderflow(
+                    f"continuation step underflow at tau = {state.tau:.6f} "
+                    f"(dtau = {dtau:.2e}); last good iterate kept on the state"
                 )
-            op0 = build_DK(state.target.chart, domain, f0, assembly=asm0)
-            r0 = _residual(asm0, tgt0.evaluate(f0), domain.interior)
-            f_start = f0 + op0.solve(-r0, held=state.lu)
+            tau_try = state.tau + dtau
+            if tau_prev is not None and state.tau > tau_prev:
+                f_pred = state.f + (tau_try - state.tau) / (state.tau - tau_prev) * (
+                    state.f - f_prev
+                )
+            else:
+                f_pred = state.f
             try:
-                res = correct(0.0, f_start)
+                res = correct(tau_try, f_pred)
             except (NoConvergence, NonAdmissibleInit):
-                res = correct(0.0, f0)  # fall back to the base slice itself
-        state.f = res.f
-        state.tau = 0.0
-        state.residual_norm = res.residual_norm
-        # constant or already-solved path: check the goal before stepping
-        asm_end = assemble_curvature(state.target.chart, domain, state.f)
-        r_end = _residual(
-            asm_end, state.path_target(1.0).evaluate(state.f), domain.interior
-        )
-        if float(np.max(np.abs(r_end))) <= opts.newton.tol:
-            state.tau = 1.0
-            state.residual_norm = float(np.max(np.abs(r_end)))
-            return state.f
-    tau_prev = None
-    f_prev = None
-    while state.tau < 1.0:
-        dtau = min(state.dtau, 1.0 - state.tau)
-        if dtau < opts.dtau_min:
-            raise StepsizeUnderflow(
-                f"continuation step underflow at tau = {state.tau:.6f} "
-                f"(dtau = {dtau:.2e}); last good iterate kept on the state"
-            )
-        tau_try = state.tau + dtau
-        if tau_prev is not None and state.tau > tau_prev:
-            f_pred = state.f + (tau_try - state.tau) / (state.tau - tau_prev) * (
-                state.f - f_prev
-            )
-        else:
-            f_pred = state.f
-        try:
-            res = correct(tau_try, f_pred)
-        except (NoConvergence, NonAdmissibleInit):
-            try:
-                res = correct(tau_try, state.f)  # order-0 predictor retry
-            except (NoConvergence, NonAdmissibleInit):
-                state.dtau = dtau / 2.0
-                continue
-        except SingularLinearSystem as exc:
-            raise SingularLinearSystem(
-                f"singular linearization at tau = {tau_try:.6f}: {exc}"
-            ) from exc
-        tau_prev, f_prev = state.tau, state.f
-        state.tau, state.f = tau_try, res.f
-        state.residual_norm = res.residual_norm
-        if res.iterations <= opts.easy_iterations:
-            state.dtau = min(2.0 * dtau, opts.dtau_max)
-        else:
-            state.dtau = dtau
-    return state.f
+                try:
+                    res = correct(tau_try, state.f)  # order-0 predictor retry
+                except (NoConvergence, NonAdmissibleInit):
+                    state.dtau = dtau / 2.0
+                    continue
+            except SingularLinearSystem as exc:
+                raise SingularLinearSystem(
+                    f"singular linearization at tau = {tau_try:.6f}: {exc}"
+                ) from exc
+            tau_prev, f_prev = state.tau, state.f
+            state.tau, state.f = tau_try, res.f
+            state.residual_norm, state.margin = res.residual_norm, res.margin
+            if res.iterations <= opts.easy_iterations:
+                state.dtau = min(2.0 * dtau, opts.dtau_max)
+            else:
+                state.dtau = dtau
+        return state.f
+    except GraphCurvError as exc:
+        begun = state.f is not None
+        exc.steps = state.newton_total
+        exc.residual = state.residual_norm if begun else None
+        exc.tau = state.tau if begun else None
+        raise
 
 
 def smooth_random_field(domain, rng, modes=6):

@@ -556,6 +556,23 @@ def test_cli_config_error_paths(tmp_path):
     assert main(["solve", "--config", str(notjson)]) == 2
 
 
+@pytest.mark.parametrize("block,flag,value", [("solver", "--seed", "3"),
+                                              ("output", "--out", "elsewhere")])
+def test_flag_over_a_non_object_block_is_a_config_error(tmp_path, capsys, block, flag,
+                                                        value):
+    cfg = write_cfg(tmp_path, **{block: 5})
+    assert main(["solve", "--config", str(cfg), flag, value]) == EXIT_CODES["ConfigError"]
+    assert f"ConfigError: {block} must be an object" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.json"
+    cfg.write_bytes('{"chart": {"kind": "hyperbolic"}, "problem": {"k": "é"}}'
+                    .encode("latin-1"))
+    assert main(["solve", "--config", str(cfg)]) == EXIT_CODES["ConfigError"]
+    assert "ConfigError: cannot read config" in capsys.readouterr().err
+
+
 def test_target_below_base_curvature_is_out_of_range(tmp_path):
     cfg = write_cfg(tmp_path, problem={"k": 0.3})
     assert main(["solve", "--config", str(cfg)]) == EXIT_CODES["OutOfRange"] == 13
@@ -585,3 +602,15 @@ def test_target_below_base_curvature_is_out_of_range(tmp_path):
 )
 def test_exit_code_map(exc, code):
     assert exit_code_for(exc) == code
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+@pytest.mark.parametrize("cls", sorted(_subclasses(err.GraphCurvError),
+                                       key=lambda c: c.__name__))
+def test_every_error_class_maps_to_a_documented_exit_code(cls):
+    assert exit_code_for(cls("x")) not in (EXIT_CODES["ok"], EXIT_CODES["unexpected"])

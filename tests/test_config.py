@@ -176,3 +176,9 @@ def test_load_config_diagnoses_files(tmp_path):
 def test_block_type_errors():
     with pytest.raises(ConfigError):
         parse_config({**MINIMAL, "solver": "fast"})
+
+
+def test_monitor_cutoff_is_an_unknown_key():
+    # nothing reads a configured cutoff, so setting one must not pass silently
+    with pytest.raises(ConfigError, match="unknown key 'monitor.cutoff'"):
+        parse_config({**MINIMAL, "monitor": {"cutoff": None}})

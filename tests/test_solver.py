@@ -249,6 +249,41 @@ def test_continuation_step_underflow_keeps_last_iterate():
     assert assemble_curvature(chart, dom, state.f).admissible
 
 
+def test_continuation_underflow_carries_the_walk_progress():
+    chart = HyperbolicChart(n=2, offset=D)
+    dom = GridDomain.ball(1.0, 8, 32)
+    target = SolveTarget(chart, dom, 1.5, lower=np.full(dom.num_nodes, -2.0))
+    state = start_state(target)
+    with pytest.raises(StepsizeUnderflow) as info:
+        continuation_solve(state, ContinuationOptions(dtau_min=1e-2))
+    assert info.value.steps == state.newton_total > 0
+    assert info.value.residual == state.residual_norm
+    assert info.value.tau == state.tau
+
+
+def test_failed_start_corrector_carries_no_iterate():
+    dom = GridDomain.ball(1.0, 8, 32)
+    state = start_state(hyper_target(dom, 0.7, with_barrier=True))
+    with pytest.raises(NoConvergence) as info:
+        continuation_solve(state, ContinuationOptions(newton=NewtonOptions(max_iter=1)))
+    assert state.f is None
+    assert info.value.steps == state.newton_total > 0
+    assert info.value.tau is None and info.value.residual is None
+
+
+@pytest.mark.parametrize("at_goal", [False, True])
+def test_continuation_keeps_the_margin_of_its_last_iterate(at_goal):
+    # delta0 = gap puts the start level on the goal, so the walk ends on the
+    # goal check after the start corrector
+    dom = GridDomain.ball(1.0, 8, 32)
+    target = hyper_target(dom, 0.6, with_barrier=True)
+    state = start_state(target, delta0=target.gap() if at_goal else None)
+    f = continuation_solve(state)
+    assert state.tau == 1.0
+    assert ({row["tau"] for row in state.history} == {0.0}) == at_goal
+    assert state.margin == assemble_curvature(target.chart, dom, f).margin
+
+
 def test_start_state_delta0_guard():
     dom = GridDomain.ball(1.0, 8, 32)
     target = hyper_target(dom, 0.6)
