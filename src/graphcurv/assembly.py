@@ -60,6 +60,16 @@ def _raw_partials(domain, f):
     return d1, d2
 
 
+def _sym_stack(parts, n):
+    """(N, n, n) symmetric matrices from their entries ``parts[(a, b)]``, a <= b."""
+    first = parts[(0, 0)]
+    out = np.empty(np.shape(first) + (n, n))
+    for (a, b), val in parts.items():
+        out[..., a, b] = val
+        out[..., b, a] = val
+    return out
+
+
 def _polar_frame(d1, d2, w, wp, radial):
     """Frame gradient/Hessian from coordinate partials on a warped polar grid.
 
@@ -68,14 +78,13 @@ def _polar_frame(d1, d2, w, wp, radial):
     unchanged.
     """
     wf = np.where(radial, w, 1.0)
-    wpf = np.where(radial, wp, 0.0)
+    ratio = np.where(radial, wp, 0.0) / wf
     p = np.stack([d1[0], d1[1] / wf], axis=-1)
-    h00 = d2[(0, 0)]
-    h01 = (d2[(0, 1)] - (wpf / wf) * d1[1]) / wf
-    h11 = d2[(1, 1)] / wf**2 + (wpf / wf) * d1[0]
-    hess = np.stack(
-        [np.stack([h00, h01], -1), np.stack([h01, h11], -1)], axis=-2
-    )
+    hess = _sym_stack({
+        (0, 0): d2[(0, 0)],
+        (0, 1): (d2[(0, 1)] - ratio * d1[1]) / wf,
+        (1, 1): d2[(1, 1)] / wf**2 + ratio * d1[0],
+    }, 2)
     return p, hess
 
 
@@ -86,15 +95,7 @@ def frame_quantities(chart, domain, f):
     if domain.n == 1:
         return d1[0][:, None], d2[(0, 0)][:, None, None]
     if domain.layout == "cartesian":
-        p = np.stack(d1, axis=-1)
-        hess = np.stack(
-            [
-                np.stack([d2[(0, 0)], d2[(0, 1)]], -1),
-                np.stack([d2[(0, 1)], d2[(1, 1)]], -1),
-            ],
-            axis=-2,
-        )
-        return p, hess
+        return np.stack(d1, axis=-1), _sym_stack(d2, 2)
     s = domain.coords[:, 0]
     w, wp = chart.base_warp(s)
     return _polar_frame(d1, d2, w, wp, s > 0)
@@ -130,17 +131,21 @@ def signed_root_det(mat):
     return np.sign(det) * np.sqrt(np.abs(det))
 
 
+def sym_inverse_parts(mat):
+    """Entries {(a, b): (N,)}, a <= b, of the inverses of symmetric (N, n, n)
+    matrices, closed form."""
+    if mat.shape[-1] == 1:
+        return {(0, 0): 1.0 / mat[..., 0, 0]}
+    a = mat[..., 0, 0]
+    b = mat[..., 0, 1]
+    c = mat[..., 1, 1]
+    inv_det = 1.0 / (a * c - b**2)
+    return {(0, 0): c * inv_det, (0, 1): -b * inv_det, (1, 1): a * inv_det}
+
+
 def sym_inverse(mat):
     """Inverses of symmetric (N, n, n) matrices, closed form."""
-    n = mat.shape[-1]
-    if n == 1:
-        return 1.0 / mat
-    inv_det = 1.0 / (mat[..., 0, 0] * mat[..., 1, 1] - mat[..., 0, 1] ** 2)
-    out = np.empty_like(mat)
-    out[..., 0, 0] = mat[..., 1, 1] * inv_det
-    out[..., 1, 1] = mat[..., 0, 0] * inv_det
-    out[..., 0, 1] = out[..., 1, 0] = -mat[..., 0, 1] * inv_det
-    return out
+    return _sym_stack(sym_inverse_parts(mat), mat.shape[-1])
 
 
 # ---- assembly ---------------------------------------------------------------
@@ -175,13 +180,16 @@ def closed_psi_Psi(chart, f, p):
     c, cp, _ = chart.warp(f)
     c0 = chart.c0
     rho = c / c0
-    q = np.sum(p * p, axis=-1)
+    q = sum(p[..., a] * p[..., a] for a in range(n))
     psi = rho ** ((n - 2.0) / n) * (rho**2 + q) ** ((n + 2.0) / (2.0 * n))
     sigma = -(c * cp) / c0**2
     tau = -2.0 * cp / c
-    Psi = sigma[..., None, None] * np.eye(n) + tau[..., None, None] * (
-        p[..., :, None] * p[..., None, :]
-    )
+    # Psi = sigma Id + tau p p^T entry by entry; sigma * 0.0 keeps the sign
+    # of zero the matrix form gives off the diagonal
+    Psi = _sym_stack({
+        (a, b): sigma * float(a == b) + tau * (p[..., a] * p[..., b])
+        for a in range(n) for b in range(a, n)
+    }, n)
     return psi, Psi
 
 

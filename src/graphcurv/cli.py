@@ -140,8 +140,11 @@ def _load_solution(path, chart, domain=None):
     return grid, values
 
 
-def _build_barrier(cfg, chart, domain, k_ceiling):
-    """BarrierPair per problem.barrier, or None for kind 'none'."""
+def _build_barrier(cfg, chart, domain, k_ceiling, profiles=None):
+    """BarrierPair per problem.barrier, or None for kind 'none'.
+
+    ``profiles`` keeps the radial cap profiles of one command (see
+    ``diagnostics.sphere_cap_barrier``)."""
     spec = cfg["problem"]["barrier"]
     kind = spec["kind"]
     if kind == "none":
@@ -152,7 +155,8 @@ def _build_barrier(cfg, chart, domain, k_ceiling):
             if k_ceiling is None:
                 raise ConfigError("barrier.k 'auto' needs problem.k")
             kb = max(1.05 * k_ceiling, k_ceiling + 0.05)
-        return make_barrier_pair(chart, domain, kind="cap", k=float(kb))
+        return make_barrier_pair(chart, domain, kind="cap", k=float(kb),
+                                 profiles=profiles)
     if kind == "offset":
         return make_barrier_pair(chart, domain, kind="offset", depth=float(spec["depth"]))
     if kind == "user":
@@ -266,14 +270,16 @@ class _Solve:
     f_init: np.ndarray | None
     meta: dict
     lu: HeldLU = field(default_factory=HeldLU)  # the level's held factorization
-    spent: int = 0  # Newton steps of a prolonged start that failed
+    # newton_total and rejected_trials of a prolonged start that failed
+    spent: dict = field(default_factory=lambda: {"newton_total": 0, "rejected_trials": 0})
 
 
-def _setup_solve(cfg, domain, seeded):
+def _setup_solve(cfg, domain, seeded, profiles):
     """Chart, barrier, targets and options of one solve on ``domain``.
 
     The initial iterate is ``solver.init``'s when ``seeded``, else the
-    default start (kind 'auto').
+    default start (kind 'auto').  ``profiles`` is the walk's cache of
+    radial cap profiles.
     """
     chart = cfgmod.build_chart(cfg)
     kval = cfgmod.build_target_k(cfg, domain)
@@ -286,7 +292,7 @@ def _setup_solve(cfg, domain, seeded):
             f"target curvature {kmin:.6g} does not exceed the base curvature "
             f"{phi0:.6g}; no admissible graph with zero boundary data solves it"
         )
-    barrier = _build_barrier(cfg, chart, domain, kmax)
+    barrier = _build_barrier(cfg, chart, domain, kmax, profiles)
     eps_gap = float(cfg["problem"]["eps_gap"])
     if barrier is not None and eps_gap > 0 and barrier.phi_hat < kmax + eps_gap:
         raise OutOfRange(
@@ -334,9 +340,15 @@ def _newton_meta(res):
     return dict(
         tau=1.0,
         newton_total=res.iterations,
+        rejected_trials=res.rejected_trials,
         residual_norm=res.residual_norm,
         margin=res.margin,
     )
+
+
+def _progress(exc):
+    """The accepted Newton steps and rejected line-search trials ``exc`` carries."""
+    return {"newton_total": exc.steps, "rejected_trials": exc.rejected_trials}
 
 
 def _solve(run):
@@ -371,6 +383,7 @@ def _solve(run):
     run.meta.update(
         tau=state.tau,
         newton_total=state.newton_total,
+        rejected_trials=state.rejected_trials,
         residual_norm=state.residual_norm,
         margin=state.margin,
     )
@@ -383,13 +396,13 @@ def _nested_solve(run, coarse, f_coarse):
     Newton starts from ``prolong_values(coarse, domain, f_coarse)`` against
     the tau = 1 target; if that raises NoConvergence or NonAdmissibleInit
     the level is solved the configured way instead, on the same held LU,
-    and ``run.spent`` keeps the steps of the failed start.
+    and ``run.spent`` keeps the progress of the failed start.
     """
     f0 = prolong_values(coarse, run.target.domain, f_coarse)
     try:
         res = newton_solve(f0, run.goal, run.nopts, run.lu)
     except (NoConvergence, NonAdmissibleInit) as exc:
-        run.spent = exc.steps
+        run.spent = _progress(exc)
         run.meta["start"] = run.sol["mode"]
         return _solve(run)
     run.meta.update(_newton_meta(res), start="prolonged")
@@ -397,13 +410,14 @@ def _nested_solve(run, coarse, f_coarse):
 
 
 def _totals(metas):
-    """``newton_total`` and ``linear_solves`` summed over levels, but the last
-    level's ``fill``."""
+    """``newton_total``, ``rejected_trials`` and ``linear_solves`` summed over
+    levels, but the last level's ``fill``."""
     solves = {key: sum(m["linear_solves"][key] for m in metas)
               for key in HeldLU().counters()}
     solves["fill"] = metas[-1]["linear_solves"]["fill"] if metas else 0
-    return {"newton_total": sum(m["newton_total"] for m in metas),
-            "linear_solves": solves}
+    totals = {key: sum(m[key] for m in metas) for key in ("newton_total", "rejected_trials")}
+    totals["linear_solves"] = solves
+    return totals
 
 
 def _walk(cfg, command, grids):
@@ -413,26 +427,31 @@ def _walk(cfg, command, grids):
     before.  The first is solved the configured way from ``solver.init``,
     every finer one by ``_nested_solve`` from the solution below.  Each
     level builds its own targets (with the seeded perturbation on its grid)
-    and its own held LU.  Returns (domain, f, meta, history) per level; the
-    histories' ``iter`` runs on over the levels.  A GraphCurvError writes
-    ``command``'s summary with the counters up to the failure and
-    propagates.  The failed level's Newton steps, last accepted tau and
-    residual are the ones the error carries (see ``newton_solve`` and
-    ``continuation_solve``), plus the steps of a failed prolonged start.
+    and its own held LU; the levels share one cache of radial cap profiles,
+    since refinements of one ball solve the same radial problem.  Returns
+    (domain, f, meta, history) per level; the histories' ``iter`` runs on
+    over the levels.  A GraphCurvError writes ``command``'s summary with the
+    counters up to the failure and propagates.  The failed level's Newton
+    steps, rejected line-search trials, last accepted tau and residual are
+    the ones the error carries (see ``newton_solve`` and
+    ``continuation_solve``), plus those of a failed prolonged start.
     """
     t0 = time.perf_counter()
     levels, domain, run = [], None, None
+    profiles = {}  # radial cap profiles of this walk only
     try:
         for domain in grids(cfg):
             run = None  # lets the level below release its factors
-            run = _setup_solve(cfg, domain, seeded=not levels)
+            run = _setup_solve(cfg, domain, seeded=not levels, profiles=profiles)
             if levels:
                 f, history = _nested_solve(run, *levels[-1][:2])
             else:
                 run.meta["start"] = run.sol["mode"]
                 f, history = _solve(run)
-            shift = sum(meta["newton_total"] for _, _, meta, _ in levels) + run.spent
-            run.meta["newton_total"] += run.spent
+            shift = (sum(meta["newton_total"] for _, _, meta, _ in levels)
+                     + run.spent["newton_total"])
+            for key, count in run.spent.items():
+                run.meta[key] += count
             run.meta["linear_solves"] = run.lu.counters()
             history = [{**row, "iter": row["iter"] + shift} for row in history]
             levels.append((domain, f, run.meta, history))
@@ -442,8 +461,9 @@ def _walk(cfg, command, grids):
         metas = [meta for _, _, meta, _ in levels]
         begun = list(metas)
         if run is not None:
-            begun.append({"newton_total": run.spent + exc.steps,
-                          "linear_solves": run.lu.counters()})
+            failed = {key: run.spent[key] + count for key, count in _progress(exc).items()}
+            failed["linear_solves"] = run.lu.counters()
+            begun.append(failed)
         grid = None if domain is None else f"{domain.kind}{list(domain.shape)}"
         _write_summary(cfg, {
             "command": command, "status": type(exc).__name__, "error": str(exc),

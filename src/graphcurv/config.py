@@ -3,7 +3,8 @@
 Every key has a default except ``chart.kind``, the domain shape counts, and
 ``problem.k`` (the latter only where a solve actually happens).  Unknown keys
 anywhere in the tree are a hard error — a typo must never silently fall back
-to a default.  Command-line flags only choose the file and override the seed
+to a default — and so is a block that is not an object (``null`` included),
+at any depth.  Command-line flags only choose the file and override the seed
 and the output directory.
 
 The target curvature ``problem.k`` is either a number or a small arithmetic
@@ -134,7 +135,7 @@ def _merge(defaults, given, path):
             raise ConfigError(f"unknown key {where!r}")
         sub = f"{path}.{key}" if path else key
         if isinstance(defaults[key], dict):
-            out[key] = _merge(defaults[key], val if val is not None else {}, sub)
+            out[key] = _merge(defaults[key], val, sub)
         else:
             out[key] = val
     return out

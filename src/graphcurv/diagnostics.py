@@ -113,7 +113,8 @@ def _band_entries(cols, dr, m):
     return i[keep], j[keep], dr[i[keep]]
 
 
-def sphere_cap_barrier(chart, domain, k, refine=32, tol=1e-10, max_iter=60):
+def sphere_cap_barrier(chart, domain, k, refine=32, tol=1e-10, max_iter=60,
+                       profiles=None):
     """Constant-curvature-k cap over a polar ball, as a grid function.
 
     Solves the radial two-point problem K(f) = k, f'(0) = 0, f(R) = 0 on a
@@ -122,9 +123,10 @@ def sphere_cap_barrier(chart, domain, k, refine=32, tol=1e-10, max_iter=60):
     radii.  Raises OutOfRange when no cap with that curvature exists over
     the ball (Newton leaves the admissible cone or stalls).
 
-    Second differences on the fine grid put an evaluation-noise floor of
-    order machine-eps / h^2 under the discrete residual; convergence is
-    declared at ``tol`` or at that floor, whichever is larger.
+    The fine grid has at most 1024 cells, so the refinements of one ball
+    share it.  ``profiles``, a dict the caller owns, keeps each radial
+    profile solved through it and hands it to later calls with the same
+    chart, k, radius, fine grid, dimension, tol and max_iter.
     """
     if domain.kind != "ball":
         raise OutOfRange("sphere-cap barriers are defined over ball domains")
@@ -138,9 +140,28 @@ def sphere_cap_barrier(chart, domain, k, refine=32, tol=1e-10, max_iter=60):
     # read-off lands on domain radii exactly.
     refine = max(1, min(refine, 1024 // nr))
     m = refine * nr
+    key = (chart.chart_id(), k, R, m, domain.n, tol, max_iter)
+    f = None if profiles is None else profiles.get(key)
+    if f is None:
+        f = _cap_profile(chart, k, R, m, domain.n, tol, max_iter)
+        if profiles is not None:
+            f.flags.writeable = False
+            profiles[key] = f
+    jj = np.rint(domain.coords[:, 0] / (R / m)).astype(int)
+    out = f[np.clip(jj, 0, m)]
+    out[domain.boundary] = 0.0
+    return out
+
+
+def _cap_profile(chart, k, R, m, n, tol, max_iter):
+    """Values at s = j R / m, j = 0..m, of the radial curvature-k cap.
+
+    Second differences on the fine grid put an evaluation-noise floor of
+    order machine-eps / h^2 under the discrete residual; convergence is
+    declared at ``tol`` or at that floor, whichever is larger.
+    """
     h1 = R / m
     svals = h1 * np.arange(m + 1)
-    n = domain.n
     # shallow euclidean cap of sphere radius max(1/k, 1.05 R) as the seed
     rs = max(1.0 / k, 1.05 * R)
     f = np.sqrt(rs**2 - R**2) - np.sqrt(rs**2 - svals**2)
@@ -212,12 +233,7 @@ def sphere_cap_barrier(chart, domain, k, refine=32, tol=1e-10, max_iter=60):
         raise OutOfRange(
             f"cap solve did not converge (residual {rnorm:.3e} > {goal:g})"
         )
-    out = np.zeros(domain.num_nodes)
-    srad = domain.coords[:, 0]
-    jj = np.rint(srad / h1).astype(int)
-    out[:] = f[np.clip(jj, 0, m)]
-    out[domain.boundary] = 0.0
-    return out
+    return f
 
 
 def offset_barrier(chart, domain, depth):
@@ -227,18 +243,20 @@ def offset_barrier(chart, domain, depth):
     return np.full(domain.num_nodes, -float(depth))
 
 
-def make_barrier_pair(chart, domain, kind="cap", k=None, depth=None, lower=None):
+def make_barrier_pair(chart, domain, kind="cap", k=None, depth=None, lower=None,
+                      profiles=None):
     """Build and validate a BarrierPair.
 
     kind 'cap' solves ``sphere_cap_barrier`` for curvature ``k``; 'offset'
     uses the constant slice of the given ``depth``; 'user' takes ``lower``
     as supplied.  phi_hat is the smallest assembled interior curvature of
     the lower barrier — checked, not assumed, for every construction.
+    ``profiles`` is handed to ``sphere_cap_barrier``.
     """
     if kind == "cap":
         if k is None:
             raise OutOfRange("cap barrier needs a curvature k")
-        f_hat = sphere_cap_barrier(chart, domain, k)
+        f_hat = sphere_cap_barrier(chart, domain, k, profiles=profiles)
     elif kind == "offset":
         if depth is None:
             raise OutOfRange("offset barrier needs a depth")

@@ -9,15 +9,17 @@ class GraphCurvError(Exception):
     """Base class for all graphcurv errors.
 
     An error that ends a Newton solve or a continuation carries its
-    progress: ``steps``, the Newton steps accepted before it, and
-    ``residual``, the residual norm of the last accepted iterate.  An error
+    progress: ``steps``, the Newton steps accepted before it,
+    ``rejected_trials``, the line-search trials it assembled and rejected,
+    and ``residual``, the residual norm of the last accepted iterate.  An error
     that ends a continuation also carries ``tau``, the path position of that
     iterate.  ``residual`` and ``tau`` are None where there is no such
     iterate (before the continuation's start corrector finishes); other
-    errors keep the defaults 0, None and None.
+    errors keep the defaults 0, 0, None and None.
     """
 
     steps = 0
+    rejected_trials = 0
     residual = None
     tau = None
 

@@ -27,6 +27,7 @@ injection (``restrict_values``) and cubic interpolation (``prolong_values``);
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -479,11 +480,19 @@ def load_grid(path):
     """Read a grid file; returns (domain, values, chart_id).
 
     The domain is rebuilt from the header and cross-checked against the
-    stored boundary mask; any inconsistency raises DomainMismatch.
+    stored boundary mask; any inconsistency raises DomainMismatch.  The
+    values are parsed in one call; blank lines are skipped, and a line that
+    is not one number raises ValueError.
     """
     with open(path) as fh:
         header = json.loads(fh.readline())
-        values = np.array([float(line) for line in fh if line.strip()])
+        with warnings.catch_warnings():
+            # a file without values is reported below, as a count mismatch
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            values = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
+    if values.shape[1] != 1:
+        raise ValueError(f"{values.shape[1]} values on a line, expected one")
+    values = values[:, 0]
     kind = header["layout"]
     shape = tuple(int(m) for m in header["shape"])
     extent = tuple(tuple(ab) for ab in header["extent"])

@@ -53,7 +53,15 @@ right-hand side's: a loose inexact-Newton forcing term, Eisenstat & Walker,
 SIAM J. Sci. Comput. 17, 1996).  When GMRES misses that, the operator is
 factorized directly, exactly as a plain ``solve`` does, and that
 factorization is held from then on.  A factorization is never applied to an
-operator over another domain.
+operator over another domain.  A GMRES call of k iterations within one
+restart cycle applies the held factors 1 + k times (each further cycle one
+more): scipy's GMRES preconditions b twice from x0 = 0, and the second
+application reuses the first one's result.
+
+Coefficients: the DK and L coefficients, like the assembly they are built
+from, are computed one flat (N,) entry of each 2x2 (or 1x1) matrix at a
+time, with the operations of the matrix formulas in the same order, so the
+results are those of the (N, n, n) broadcast forms bit for bit.
 """
 
 from __future__ import annotations
@@ -64,7 +72,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import assemble_curvature, require_admissible, sym_inverse
+from .assembly import (
+    assemble_curvature,
+    require_admissible,
+    sym_inverse,
+    sym_inverse_parts,
+)
 from .errors import SingularLinearSystem, SingularShapeOperator
 from .riemann import normal_curvature_endomorphism
 
@@ -213,8 +226,9 @@ class HeldLU:
     (direct factorizations made here), ``krylov_iterations`` (inner GMRES
     iterations over all attempts), ``fallbacks`` (GMRES attempts that ended
     in a factorization), ``trisolves`` (applications of the held factors:
-    one per direct solve and per preconditioner application) and ``fill``
-    (stored entries of the held factors, 0 while none are held).
+    one per direct solve and per preconditioned vector, see ``_krylov``)
+    and ``fill`` (stored entries of the held factors, 0 while none are
+    held).
     """
 
     RTOL = 1e-3  # against the 2-norm of the right-hand side; atol = 0
@@ -256,12 +270,27 @@ class HeldLU:
         return self.lu.solve(rhs)
 
     def _krylov(self, matrix, rhs):
-        """Preconditioned GMRES solution, or None when it misses RTOL."""
+        """Preconditioned GMRES solution, or None when it misses RTOL.
+
+        From x0 = 0 scipy's GMRES preconditions b twice, once for its norm
+        and once as the first residual; the last application is kept and
+        handed out again for an equal vector.  With ``dtype`` given, the
+        preconditioner is not probed on a zero vector either, so a call that
+        converges within one restart cycle of k iterations applies the held
+        factors 1 + k times.
+        """
 
         def count(_):
             self.krylov_iterations += 1
 
-        precond = spla.LinearOperator(matrix.shape, matvec=self._apply)
+        last = [None, None]  # the last (vector, preconditioned vector)
+
+        def precondition(v):
+            if last[0] is None or not np.array_equal(v, last[0]):
+                last[:] = v.copy(), self._apply(v)
+            return last[1].copy()  # GMRES may update its vectors in place
+
+        precond = spla.LinearOperator(matrix.shape, matvec=precondition, dtype=float)
         w, info = spla.gmres(
             matrix, rhs, rtol=self.RTOL, atol=0.0, restart=self.RESTART,
             maxiter=self.MAXITER, M=precond, callback=count,
@@ -293,7 +322,12 @@ class _OperatorPattern:
 
 
 def _operator_pattern(chart, domain):
-    """The union pattern of ``_operator_matrix`` (cached per chart on the domain)."""
+    """The union pattern of ``_operator_matrix`` (cached per chart on the domain).
+
+    The union is the COO -> CSR conversion (duplicates merged, columns
+    sorted) of the frame operators' interior-row entries and the diagonal;
+    each entry's position in it is read off a CSR matrix of positions.
+    """
     key = ("operator_pattern", chart.chart_id())
     hit = domain._frame_cache.get(key)
     if hit is not None:
@@ -303,24 +337,31 @@ def _operator_pattern(chart, domain):
     N = domain.num_nodes
     ops = [H[(a, b)] for a in range(n) for b in range(a, n)] + list(P)
     inner = domain.interior
-    # entry (i, j) has the key i * N + j, so row-major order is key order
-    rows, keys = [], []
+    nodes = np.arange(N, dtype=np.int32)
+    rows, keep = [], []
     for op in ops:
         op.sum_duplicates()  # one position per stored entry; no-op when canonical
-        rows.append(np.repeat(np.arange(N, dtype=np.int64), np.diff(op.indptr)))
-        keys.append(rows[-1] * N + op.indices)
-    diag = np.arange(N, dtype=np.int64) * (N + 1)
-    union = np.sort(np.concatenate([k[inner[r]] for r, k in zip(rows, keys)] + [diag]))
-    union = union[np.diff(union, prepend=-1) != 0]
-    indptr = np.searchsorted(union, np.arange(N + 1, dtype=np.int64) * N).astype(np.int32)
-    indices = (union % N).astype(np.int32)
-    terms = tuple(
-        (op, np.where(inner[r], np.searchsorted(union, k), len(union)).astype(np.int32))
-        for op, r, k in zip(ops, rows, keys)
+        rows.append(np.repeat(nodes, np.diff(op.indptr)))
+        keep.append(inner[rows[-1]])
+    entry_rows = np.concatenate([r[k] for r, k in zip(rows, keep)] + [nodes])
+    entry_cols = np.concatenate([op.indices[k] for op, k in zip(ops, keep)] + [nodes])
+    union = sp.coo_array(
+        (np.ones(len(entry_rows)), (entry_rows, entry_cols)), shape=(N, N)
+    ).tocsr()
+    nnz = union.nnz
+    where = sp.csr_array(
+        (np.arange(nnz, dtype=np.int32), union.indices, union.indptr), shape=(N, N)
     )
+    terms = []
+    for op, r, k in zip(ops, rows, keep):
+        pos = np.full(op.nnz, nnz, dtype=np.int32)
+        pos[k] = where[r[k], op.indices[k]]
+        terms.append((op, pos))
+    indptr = union.indptr.astype(np.int32)
+    indices = union.indices.astype(np.int32)
     for arr in (indptr, indices):
         arr.flags.writeable = False  # shared by every matrix built on it
-    out = _OperatorPattern(indptr, indices, terms, np.searchsorted(union, diag))
+    out = _OperatorPattern(indptr, indices, tuple(terms), where[nodes, nodes])
     domain._frame_cache[key] = out
     return out
 
@@ -351,20 +392,23 @@ def _operator_matrix(chart, domain, c2, drift, zeroth):
 def _warp_derivative_fields(chart, f, p, psi, n):
     """(sigma_t, tau_t, tau, d_t psi, d_p psi) of the closed (psi, Psi) forms.
 
-    d_t Psi = sigma_t Id + tau_t p p^T, so tr(X d_t Psi) is formed from
-    tr X and p^T X p without the (N, n, n) tensor.
+    ``p`` and d_p psi are lists of the n flat (N,) components.  d_t Psi =
+    sigma_t Id + tau_t p p^T, so tr(X d_t Psi) is formed from tr X and
+    p^T X p without the (N, n, n) tensor.
     """
     c, cp, cpp = chart.warp(f)
     c0 = chart.c0
     rho = c / c0
     rho_t = cp / c0
-    q = np.sum(p * p, axis=-1)
+    q = sum(pa * pa for pa in p)
     sig_t = -(cp * cp + c * cpp) / c0**2
     tau = -2.0 * cp / c
     tau_t = -2.0 * (cpp / c - (cp / c) ** 2)
     denom = rho * rho + q
     dtpsi = psi * ((n - 2.0) * rho_t / (n * rho) + (n + 2.0) * rho * rho_t / (n * denom))
-    dppsi = psi[..., None] * (n + 2.0) * p / (n * denom[..., None])
+    psi_scaled = psi * (n + 2.0)
+    n_denom = n * denom
+    dppsi = [psi_scaled * pa / n_denom for pa in p]
     return sig_t, tau_t, tau, dtpsi, dppsi
 
 
@@ -379,30 +423,46 @@ def build_B(assembly):
 
 
 def _derivative_coefficients(chart, domain, assembly, det_side_only):
+    """(c2, drift, zeroth) of DK (or of L when ``det_side_only``).
+
+    Every entry is a flat (N,) expression over the interior nodes, with the
+    operations, and their order, of the (N, n, n) matrix formulas.  The
+    builtin ``sum`` starts from 0, as numpy's reductions (``np.sum``,
+    ``np.trace``, ``np.einsum``) do, so even signed zeros agree.
+    """
     n = domain.n
     idx = np.flatnonzero(domain.interior)
     K = assembly.K[idx]
     psi = assembly.psi[idx]
-    p = assembly.grad[idx]
-    Minv = sym_inverse(assembly.M[idx])
+    p = [assembly.grad[idx, a] for a in range(n)]
+    Minv = sym_inverse_parts(assembly.M[idx])
     sig_t, tau_t, tau, dtpsi, dppsi = _warp_derivative_fields(
         chart, assembly.f[idx], p, psi, n
     )
     scale = K * psi if det_side_only else K  # det-side derivative vs full K
-    Minv_p = np.einsum("xab,xb->xa", Minv, p)
-    c2_i = (scale / n)[:, None, None] * Minv
-    drift_i = (2.0 * scale * tau / n)[:, None] * Minv_p
-    tr_Minv = np.trace(Minv, axis1=1, axis2=2)
-    c0_i = (scale / n) * (sig_t * tr_Minv + tau_t * np.sum(p * Minv_p, axis=-1))
+
+    def minv(a, b):
+        return Minv[(min(a, b), max(a, b))]
+
+    Minv_p = [sum(minv(a, b) * p[b] for b in range(n)) for a in range(n)]
+    scale_n = scale / n
+    drift_scale = 2.0 * scale * tau / n
+    tr_Minv = sum(minv(a, a) for a in range(n))
+    c0_i = scale_n * (sig_t * tr_Minv + tau_t * sum(pa * mp for pa, mp in zip(p, Minv_p)))
     if not det_side_only:
-        drift_i = drift_i - (K / psi)[:, None] * dppsi
         c0_i = c0_i - K * dtpsi / psi
+        k_psi = K / psi
     N = domain.num_nodes
     c2 = np.zeros((N, n, n))
     drift = np.zeros((N, n))
     zeroth = np.zeros(N)
-    c2[idx] = c2_i
-    drift[idx] = drift_i
+    for (a, b), m_ab in Minv.items():
+        c2[idx, a, b] = c2[idx, b, a] = scale_n * m_ab
+    for a in range(n):
+        drift_a = drift_scale * Minv_p[a]
+        if not det_side_only:
+            drift_a = drift_a - k_psi * dppsi[a]
+        drift[idx, a] = drift_a
     zeroth[idx] = c0_i
     return c2, drift, zeroth
 

@@ -126,6 +126,7 @@ class NewtonResult:
     margin: float
     history: list = field(default_factory=list)
     lu: HeldLU | None = None
+    rejected_trials: int = 0  # line-search trials assembled and rejected
 
 
 def _residual(asm, target_values, interior):
@@ -153,12 +154,13 @@ def newton_solve(f_init, target, opts=None, lu=None):
     residual to <= (1 - s/4) * current, and (c) stays inside the sandwich
     when one is attached.  Raises NonAdmissibleInit, NoConvergence (iteration
     cap or exhausted line search) or SingularLinearSystem, or the assembly's
-    errors; every error raised here carries ``steps`` (the accepted steps)
-    and ``residual`` (the last accepted iterate's residual norm).
+    errors; every error raised here carries ``steps`` (the accepted steps),
+    ``rejected_trials`` (line-search trials assembled and rejected) and
+    ``residual`` (the last accepted iterate's residual norm).
     """
     opts = opts or NewtonOptions()
     lu = HeldLU() if lu is None else lu
-    history, rnorm = [], None
+    history, rnorm, rejected = [], None, 0
     try:
         chart, domain = target.chart, target.domain
         interior = domain.interior
@@ -177,7 +179,8 @@ def newton_solve(f_init, target, opts=None, lu=None):
         rnorm = float(np.max(np.abs(r)))
         for it in range(opts.max_iter):
             if rnorm <= opts.tol:
-                return NewtonResult(f, True, it, rnorm, asm.margin, history, lu)
+                return NewtonResult(f, True, it, rnorm, asm.margin, history, lu,
+                                    rejected)
             op = build_DK(chart, domain, f, assembly=asm)
             delta = op.solve(-r, held=lu)
             accepted = False
@@ -200,18 +203,20 @@ def newton_solve(f_init, target, opts=None, lu=None):
                 )
                 accepted = True
                 break
+            rejected += k if accepted else opts.max_halvings + 1
             if not accepted:
                 raise NoConvergence(
                     f"line search exhausted at iteration {it + 1} "
                     f"(residual {rnorm:.3e}, margin {asm.margin:.3e})"
                 )
         if rnorm <= opts.tol:
-            return NewtonResult(f, True, opts.max_iter, rnorm, asm.margin, history, lu)
+            return NewtonResult(f, True, opts.max_iter, rnorm, asm.margin, history, lu,
+                                rejected)
         raise NoConvergence(
             f"no convergence in {opts.max_iter} iterations (residual {rnorm:.3e})"
         )
     except GraphCurvError as exc:
-        exc.steps, exc.residual = len(history), rnorm
+        exc.steps, exc.residual, exc.rejected_trials = len(history), rnorm, rejected
         raise
 
 
@@ -233,9 +238,10 @@ class ContinuationState:
     iter/tau/residual/margin/step, where ``iter`` is the running
     ``newton_total``; ``newton_total`` counts accepted Newton steps across
     all correctors, including those of rejected tau-steps (which add no
-    history rows).  ``residual_norm`` and ``margin`` are those of ``f``, the
-    last accepted iterate.  ``lu`` is the factorization held across the
-    whole walk.
+    history rows).  ``rejected_trials`` counts the line-search trials all
+    correctors assembled and rejected.  ``residual_norm`` and ``margin`` are
+    those of ``f``, the last accepted iterate.  ``lu`` is the factorization
+    held across the whole walk.
     """
 
     target: SolveTarget
@@ -249,6 +255,7 @@ class ContinuationState:
     margin: float | None = None
     history: list = field(default_factory=list)
     newton_total: int = 0
+    rejected_trials: int = 0
     lu: HeldLU = field(default_factory=HeldLU)
 
     def path_target(self, tau):
@@ -324,9 +331,9 @@ def continuation_solve(state, opts=None):
     correctors finishing in <= easy_iterations steps double dtau up to
     dtau_max.  SingularLinearSystem propagates with tau context (the remedy
     is ``perturb_rhs``).  ``state`` is updated in place.  Every error raised
-    here carries ``steps`` (``state.newton_total``) and the ``residual`` and
-    ``tau`` of the last accepted corrector (None before the start corrector
-    finishes).
+    here carries ``steps`` (``state.newton_total``), ``rejected_trials``
+    (``state.rejected_trials``) and the ``residual`` and ``tau`` of the last
+    accepted corrector (None before the start corrector finishes).
     """
     opts = opts or ContinuationOptions()
     domain = state.target.domain
@@ -337,7 +344,9 @@ def continuation_solve(state, opts=None):
             res = newton_solve(f_start, tgt, opts.newton, state.lu)
         except GraphCurvError as exc:
             state.newton_total += exc.steps
+            state.rejected_trials += exc.rejected_trials
             raise
+        state.rejected_trials += res.rejected_trials
         for row in res.history:
             state.newton_total += 1
             state.history.append({**row, "iter": state.newton_total, "tau": tau})
@@ -414,6 +423,7 @@ def continuation_solve(state, opts=None):
     except GraphCurvError as exc:
         begun = state.f is not None
         exc.steps = state.newton_total
+        exc.rejected_trials = state.rejected_trials
         exc.residual = state.residual_norm if begun else None
         exc.tau = state.tau if begun else None
         raise

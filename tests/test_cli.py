@@ -1,12 +1,13 @@
 """Command-line surface: subcommands, exit codes, artifact formats."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from graphcurv import cli, diagnostics, linearize
+from graphcurv import cli, diagnostics, linearize, solver
 from graphcurv import config as cfgmod
 from graphcurv import errors as err
 from graphcurv.assembly import assemble_curvature
@@ -208,6 +209,55 @@ def test_solve_nests_in_newton_mode(tmp_path):
     plain = newton_solve(0.25 * (s**2 - 1.0), SolveTarget(EuclideanChart(n=2), dom, 0.5))
     assert summary["residual_norm"] <= 1e-9
     assert np.max(np.abs(f - plain.f)) <= 1e-8
+
+
+def test_a_walk_solves_each_radial_cap_profile_once(tmp_path, monkeypatch):
+    solved = []
+    real = diagnostics._cap_profile
+    monkeypatch.setattr(diagnostics, "_cap_profile",
+                        lambda *args: solved.append(args[3]) or real(*args))
+    for name in ("a", "b"):
+        rc, summary = solve_summary(tmp_path, name,
+                                    domain={"kind": "ball", "nr": 64, "nphi": 256})
+        assert rc == 0 and len(summary["per_level"]) == 3
+    # 17x64 reads a 512-cell profile, 33x128 and 65x256 share a 1024-cell
+    # one; nothing is kept from one command to the next
+    assert solved == [512, 1024, 512, 1024]
+    assert ((tmp_path / "a" / "solution.grid").read_bytes()
+            == (tmp_path / "b" / "solution.grid").read_bytes())
+
+
+def test_summary_reports_rejected_line_search_trials(tmp_path, monkeypatch):
+    # Newton from f = 0 towards k = 1.35 exhausts its line search; the
+    # failure summary carries the trials the library counts
+    target = SolveTarget(HyperbolicChart(n=2, offset=0.5), GridDomain.ball(1.0, 8, 32), 1.35)
+    with pytest.raises(err.NoConvergence) as info:
+        newton_solve(np.zeros(target.domain.num_nodes), target)
+    assert info.value.rejected_trials > 0
+    rc, summary = solve_summary(tmp_path, "fail", problem={"k": 1.35, "barrier": {"kind": "none"}},
+                                solver={"mode": "newton", "init": {"kind": "zeros"}})
+    assert rc == EXIT_CODES["NoConvergence"]
+    assert summary["rejected_trials"] == info.value.rejected_trials
+
+    # every converged Newton solve (each continuation corrector, each
+    # prolonged start) adds its count to its level
+    calls = []
+    real = solver.newton_solve
+
+    def one_rejected_trial(*args):
+        calls.append(args[1].domain.num_nodes)
+        return dataclasses.replace(real(*args), rejected_trials=1)
+
+    monkeypatch.setattr(solver, "newton_solve", one_rejected_trial)
+    monkeypatch.setattr(cli, "newton_solve", one_rejected_trial)
+    rc, summary = solve_summary(tmp_path, "nested", domain={"kind": "ball", "nr": 32,
+                                                            "nphi": 128})
+    assert rc == 0
+    levels = summary["per_level"]
+    # 1025 and 4097 nodes: the 17x64 and 33x128 levels
+    assert [m["rejected_trials"] for m in levels] == [calls.count(1025), calls.count(4097)]
+    assert levels[1]["rejected_trials"] == 1
+    assert summary["rejected_trials"] == len(calls)
 
 
 def test_solve_falls_back_on_the_finest_level(tmp_path, monkeypatch):
@@ -482,7 +532,9 @@ def test_sweep_counts_the_steps_of_a_failed_prolonged_start(tmp_path, monkeypatc
     def prolonged_start_gives_up(f_init, target, opts, lu):
         # in continuation mode the CLI calls newton_solve only for a
         # prolonged start; the continuation calls it through the solver
-        raise err.NoConvergence("line search exhausted", steps=2)
+        exc = err.NoConvergence("line search exhausted", steps=2)
+        exc.rejected_trials = 3
+        raise exc
 
     monkeypatch.setattr(
         cli, "prolong_values", lambda coarse, fine, v: 1.0 - fine.coords[:, 0] ** 2
@@ -492,6 +544,7 @@ def test_sweep_counts_the_steps_of_a_failed_prolonged_start(tmp_path, monkeypatc
     gave_up = solve_sweep("gave_up")
     assert refused["start"] == gave_up["start"] == "continuation"
     assert gave_up["newton_total"] == refused["newton_total"] + 2
+    assert gave_up["rejected_trials"] == refused["rejected_trials"] + 3
 
 
 def test_sweep_refuses_a_user_barrier_on_more_than_one_level(tmp_path, capsys):

@@ -50,6 +50,21 @@ def test_unknown_keys_are_hard_errors():
         parse_config({**MINIMAL, "solver": {"init": {"scael": 0.5}}})
 
 
+def test_null_blocks_are_refused_at_every_depth(tmp_path):
+    with pytest.raises(ConfigError, match="^solver must be an object, got NoneType"):
+        parse_config({**MINIMAL, "solver": None})
+    with pytest.raises(ConfigError, match="^problem.barrier must be an object, got NoneType"):
+        parse_config({**MINIMAL, "problem": {"k": 0.6, "barrier": None}})
+    with pytest.raises(ConfigError, match="^solver.init must be an object"):
+        parse_config({**MINIMAL, "solver": {"init": None}})
+    # through the CLI: exit code 2, the dotted key on stderr
+    from graphcurv.cli import main
+
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps({**MINIMAL, "problem": {"k": 0.6, "barrier": None}}))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
 def test_missing_required_keys_report_their_path():
     cfg = parse_config({"chart": {"kind": "hyperbolic"},
                         "domain": {"kind": "ball", "nr": 4, "nphi": 16}})

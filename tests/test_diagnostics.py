@@ -280,6 +280,29 @@ def test_square_split_rejects_bad_weight():
         square_split(1.0, 2.0, -3.0)
 
 
+def test_cap_profiles_are_solved_once_per_fine_grid(monkeypatch):
+    import graphcurv.diagnostics as diag
+
+    chart = HyperbolicChart(n=2, offset=D)
+    grids = [ball(16, 64), ball(32, 128), ball(64, 256)]  # fine grids 512, 1024, 1024
+    want = [sphere_cap_barrier(chart, dom, 0.95) for dom in grids]
+    solved = []
+    real = diag._cap_profile
+    monkeypatch.setattr(diag, "_cap_profile",
+                        lambda *args: solved.append(args[3]) or real(*args))
+    profiles = {}
+    got = [sphere_cap_barrier(chart, dom, 0.95, profiles=profiles) for dom in grids]
+    assert solved == [512, 1024]
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    # another curvature, chart or dimension is another profile
+    sphere_cap_barrier(chart, grids[2], 0.9, profiles=profiles)
+    sphere_cap_barrier(HyperbolicChart(n=2, offset=0.4), grids[2], 0.95, profiles=profiles)
+    assert solved == [512, 1024, 1024, 1024]
+    pair = make_barrier_pair(chart, grids[1], kind="cap", k=0.95, profiles=profiles)
+    assert len(solved) == 4 and pair.lower.tobytes() == want[1].tobytes()
+
+
 def test_band_entries_match_the_loop_reference():
     m = 40
     dr = np.random.default_rng(4).standard_normal(m)

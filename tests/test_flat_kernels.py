@@ -1,0 +1,285 @@
+"""Flat per-component kernels against the (N, n, n) matrix formulas they replace.
+
+The assembly and the DK/L coefficients are computed one flat (N,) entry at a
+time.  The reference copies below are the broadcast formulas those kernels
+replaced; every output must match them byte for byte (signed zeros
+included), as must the union pattern of the DK matrix against its
+sort-based construction and the Krylov path against plain scipy GMRES.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse.linalg as spla
+
+from graphcurv.assembly import (
+    _raw_partials,
+    assemble_curvature,
+    signed_root_det,
+    sym_eig_bounds,
+)
+from graphcurv.charts import EpsilonChart, EuclideanChart, HyperbolicChart
+from graphcurv.grids import GridDomain
+from graphcurv.linearize import (
+    HeldLU,
+    _derivative_coefficients,
+    _operator_matrix,
+    _operator_pattern,
+    build_DK,
+    build_L,
+    frame_operators,
+)
+
+# ---- reference copies of the broadcast formulas -----------------------------
+
+
+def ref_sym_inverse(mat):
+    n = mat.shape[-1]
+    if n == 1:
+        return 1.0 / mat
+    inv_det = 1.0 / (mat[..., 0, 0] * mat[..., 1, 1] - mat[..., 0, 1] ** 2)
+    out = np.empty_like(mat)
+    out[..., 0, 0] = mat[..., 1, 1] * inv_det
+    out[..., 1, 1] = mat[..., 0, 0] * inv_det
+    out[..., 0, 1] = out[..., 1, 0] = -mat[..., 0, 1] * inv_det
+    return out
+
+
+def ref_frame_quantities(chart, domain, f):
+    d1, d2 = _raw_partials(domain, f)
+    if domain.n == 1:
+        return d1[0][:, None], d2[(0, 0)][:, None, None]
+    if domain.layout == "cartesian":
+        p = np.stack(d1, axis=-1)
+        hess = np.stack(
+            [np.stack([d2[(0, 0)], d2[(0, 1)]], -1), np.stack([d2[(0, 1)], d2[(1, 1)]], -1)],
+            axis=-2,
+        )
+        return p, hess
+    s = domain.coords[:, 0]
+    w, wp = chart.base_warp(s)
+    radial = s > 0
+    wf = np.where(radial, w, 1.0)
+    wpf = np.where(radial, wp, 0.0)
+    p = np.stack([d1[0], d1[1] / wf], axis=-1)
+    h00 = d2[(0, 0)]
+    h01 = (d2[(0, 1)] - (wpf / wf) * d1[1]) / wf
+    h11 = d2[(1, 1)] / wf**2 + (wpf / wf) * d1[0]
+    hess = np.stack([np.stack([h00, h01], -1), np.stack([h01, h11], -1)], axis=-2)
+    return p, hess
+
+
+def ref_closed_psi_Psi(chart, f, p):
+    n = p.shape[-1]
+    c, cp, _ = chart.warp(f)
+    c0 = chart.c0
+    rho = c / c0
+    q = np.sum(p * p, axis=-1)
+    psi = rho ** ((n - 2.0) / n) * (rho**2 + q) ** ((n + 2.0) / (2.0 * n))
+    sigma = -(c * cp) / c0**2
+    tau = -2.0 * cp / c
+    Psi = sigma[..., None, None] * np.eye(n) + tau[..., None, None] * (
+        p[..., :, None] * p[..., None, :]
+    )
+    return psi, Psi
+
+
+def ref_assembly(chart, domain, f):
+    p, hess = ref_frame_quantities(chart, domain, f)
+    psi, Psi = ref_closed_psi_Psi(chart, f, p)
+    M = hess + Psi
+    lam_min, _ = sym_eig_bounds(M)
+    K = signed_root_det(M) / psi
+    outside = ~domain.interior
+    for arr in (p, hess, Psi, M):
+        arr[outside] = 0.0
+    return {
+        "grad": p, "hess": hess, "Psi": Psi, "M": M,
+        "psi": np.where(outside, 1.0, psi),
+        "K": np.where(outside, 0.0, K),
+        "lambda_min": np.where(outside, 0.0, lam_min),
+    }
+
+
+def ref_derivative_coefficients(chart, domain, assembly, det_side_only):
+    n = domain.n
+    idx = np.flatnonzero(domain.interior)
+    K = assembly.K[idx]
+    psi = assembly.psi[idx]
+    p = assembly.grad[idx]
+    Minv = ref_sym_inverse(assembly.M[idx])
+    c, cp, cpp = chart.warp(assembly.f[idx])
+    c0 = chart.c0
+    rho = c / c0
+    rho_t = cp / c0
+    q = np.sum(p * p, axis=-1)
+    sig_t = -(cp * cp + c * cpp) / c0**2
+    tau = -2.0 * cp / c
+    tau_t = -2.0 * (cpp / c - (cp / c) ** 2)
+    denom = rho * rho + q
+    dtpsi = psi * ((n - 2.0) * rho_t / (n * rho) + (n + 2.0) * rho * rho_t / (n * denom))
+    dppsi = psi[..., None] * (n + 2.0) * p / (n * denom[..., None])
+    scale = K * psi if det_side_only else K
+    Minv_p = np.einsum("xab,xb->xa", Minv, p)
+    c2_i = (scale / n)[:, None, None] * Minv
+    drift_i = (2.0 * scale * tau / n)[:, None] * Minv_p
+    tr_Minv = np.trace(Minv, axis1=1, axis2=2)
+    c0_i = (scale / n) * (sig_t * tr_Minv + tau_t * np.sum(p * Minv_p, axis=-1))
+    if not det_side_only:
+        drift_i = drift_i - (K / psi)[:, None] * dppsi
+        c0_i = c0_i - K * dtpsi / psi
+    N = domain.num_nodes
+    c2 = np.zeros((N, n, n))
+    drift = np.zeros((N, n))
+    zeroth = np.zeros(N)
+    c2[idx] = c2_i
+    drift[idx] = drift_i
+    zeroth[idx] = c0_i
+    return c2, drift, zeroth
+
+
+def ref_operator_pattern(chart, domain):
+    """(indptr, indices, term positions, diagonal) by sorting entry keys."""
+    P, H = frame_operators(chart, domain)
+    n = domain.n
+    N = domain.num_nodes
+    ops = [H[(a, b)] for a in range(n) for b in range(a, n)] + list(P)
+    inner = domain.interior
+    rows, keys = [], []
+    for op in ops:
+        op.sum_duplicates()
+        rows.append(np.repeat(np.arange(N, dtype=np.int64), np.diff(op.indptr)))
+        keys.append(rows[-1] * N + op.indices)
+    diag = np.arange(N, dtype=np.int64) * (N + 1)
+    union = np.sort(np.concatenate([k[inner[r]] for r, k in zip(rows, keys)] + [diag]))
+    union = union[np.diff(union, prepend=-1) != 0]
+    indptr = np.searchsorted(union, np.arange(N + 1, dtype=np.int64) * N).astype(np.int32)
+    indices = (union % N).astype(np.int32)
+    positions = [
+        np.where(inner[r], np.searchsorted(union, k), len(union)).astype(np.int32)
+        for r, k in zip(rows, keys)
+    ]
+    return indptr, indices, positions, np.searchsorted(union, diag)
+
+
+# ---- cases --------------------------------------------------------------------
+
+DOMAINS = {
+    "ball": lambda: GridDomain.ball(1.0, 8, 32),
+    "annulus": lambda: GridDomain.annulus(0.5, 1.0, 8, 32),
+    "box": lambda: GridDomain.box(((-1.0, 1.0), (-1.0, 1.0)), (13, 13)),
+    "periodic": lambda: GridDomain.box(((-1.0, 1.0), (0.0, 2.0)), (13, 16), (False, True)),
+    "interval": lambda: GridDomain.interval(-1.0, 1.0, 32),
+}
+
+CHARTS = {
+    "hyperbolic": lambda n: HyperbolicChart(n=n, offset=0.5),
+    "euclidean": lambda n: EuclideanChart(n=n),
+    "epsilon": lambda n: EpsilonChart(n=n, eps=0.1),
+}
+
+
+def plane_xy(dom):
+    c = dom.coords
+    if dom.layout == "polar":
+        return c[:, 0] * np.cos(c[:, 1]), c[:, 0] * np.sin(c[:, 1])
+    if dom.layout == "cartesian":
+        return c[:, 0], c[:, 1]
+    return c[:, 0], np.zeros(dom.num_nodes)
+
+
+def fields(dom):
+    """A symmetric convex bowl (exact zeros in its gradient) and a wiggled one.
+
+    On the y-periodic box the bowl is in x alone and the wiggle has period 2
+    in y.
+    """
+    x, y = plane_xy(dom)
+    if any(dom.periodic):
+        return [0.3 * (x**2 - 2.0), 0.3 * (x**2 - 2.0) + 0.02 * np.sin(2 * x) * np.cos(np.pi * y)]
+    bowl = 0.3 * (x**2 + y**2 - 2.0)
+    return [bowl, bowl + 0.02 * np.sin(2 * x + 0.3) * np.cos(3 * y + 0.2)]
+
+
+def bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+CASES = [(d, c) for d in sorted(DOMAINS) for c in sorted(CHARTS)]
+
+
+@pytest.mark.parametrize("domain_kind,chart_kind", CASES)
+def test_flat_kernels_match_the_matrix_formulas_bitwise(domain_kind, chart_kind):
+    dom = DOMAINS[domain_kind]()
+    chart = CHARTS[chart_kind](dom.n)
+    for f in fields(dom):
+        asm = assemble_curvature(chart, dom, f)
+        for name, want in ref_assembly(chart, dom, f).items():
+            assert bitwise_equal(getattr(asm, name), want), name
+        if not asm.admissible:
+            # flat in y, so only the hyperbolic chart's Psi makes M definite
+            assert any(dom.periodic) and chart_kind != "hyperbolic"
+            continue
+        for build, det_side in ((build_DK, False), (build_L, True)):
+            op = build(chart, dom, f, assembly=asm)
+            coefs = ref_derivative_coefficients(chart, dom, asm, det_side)
+            for got, want in zip((op.second_order, op.drift, op.zeroth), coefs):
+                assert bitwise_equal(got, want)
+            want = _operator_matrix(chart, dom, *coefs)
+            for part in ("data", "indices", "indptr"):
+                assert bitwise_equal(getattr(op.matrix, part), getattr(want, part))
+
+
+def test_flat_coefficients_keep_the_signed_zeros_of_the_reductions():
+    # a gradient of -0.0 makes every product in M^(-1) p a signed zero,
+    # where the reductions of the matrix formulas return +0.0
+    dom = DOMAINS["ball"]()
+    chart = CHARTS["hyperbolic"](2)
+    asm = assemble_curvature(chart, dom, fields(dom)[1])
+    asm.grad[::3] = -0.0
+    for det_side in (False, True):
+        got = _derivative_coefficients(chart, dom, asm, det_side)
+        want = ref_derivative_coefficients(chart, dom, asm, det_side)
+        for g, w in zip(got, want):
+            assert bitwise_equal(g, w)
+
+
+@pytest.mark.parametrize("domain_kind", sorted(DOMAINS))
+def test_operator_pattern_matches_the_sorted_key_construction(domain_kind):
+    dom = DOMAINS[domain_kind]()
+    chart = HyperbolicChart(n=dom.n, offset=0.5)
+    indptr, indices, positions, diagonal = ref_operator_pattern(chart, dom)
+    pat = _operator_pattern(chart, dom)
+    assert bitwise_equal(pat.indptr, indptr)
+    assert bitwise_equal(pat.indices, indices)
+    assert len(pat.terms) == len(positions)
+    for (_, got), want in zip(pat.terms, positions):
+        assert bitwise_equal(got, want)
+    assert np.array_equal(pat.diagonal, diagonal)
+
+
+# ---- the Krylov path -------------------------------------------------------------
+
+
+def test_krylov_call_applies_the_factors_once_per_iteration_plus_one(monkeypatch):
+    chart = HyperbolicChart(n=2, offset=0.5)
+    dom = GridDomain.ball(1.0, 16, 64)
+    bowl = fields(dom)[1]
+    held = HeldLU()
+    rhs = np.where(dom.interior, np.sin(3 * dom.coords[:, 0]) + 0.2, 0.0)
+    build_DK(chart, dom, 0.9 * bowl).solve(rhs, held=held)
+    op = build_DK(chart, dom, bowl)
+    lu = held.lu
+    # plain scipy GMRES with the same preconditioner and settings
+    want, info = spla.gmres(
+        op.matrix, rhs, rtol=HeldLU.RTOL, atol=0.0, restart=HeldLU.RESTART,
+        maxiter=HeldLU.MAXITER, callback_type="pr_norm", callback=lambda _: None,
+        M=spla.LinearOperator(op.matrix.shape, matvec=lu.solve, dtype=float),
+    )
+    assert info == 0
+    before = dict(held.counters())
+    got = held._krylov(op.matrix, rhs)
+    iterations = held.krylov_iterations - before["krylov_iterations"]
+    assert 0 < iterations < HeldLU.RESTART  # one restart cycle
+    assert held.trisolves - before["trisolves"] == 1 + iterations
+    assert bitwise_equal(got, want)

@@ -268,6 +268,32 @@ def test_save_load_value_fidelity(tmp_path_factory, xs):
     assert np.array_equal(back, vals)
 
 
+def test_load_keeps_special_values_and_skips_blank_lines(tmp_path):
+    dom = GridDomain.interval(0.0, 1.0, 12)
+    vals = np.array([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                     1.0 / 3.0, -1e-300, np.pi, -np.e, 1e22, 2.0**-1074 * 3, -7.0, 0.1])
+    path = tmp_path / "v.grid"
+    save_grid(path, dom, vals, "euclidean:n=2")
+    _, back, _ = load_grid(path)
+    assert back.tobytes() == vals.tobytes()  # -0 stays -0
+    header, *lines = path.read_text().splitlines()
+    spaced = tmp_path / "spaced.grid"
+    spaced.write_text("\n".join([header, ""] + lines[:5] + ["  ", ""] + lines[5:]) + "\n\n")
+    _, back, _ = load_grid(spaced)
+    assert back.tobytes() == vals.tobytes()
+    # a line holding anything but one number is malformed, not a value count
+    for bad_line in ("1.0 2.0", "abc", "#1"):
+        bad = tmp_path / "bad.grid"
+        bad.write_text("\n".join([header, bad_line] + lines[1:]) + "\n")
+        with pytest.raises(ValueError):
+            load_grid(bad)
+    # no values at all is a count mismatch
+    empty = tmp_path / "empty.grid"
+    empty.write_text(header + "\n")
+    with pytest.raises(DomainMismatch, match="0 values"):
+        load_grid(empty)
+
+
 def test_load_rejects_corruption(tmp_path):
     import json
 

@@ -127,6 +127,45 @@ def test_every_newton_error_reports_its_accepted_steps(monkeypatch):
     assert info.value.residual == one_step.value.residual
 
 
+def test_newton_counts_its_rejected_line_search_trials(monkeypatch):
+    assembled = []
+    real = solver.assemble_curvature
+    monkeypatch.setattr(solver, "assemble_curvature",
+                        lambda *args: assembled.append(1) or real(*args))
+    dom = GridDomain.ball(1.0, 8, 32)
+    # k = 1.4 from f = 0: halved steps, then an exhausted line search
+    with pytest.raises(NoConvergence) as info:
+        newton_solve(np.zeros(dom.num_nodes), hyper_target(dom, 1.4))
+    exc = info.value
+    # one assembly of the start, then one per trial, accepted or rejected
+    assert exc.rejected_trials == len(assembled) - 1 - exc.steps
+    assert exc.rejected_trials > NewtonOptions().max_halvings + 1
+    assembled.clear()
+    res = newton_solve(np.zeros(dom.num_nodes), hyper_target(dom, 0.9))
+    assert res.rejected_trials == len(assembled) - 1 - res.iterations == 0
+
+
+def test_continuation_counts_rejected_trials_of_every_corrector(monkeypatch):
+    counted = []
+
+    def recording(*args, **kwargs):
+        try:
+            res = newton_solve(*args, **kwargs)
+        except (NoConvergence, NonAdmissibleInit) as exc:
+            counted.append(exc.rejected_trials)
+            raise
+        counted.append(res.rejected_trials)
+        return res
+
+    monkeypatch.setattr(solver, "newton_solve", recording)
+    dom = GridDomain.ball(1.0, 8, 32)
+    state = start_state(hyper_target(dom, 1.4))
+    with pytest.raises(StepsizeUnderflow) as info:
+        continuation_solve(state, ContinuationOptions(dtau_min=1e-2))
+    assert sum(counted) > 0
+    assert info.value.rejected_trials == state.rejected_trials == sum(counted)
+
+
 def test_newton_solution_stays_inside_sandwich():
     dom = GridDomain.ball(1.0, 8, 32)
     target = hyper_target(dom, 0.7, with_barrier=True)
