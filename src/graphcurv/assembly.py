@@ -62,12 +62,8 @@ def _raw_partials(domain, f):
 
 def _sym_stack(parts, n):
     """(N, n, n) symmetric matrices from their entries ``parts[(a, b)]``, a <= b."""
-    first = parts[(0, 0)]
-    out = np.empty(np.shape(first) + (n, n))
-    for (a, b), val in parts.items():
-        out[..., a, b] = val
-        out[..., b, a] = val
-    return out
+    entries = [parts[(min(a, b), max(a, b))] for a in range(n) for b in range(n)]
+    return np.stack(entries, axis=-1).reshape(np.shape(entries[0]) + (n, n))
 
 
 def _polar_frame(d1, d2, w, wp, radial):

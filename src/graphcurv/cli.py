@@ -453,6 +453,7 @@ def _walk(cfg, command, grids):
             for key, count in run.spent.items():
                 run.meta[key] += count
             run.meta["linear_solves"] = run.lu.counters()
+            run.meta["grid_s"] = domain.build_s
             history = [{**row, "iter": row["iter"] + shift} for row in history]
             levels.append((domain, f, run.meta, history))
             domain.drop_caches()  # later levels need only its values

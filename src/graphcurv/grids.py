@@ -14,7 +14,9 @@ Derivative operators are sparse matrices over flat node vectors.  They return
 local Cartesian chart (xi1, xi2) aligned with the rays phi = 0 and phi = pi/2
 (that chart is what both the curvature assembly and the embedding oracle want
 at the pole, where polar frames degenerate).  Rows where no centered stencil
-fits (rim/endpoint nodes) are zero; consumers only read interior rows.
+fits (rim/endpoint nodes) are zero; consumers only read interior rows.  The
+operators are built by index arithmetic on every node's 3**n neighbour slots
+(``Stencils``), their CSR arrays read off slot by slot in column order.
 
 All stencils are second-order centered; the node conventions above are chosen
 so one-sided differencing is never needed.
@@ -26,7 +28,9 @@ injection (``restrict_values``) and cubic interpolation (``prolong_values``);
 
 from __future__ import annotations
 
+import functools
 import json
+import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -68,8 +72,7 @@ class GridDomain:
     coords: np.ndarray  # (N, n)
     boundary: np.ndarray  # (N,) bool
     pole: int | None = None
-    _ops: DerivOps | None = field(default=None, repr=False, compare=False)
-    _order: np.ndarray | None = field(default=None, repr=False, compare=False)
+    build_s: float = field(default=0.0, repr=False, compare=False)  # see ``cached``
     _frame_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     # ---- constructors ----------------------------------------------------
@@ -216,15 +219,24 @@ class GridDomain:
 
     # ---- derivative operators ---------------------------------------------
 
+    def cached(self, key, build):
+        """``build()``, made on the first call for ``key`` and kept until
+        ``drop_caches``.  ``build_s`` adds up the wall time of the builds; a
+        build nested in another counts once, inside the outer one.
+        """
+        hit = self._frame_cache.get(key)
+        if hit is None:
+            t0, before = time.perf_counter(), self.build_s
+            hit = self._frame_cache[key] = build()
+            self.build_s = before + (time.perf_counter() - t0)
+        return hit
+
     def derivative_ops(self):
-        if self._ops is None:
-            if self.kind == "ball":
-                self._ops = _ball_ops(self)
-            elif self.kind == "interval":
-                self._ops = _interval_ops(self)
-            else:
-                self._ops = _box_ops(self)
-        return self._ops
+        def build():
+            st, d1, d2 = derivative_stencils(self)
+            return DerivOps(tuple(map(st.csr, d1)), {ab: st.csr(op) for ab, op in d2.items()})
+
+        return self.cached("derivative_ops", build)
 
     def dissection_order(self):
         """Nested-dissection elimination order of the nodes (computed once).
@@ -238,13 +250,11 @@ class GridDomain:
         whole first ring, comes last, and an interval keeps its natural
         (already fill-free) order.
         """
-        if self._order is None:
-            self._order = _dissection_order(self)
-        return self._order
+        return self.cached("dissection_order", lambda: _dissection_order(self))
 
     def drop_caches(self):
         """Forget the cached derivative operators, ordering and frame data."""
-        self._ops, self._order, self._frame_cache = None, None, {}
+        self._frame_cache = {}
 
 
 def _dissection_order(dom):
@@ -261,10 +271,8 @@ def _dissection_order(dom):
             halves = (np.arange(1, m // 2), np.arange(m // 2 + 1, m))
             cuts += [np.take(b, [0, m // 2], axis=ax).ravel() for b in blocks]
             blocks = [np.take(b, h, axis=ax) for b in blocks for h in halves]
-    out = []
-    for b in blocks:
-        _dissect(b, out)
-    out += cuts
+    memo = {}  # the order within a block depends on its shape alone
+    out = [b.ravel()[_block_order(b.shape, memo)] for b in blocks] + cuts
     if dom.pole is not None:
         out.append(np.array([dom.pole]))
     return np.concatenate(out)
@@ -273,40 +281,36 @@ def _dissection_order(dom):
 _DISSECTION_LEAF = 16
 
 
-def _dissect(block, out):
-    """Append the nested-dissection order of a 2-D block of node ids to out."""
-    rows, cols = block.shape
-    if block.size <= _DISSECTION_LEAF:
-        out.append(block.ravel())
-    elif rows >= cols:
-        mid = rows // 2
-        _dissect(block[:mid], out)
-        _dissect(block[mid + 1:], out)
-        out.append(block[mid])
-    else:
-        mid = cols // 2
-        _dissect(block[:, :mid], out)
-        _dissect(block[:, mid + 1:], out)
-        out.append(block[:, mid])
+def _block_order(shape, memo):
+    """Nested-dissection order of a rows x cols block, as row-major positions.
 
-
-def _1d_stencil(m, weights, periodic):
-    """m x m CSR matrix applying ``weights`` ({offset: weight}) along one axis.
-
-    Periodic axes wrap every row around; otherwise rows 0 and m-1 stay zero.
+    A block of at most 16 nodes keeps its natural order; a larger one is cut
+    by its middle row (or column, when it is wider than tall) into two
+    halves, ordered before the cut line.  ``memo`` holds the orders of the
+    shapes seen so far.
     """
-    rows = np.arange(m) if periodic else np.arange(1, m - 1)
-    mat = sp.coo_matrix(
-        (
-            np.concatenate([np.full(len(rows), w) for w in weights.values()]),
-            (
-                np.tile(rows, len(weights)),
-                np.concatenate([(rows + k) % m for k in weights]),
-            ),
-        ),
-        shape=(m, m),
-    )
-    return mat.tocsr()
+    if shape not in memo:
+        rows, cols = shape
+        if rows * cols <= _DISSECTION_LEAF:
+            order = np.arange(rows * cols)
+        elif rows >= cols:
+            mid = rows // 2
+            order = np.concatenate([
+                _block_order((mid, cols), memo),
+                (mid + 1) * cols + _block_order((rows - mid - 1, cols), memo),
+                mid * cols + np.arange(cols),
+            ])
+        else:
+            mid, rest = cols // 2, cols - cols // 2 - 1
+            left = _block_order((rows, mid), memo)
+            right = _block_order((rows, rest), memo)
+            order = np.concatenate([
+                left // mid * cols + left % mid,
+                right // rest * cols + right % rest + mid + 1,
+                np.arange(rows) * cols + mid,
+            ])
+        memo[shape] = order
+    return memo[shape]
 
 
 def _central(h):
@@ -315,147 +319,154 @@ def _central(h):
     return {1: 0.5 / h, -1: -0.5 / h}, {1: c, 0: -2 * c, -1: c}
 
 
-def _interval_ops(dom):
-    (m,) = dom.shape
-    (h,) = dom.spacing
-    d1, d2 = (_1d_stencil(m, w, False) for w in _central(h))
-    return DerivOps(d1=(d1,), d2={(0, 0): d2})
+def _axis_weights(weights):
+    """{offset: weight} as a (3,) array over the offsets -1, 0, 1."""
+    return np.array([weights.get(k, 0.0) for k in (-1, 0, 1)])
 
 
-def _box_ops(dom):
-    m0, m1 = dom.shape
-    h0, h1 = dom.spacing
-    p0, p1 = dom.periodic
-    i0 = sp.identity(m0, format="csr")
-    i1 = sp.identity(m1, format="csr")
-    a1, a2 = (_1d_stencil(m0, w, p0) for w in _central(h0))
-    b1, b2 = (_1d_stencil(m1, w, p1) for w in _central(h1))
-    d1 = (sp.kron(a1, i1).tocsr(), sp.kron(i0, b1).tocsr())
-    d2 = {
-        (0, 0): sp.kron(a2, i1).tocsr(),
-        (0, 1): sp.kron(a1, b1).tocsr(),
-        (1, 1): sp.kron(i0, b2).tocsr(),
-    }
-    return DerivOps(d1=d1, d2=d2)
+_IDENTITY = np.array([0.0, 1.0, 0.0])  # the weights of no difference along an axis
 
 
-def _ball_ops(dom):
-    nr = dom.shape[0] - 1
-    nphi = dom.shape[1]
-    ds, dphi = dom.spacing
-    num = dom.num_nodes
+class Stencils:
+    """The 3**n-point neighbourhoods of a grid's nodes, and operators on them.
 
-    def idx(i, j):
-        j = np.asarray(j) % nphi
-        i = np.asarray(i)
-        return np.where(i == 0, 0, 1 + (i - 1) * nphi + j)
+    Slot s of node r is the node at index offset s in {-1, 0, 1}**n
+    (row-major; the middle slot is r itself), every axis wrapping around:
+    on a non-periodic axis a wrapped slot is never used.  ``cols[s, r]`` is
+    its column.  On the ball, ring index 0 is the pole, so on ring 1 the
+    three offsets -1 all name the pole, and the pole's own slots are its
+    neighbours in the local Cartesian chart (xi1, xi2): slot (a, b) is the
+    ring-1 node in the direction of a xi1 + b xi2.  An operator is a dict
+    {slot: (N,) weights}, zero where the slot is not in a node's stencil,
+    so operators combine slot by slot.  The slots ascend in column on every
+    node but those on an edge of the index grid and the pole (``fix``),
+    which ``entries`` puts in column order.
+    """
 
-    ii, jj = np.meshgrid(np.arange(1, nr), np.arange(nphi), indexing="ij")
-    ii = ii.ravel()
-    jj = jj.ravel()
-    rows = idx(ii, jj)
+    def __init__(self, shape, periodic, pole=False):
+        # on the ball, ring i >= 1 at angle j is node i * nphi + j - start
+        self.start = shape[1] - 1 if pole else 0
+        steps = [((np.arange(m) + np.arange(-1, 2)[:, None]) % m).astype(np.int32) for m in shape]
+        cols = steps[0]
+        if len(shape) == 2:
+            cols = (steps[0] * shape[1] - self.start)[:, None, :, None] + steps[1][:, None]
+            cols = cols.reshape(9, -1)[:, self.start:]
+        edge = np.ones(shape, dtype=bool)
+        edge[(slice(1, -1),) * len(shape)] = False
+        self.fix = np.flatnonzero(edge)
+        # index-grid slices of the nodes where an axis's differences fit, and
+        # of all nodes
+        self.fits = [slice(None) if per else slice(1, m - 1) for m, per in zip(shape, periodic)]
+        self.whole = [slice(None)] * len(shape)
+        if pole:
+            nphi = shape[1]
+            eighth = np.array([5, 4, 3, 6, 0, 2, 7, 0, 1])  # slot -> angle / (pi / 4)
+            cols[:, 0] = np.where(np.arange(9) == 4, 0, 1 + nphi // 8 * eighth)
+            # offsets -1 from ring 1 reach the pole, as do the rim's unused +1
+            cols[:3, 1:1 + nphi] = cols[6:, -nphi:] = 0
+            self.fix = np.concatenate([[0], self.fix[self.fix >= nphi] - self.start])
+            self.whole[0] = slice(1, None)
+        self.shape = shape
+        self.cols = cols
 
-    def build(entries, pole_entries):
-        r = []
-        c = []
-        v = []
-        for di, dj, w in entries:
-            r.append(rows)
-            c.append(idx(ii + di, jj + dj))
-            v.append(np.full(rows.shape, w))
-        for col, w in pole_entries:
-            r.append(np.array([0]))
-            c.append(np.array([col]))
-            v.append(np.array([w]))
-        mat = sp.coo_matrix(
-            (np.concatenate(v), (np.concatenate(r), np.concatenate(c))),
-            shape=(num, num),
-        )
-        return mat.tocsr()
+    def stencil(self, weights):
+        """(S,) weights of the weights[a] ((3,) arrays) along each axis a of
+        ``weights``, no difference along the others."""
+        along = [weights.get(a, _IDENTITY) for a in range(len(self.shape))]
+        return functools.reduce(np.multiply.outer, along).ravel()
 
-    q = nphi // 4
-    e = nphi // 8
-    # radial first derivative; pole row = d/dxi1 along the phi = 0 axis
-    d_s = build(
-        [(1, 0, 0.5 / ds), (-1, 0, -0.5 / ds)],
-        [(idx(1, 0), 0.5 / ds), (idx(1, 2 * q), -0.5 / ds)],
-    )
-    # angular first derivative on rings (no pole row yet); rows exist on the
-    # rim ring too, because the mixed product needs them there
-    iiA, jjA = np.meshgrid(np.arange(1, nr + 1), np.arange(nphi), indexing="ij")
-    iiA = iiA.ravel()
-    jjA = jjA.ravel()
-    rowsA = idx(iiA, jjA)
-    d_phi_ring = sp.coo_matrix(
-        (
-            np.concatenate(
-                [np.full(rowsA.shape, 0.5 / dphi), np.full(rowsA.shape, -0.5 / dphi)]
-            ),
-            (
-                np.concatenate([rowsA, rowsA]),
-                np.concatenate([idx(iiA, jjA + 1), idx(iiA, jjA - 1)]),
-            ),
-        ),
-        shape=(num, num),
-    ).tocsr()
-    # consumer-facing angular derivative: pole row = d/dxi2 along phi = pi/2
-    pole_xi2 = sp.coo_matrix(
-        (
-            [0.5 / ds, -0.5 / ds],
-            ([0, 0], [idx(1, q), idx(1, 3 * q)]),
-        ),
-        shape=(num, num),
-    ).tocsr()
-    d_phi = d_phi_ring + pole_xi2
+    def op(self, weights, pole=None):
+        """The operator of ``stencil(weights)`` on every node where all axes
+        of ``weights`` fit (all nodes of a periodic axis, else the inner
+        ones); ``pole`` is the (S,) stencil of the ball pole's row."""
+        stencil = self.stencil(weights)
+        slots = [int(s) for s in np.flatnonzero(stencil)]
+        at = tuple(self.fits[a] if a in weights else whole for a, whole in enumerate(self.whole))
+        out = np.zeros((len(slots), np.prod(self.shape)))
+        out.reshape((len(slots),) + self.shape)[(slice(None),) + at] = (
+            stencil[slots].reshape((-1,) + (1,) * len(self.shape)))
+        out = out[:, self.start:]
+        if pole is not None:
+            out[:, 0] = pole[slots]
+        return dict(zip(slots, out))
 
-    c2 = 1.0 / (ds * ds)
-    d_ss = build(
-        [(1, 0, c2), (0, 0, -2 * c2), (-1, 0, c2)],
-        [(idx(1, 0), c2), (0, -2 * c2), (idx(1, 2 * q), c2)],
-    )
-    cp2 = 1.0 / (dphi * dphi)
-    d_pp = build(
-        [(0, 1, cp2), (0, 0, -2 * cp2), (0, -1, cp2)],
-        [(idx(1, q), c2), (0, -2 * c2), (idx(1, 3 * q), c2)],
-    )
-    # mixed derivative: radial-centered composition of the ring angular
-    # derivative (the pole column contributes zero, as d_phi vanishes there),
-    # with the product's pole row replaced by a 45-degree pole stencil for
-    # the xi1-xi2 derivative
-    d_sp = d_s @ d_phi_ring
-    d_sp.sort_indices()
-    cut = d_sp.indptr[1]  # end of the product's pole row
-    half = 0.5 / (ds * ds)
-    pole_cols = idx(1, np.array([e, 3 * e, 5 * e, 7 * e]))
-    d_sp = sp.csr_matrix(
-        (
-            np.concatenate([[half, -half, half, -half], d_sp.data[cut:]]),
-            np.concatenate([pole_cols, d_sp.indices[cut:]]),
-            np.concatenate([[0], d_sp.indptr[1:] - cut + 4]),
-        ),
-        shape=(num, num),
-    )
+    def column_order(self, slots):
+        """(F, k) argsort of the columns of ``slots`` at the F nodes ``fix``."""
+        return np.argsort(self.cols[np.ix_(slots, self.fix)].T, axis=1, kind="stable")
 
-    return DerivOps(d1=(d_s, d_phi), d2={(0, 0): d_ss, (0, 1): d_sp, (1, 1): d_pp})
+    def entries(self, slots, *tables):
+        """(N, k) arrays of the ``slots`` of each table (an operator, or an
+        (S, N) array), every node's slots in ascending column order."""
+        order = self.column_order(slots)
+        out = [np.stack([t[s] for s in slots], axis=1) for t in tables]
+        for arr in out:
+            arr[self.fix] = np.take_along_axis(arr[self.fix], order, 1)
+        return out
+
+    @staticmethod
+    def matrix(weights, cols):
+        """The CSR matrix of the nonzero ``weights`` (from ``entries``, and
+        compacted in place)."""
+        num, k = weights.shape
+        indptr = np.arange(0, num * k + 1, k, dtype=np.int32)
+        out = sp.csr_matrix((weights.ravel(), cols.ravel(), indptr), shape=(num, num))
+        out.eliminate_zeros()
+        return out
+
+    def csr(self, op):
+        """The CSR matrix of ``op``: its nonzero weights."""
+        return self.matrix(*self.entries(sorted(op), op, self.cols))
+
+
+def _1d_stencil(m, weights, periodic):
+    """m x m CSR matrix applying ``weights`` ({offset: weight}) along one axis.
+
+    Periodic axes wrap every row around; otherwise rows 0 and m-1 stay zero.
+    """
+    st = Stencils((m,), (periodic,))
+    return st.csr(st.op({0: _axis_weights(weights)}))
+
+
+def derivative_stencils(dom):
+    """(stencils, d1, d2): the derivative operators as ``Stencils`` operators.
+
+    Central differences along each axis and their products for the mixed
+    derivative.  On the ball the angular second derivative stops short of
+    the rim and the mixed one skips the pole (d/dphi vanishes there); the
+    pole row holds Cartesian differences of spacing ds in (xi1, xi2), the
+    mixed one over the four 45-degree neighbours.
+    """
+    ball = dom.kind == "ball"
+    st = Stencils(dom.shape, dom.periodic, pole=ball)
+    first, second = zip(*([_axis_weights(w) for w in _central(h)] for h in dom.spacing))
+    axes = range(dom.n)
+    pole = {}
+    if ball:
+        ds = dom.spacing[0]
+        sign = np.array([-1.0, 0.0, 1.0])
+        pole = {0: st.stencil({0: first[0]}), 1: st.stencil({1: first[0]}),
+                (0, 0): st.stencil({0: second[0]}), (1, 1): st.stencil({1: second[0]}),
+                (0, 1): 0.5 / (ds * ds) * st.stencil({0: sign, 1: sign})}
+    d1 = [st.op({a: first[a]}, pole.get(a)) for a in axes]
+    d2 = {(a, b): st.op({a: first[a], b: first[b]} if a < b else {a: second[a]},
+                        pole.get((a, b)))
+          for a in axes for b in axes if a <= b}
+    if ball:
+        nphi = dom.shape[1]
+        for w in d2[(1, 1)].values():
+            w[-nphi:] = 0.0
+        for s in (0, 2):  # ring 1, slots (-1, -1) and (-1, 1)
+            d2[(0, 1)][s][1:1 + nphi] = 0.0
+    return st, d1, d2
 
 
 # ---- grid file I/O ---------------------------------------------------------
 
 
 def _boundary_rle(mask):
-    runs = []
-    i = 0
-    n = len(mask)
-    while i < n:
-        if mask[i]:
-            j = i
-            while j < n and mask[j]:
-                j += 1
-            runs.append(f"{i}:{j - i}")
-            i = j
-        else:
-            i += 1
-    return ",".join(runs)
+    """'start:length' of every run of True in ``mask``, comma-separated."""
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return ",".join(f"{i}:{j - i}" for i, j in zip(edges[::2], edges[1::2]))
 
 
 def save_grid(path, domain, values, chart_id):

@@ -31,11 +31,15 @@ zero Dirichlet values.
 Storage: every operator of one (chart, domain) is stored on one sparsity
 pattern, the union of the interior rows of the frame operators H[(a, b)]
 (a <= b) and P[a] and the diagonal, with boundary rows holding the diagonal
-alone.  The pattern is built with the first operator and cached on the
-domain, together with the int32 position in it of every entry of each frame
-operator; a build then only fills the values, one scatter-add per frame
-operator.  The stored pattern, and with it the fill of a factorization,
-therefore does not depend on f; entries that cancel stay as zeros.
+alone.  The frame operators and the pattern are built together, by index
+arithmetic on the grid's stencil slots (``grids.Stencils``): the frame
+operators' weights per slot combine the derivative operators' slot by
+slot, the pattern is the set of slots any of them uses, and the int32
+position in it of every entry of each frame operator is read off the
+slots.  Both are cached on the domain; a build then only fills the
+values, one scatter-add per frame operator.  The stored pattern, and with
+it the fill of a factorization, therefore does not depend on f; entries
+that cancel stay as zeros.
 
 Factorization: a direct LU takes rows and columns in the domain's
 nested-dissection order (``GridDomain.dissection_order``) and SuperLU keeps
@@ -79,6 +83,7 @@ from .assembly import (
     sym_inverse_parts,
 )
 from .errors import SingularLinearSystem, SingularShapeOperator
+from .grids import derivative_stencils
 from .riemann import normal_curvature_endomorphism
 
 __all__ = [
@@ -98,35 +103,91 @@ def frame_operators(chart, domain):
     """Sparse maps v -> frame gradient / Hessian components of v.
 
     Returns (P, H) with P[a] and H[(a, b)] (a <= b) CSR matrices of shape
-    (N, N); interior rows reproduce ``assembly.frame_quantities`` exactly,
-    boundary rows are zero.  Cached on the domain per chart.
+    (N, N); interior rows reproduce ``assembly.frame_quantities`` exactly.
+    Cached on the domain per chart, together with the DK pattern.
     """
-    key = ("frame_ops", chart.chart_id())
-    hit = domain._frame_cache.get(key)
-    if hit is not None:
-        return hit
-    ops = domain.derivative_ops()
-    if domain.n == 1:
-        out = ((ops.d1[0],), {(0, 0): ops.d2[(0, 0)]})
-    elif domain.layout == "cartesian":
-        out = (tuple(ops.d1), dict(ops.d2))
-    else:
-        s = domain.coords[:, 0]
-        w, wp = chart.base_warp(s)
-        radial = s > 0
-        wf = np.where(radial, w, 1.0)
-        wpf = np.where(radial, wp, 0.0)
-        p0 = ops.d1[0]
-        p1 = sp.diags(1.0 / wf) @ ops.d1[1]
-        h00 = ops.d2[(0, 0)]
-        h01 = sp.diags(1.0 / wf) @ (ops.d2[(0, 1)] - sp.diags(wpf / wf) @ ops.d1[1])
-        h11 = sp.diags(1.0 / wf**2) @ ops.d2[(1, 1)] + sp.diags(wpf / wf) @ ops.d1[0]
-        out = (
-            (p0.tocsr(), p1.tocsr()),
-            {(0, 0): h00.tocsr(), (0, 1): h01.tocsr(), (1, 1): h11.tocsr()},
-        )
-    domain._frame_cache[key] = out
-    return out
+    P, H, _ = _frame_data(chart, domain)
+    return P, H
+
+
+def _frame_data(chart, domain):
+    """(P, H, pattern) of ``chart`` on ``domain``, built together and cached.
+
+    Off polar grids the frame operators are the derivative operators.  On
+    polar ones P[1], H[(0, 1)] and H[(1, 1)] combine the derivative
+    operators slot by slot (``grids.Stencils``), with the operations of the
+    sparse products and sums of ``diag(1/w) @ D``; a slot whose value is
+    zero holds no entry, as the sparse products and sums drop exact zeros.
+    """
+
+    def build():
+        st, d1, d2 = derivative_stencils(domain)
+        ops = domain.derivative_ops()
+        P, H = list(ops.d1), dict(ops.d2)
+        if domain.layout == "polar":
+            s = domain.coords[:, 0]
+            w, wp = chart.base_warp(s)
+            radial = s > 0
+            wf = np.where(radial, w, 1.0)
+            inv, inv2 = 1.0 / wf, 1.0 / wf**2
+            ratio = np.where(radial, wp, 0.0) / wf
+            d2[(0, 1)] = _combine(lambda a, b: inv * (a - ratio * b), d2[(0, 1)], d1[1])
+            d2[(1, 1)] = _combine(lambda a, b: inv2 * a + ratio * b, d2[(1, 1)], d1[0])
+            d1[1] = _combine(lambda a: inv * a, d1[1])
+            P[1] = H[(0, 1)] = H[(1, 1)] = None  # built from their weights below
+        tables = list(d2.values()) + d1  # the term order of _operator_matrix
+        indptr, indices, where, diagonal = _union(st, domain, tables)
+        terms = []
+        for table, op in zip(tables, list(H.values()) + P):
+            weights, pos, cols = st.entries(sorted(table), table, where, st.cols)
+            pos = pos[weights != 0]  # before matrix() compacts the weights
+            terms.append((st.matrix(weights, cols) if op is None else op, pos))
+        ops = [op for op, _ in terms]
+        H, P = dict(zip(d2, ops)), tuple(ops[len(d2):])
+        return P, H, _OperatorPattern(indptr, indices, tuple(terms), diagonal)
+
+    return domain.cached(("frame", chart.chart_id()), build)
+
+
+def _combine(fn, *ops):
+    """The ``Stencils`` operator of ``fn`` applied slot by slot (0.0 for a
+    slot an operator lacks)."""
+    slots = sorted(set().union(*ops))
+    return {s: fn(*(op.get(s, 0.0) for op in ops)) for s in slots}
+
+
+def _union(st, domain, tables):
+    """(indptr, indices, where, diagonal) of the union pattern of the
+    ``Stencils`` operators ``tables``: per row, the slots where any of them
+    has an entry (interior rows) and the node itself, in column order.
+    ``where[s, r]`` is the position of slot s of row r (the number of
+    entries on boundary rows, whose entries are dropped), ``diagonal[r]``
+    that of (r, r)."""
+    S, N = st.cols.shape
+    inner = domain.interior
+    union = np.zeros((S, N), dtype=bool)
+    for table in tables:
+        for s, w in table.items():
+            union[s] |= w != 0
+    union &= inner
+    union[S // 2] = True
+    present, cols = st.entries(range(S), union, st.cols)  # (N, S), in column order
+    indices = cols[present]
+    where = np.empty((S, N), dtype=np.int32)
+    at = np.zeros(N, dtype=np.int32)
+    for s in range(S):  # in column order
+        where[s] = at
+        at += present[:, s]
+    indptr = np.zeros(N + 1, dtype=np.int32)
+    np.cumsum(at, out=indptr[1:])
+    where += indptr[:-1]
+    slot_order = np.argsort(st.column_order(range(S)), axis=1)  # back to slot order
+    where[:, st.fix] = np.take_along_axis(where[:, st.fix].T, slot_order, 1).T
+    diagonal = where[S // 2].copy()
+    where[:, ~inner] = indptr[-1]
+    for arr in (indptr, indices):
+        arr.flags.writeable = False  # shared by every matrix built on it
+    return indptr, indices, where, diagonal
 
 
 @dataclass
@@ -187,14 +248,6 @@ class EllipticOperator:
             raise SingularLinearSystem("linear solve produced non-finite values")
         w[self.domain.boundary] = 0.0  # exact Dirichlet data, no rounding dust
         return w
-
-    def export_triplets(self, path):
-        """Write the matrix as 'row col value' lines (tab-separated, 17 digits)."""
-        coo = self.matrix.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        with open(path, "w") as fh:
-            for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-                fh.write(f"{r}\t{c}\t{v:.17g}\n")
 
 
 class _PermutedLU:
@@ -322,48 +375,10 @@ class _OperatorPattern:
 
 
 def _operator_pattern(chart, domain):
-    """The union pattern of ``_operator_matrix`` (cached per chart on the domain).
-
-    The union is the COO -> CSR conversion (duplicates merged, columns
-    sorted) of the frame operators' interior-row entries and the diagonal;
-    each entry's position in it is read off a CSR matrix of positions.
-    """
-    key = ("operator_pattern", chart.chart_id())
-    hit = domain._frame_cache.get(key)
-    if hit is not None:
-        return hit
-    P, H = frame_operators(chart, domain)
-    n = domain.n
-    N = domain.num_nodes
-    ops = [H[(a, b)] for a in range(n) for b in range(a, n)] + list(P)
-    inner = domain.interior
-    nodes = np.arange(N, dtype=np.int32)
-    rows, keep = [], []
-    for op in ops:
-        op.sum_duplicates()  # one position per stored entry; no-op when canonical
-        rows.append(np.repeat(nodes, np.diff(op.indptr)))
-        keep.append(inner[rows[-1]])
-    entry_rows = np.concatenate([r[k] for r, k in zip(rows, keep)] + [nodes])
-    entry_cols = np.concatenate([op.indices[k] for op, k in zip(ops, keep)] + [nodes])
-    union = sp.coo_array(
-        (np.ones(len(entry_rows)), (entry_rows, entry_cols)), shape=(N, N)
-    ).tocsr()
-    nnz = union.nnz
-    where = sp.csr_array(
-        (np.arange(nnz, dtype=np.int32), union.indices, union.indptr), shape=(N, N)
-    )
-    terms = []
-    for op, r, k in zip(ops, rows, keep):
-        pos = np.full(op.nnz, nnz, dtype=np.int32)
-        pos[k] = where[r[k], op.indices[k]]
-        terms.append((op, pos))
-    indptr = union.indptr.astype(np.int32)
-    indices = union.indices.astype(np.int32)
-    for arr in (indptr, indices):
-        arr.flags.writeable = False  # shared by every matrix built on it
-    out = _OperatorPattern(indptr, indices, tuple(terms), where[nodes, nodes])
-    domain._frame_cache[key] = out
-    return out
+    """The union pattern of ``_operator_matrix``, built by ``frame_operators``
+    and cached with the frame operators."""
+    frame_operators(chart, domain)
+    return _frame_data(chart, domain)[2]
 
 
 def _operator_matrix(chart, domain, c2, drift, zeroth):

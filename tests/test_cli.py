@@ -489,6 +489,30 @@ def test_sweep_reports_convergence_order(tmp_path):
     assert "jobs" not in summary
 
 
+@pytest.mark.parametrize("command, nr, nphi", [("solve", 32, 128), ("sweep", 16, 64)])
+def test_every_level_reports_the_time_spent_building_its_grid(tmp_path, monkeypatch,
+                                                              command, nr, nphi):
+    built = {}  # level grid -> names of the operators built on it
+    real = GridDomain.cached
+
+    def cached(self, key, build):
+        if key not in self._frame_cache and self.kind == "ball":
+            built.setdefault(self, set()).add(key if isinstance(key, str) else key[0])
+        return real(self, key, build)
+
+    monkeypatch.setattr(GridDomain, "cached", cached)
+    cfg = write_cfg(tmp_path, domain={"kind": "ball", "nr": nr, "nphi": nphi},
+                    sweep={"levels": 2})
+    assert main([command, "--config", str(cfg)]) == 0
+    levels = read_summary(tmp_path)["per_level"]
+    assert [m["domain"] for m in levels] == ["ball[17, 64]", "ball[33, 128]"]
+    grids = [dom for dom in built if dom.shape in ((17, 64), (33, 128))]
+    assert len(grids) == 2
+    for meta, dom in zip(levels, sorted(grids, key=lambda d: d.num_nodes)):
+        assert built[dom] >= {"derivative_ops", "frame", "dissection_order"}
+        assert meta["grid_s"] == dom.build_s > 0.0
+
+
 def test_sweep_level_falls_back_to_the_continuation(tmp_path, monkeypatch):
     # a concave start is not admissible, so level 1 must be solved by the
     # full continuation, exactly as a plain solve on that grid would

@@ -238,20 +238,6 @@ def test_singular_system_is_reported():
         op.solve(np.ones(dom.num_nodes))
 
 
-def test_export_triplets_is_deterministic(tmp_path):
-    chart = HyperbolicChart(n=2, offset=D)
-    dom = ball(4, 16)
-    f = safe_field(dom)
-    p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
-    build_DK(chart, dom, f).export_triplets(p1)
-    build_DK(chart, dom, f).export_triplets(p2)
-    t1 = p1.read_text()
-    assert t1 == p2.read_text()
-    row0 = t1.splitlines()[0].split("\t")
-    assert len(row0) == 3
-    int(row0[0]), int(row0[1]), float(row0[2])
-
-
 # ---- held factorization ----------------------------------------------------------
 
 
