@@ -46,10 +46,8 @@ from .shape_oracle import ShapeData, curvature_oracle
 from .linearize import (
     EllipticOperator,
     HeldLU,
-    build_B,
     build_DK,
     build_JK,
-    build_L,
     measured_normal_curvature,
     stability_check,
 )

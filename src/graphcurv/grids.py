@@ -56,10 +56,12 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class DerivOps:
-    """Coordinate-partial operators: d1[a] and d2[(a, b)] with a <= b."""
+    """Coordinate-partial operators: d1[a] and d2[(a, b)] with a <= b, and
+    ``stencils``, the ``derivative_stencils`` they are read from."""
 
     d1: tuple
     d2: dict
+    stencils: tuple  # (Stencils, d1, d2) as slot weights; not to be modified
 
 
 @dataclass(eq=False)
@@ -233,8 +235,9 @@ class GridDomain:
 
     def derivative_ops(self):
         def build():
-            st, d1, d2 = derivative_stencils(self)
-            return DerivOps(tuple(map(st.csr, d1)), {ab: st.csr(op) for ab, op in d2.items()})
+            st, d1, d2 = stencils = derivative_stencils(self)
+            return DerivOps(tuple(map(st.csr, d1)), {ab: st.csr(op) for ab, op in d2.items()},
+                            stencils)
 
         return self.cached("derivative_ops", build)
 
@@ -390,41 +393,23 @@ class Stencils:
             out[:, 0] = pole[slots]
         return dict(zip(slots, out))
 
-    def column_order(self, slots):
-        """(F, k) argsort of the columns of ``slots`` at the F nodes ``fix``."""
-        return np.argsort(self.cols[np.ix_(slots, self.fix)].T, axis=1, kind="stable")
-
     def entries(self, slots, *tables):
         """(N, k) arrays of the ``slots`` of each table (an operator, or an
         (S, N) array), every node's slots in ascending column order."""
-        order = self.column_order(slots)
+        order = np.argsort(self.cols[np.ix_(slots, self.fix)].T, axis=1, kind="stable")
         out = [np.stack([t[s] for s in slots], axis=1) for t in tables]
         for arr in out:
             arr[self.fix] = np.take_along_axis(arr[self.fix], order, 1)
         return out
 
-    @staticmethod
-    def matrix(weights, cols):
-        """The CSR matrix of the nonzero ``weights`` (from ``entries``, and
-        compacted in place)."""
+    def csr(self, op):
+        """The CSR matrix of ``op``: its nonzero weights."""
+        weights, cols = self.entries(sorted(op), op, self.cols)
         num, k = weights.shape
         indptr = np.arange(0, num * k + 1, k, dtype=np.int32)
         out = sp.csr_matrix((weights.ravel(), cols.ravel(), indptr), shape=(num, num))
         out.eliminate_zeros()
         return out
-
-    def csr(self, op):
-        """The CSR matrix of ``op``: its nonzero weights."""
-        return self.matrix(*self.entries(sorted(op), op, self.cols))
-
-
-def _1d_stencil(m, weights, periodic):
-    """m x m CSR matrix applying ``weights`` ({offset: weight}) along one axis.
-
-    Periodic axes wrap every row around; otherwise rows 0 and m-1 stay zero.
-    """
-    st = Stencils((m,), (periodic,))
-    return st.csr(st.op({0: _axis_weights(weights)}))
 
 
 def derivative_stencils(dom):

@@ -9,10 +9,7 @@ derivative at an admissible f in a direction v vanishing on the boundary is
         drift_k = (K/n) tr(M^(-1) d_pk Psi) - K (d_pk psi) / psi
         c0      = (K/n) tr(M^(-1) d_t  Psi) - K (d_t  psi) / psi,
 
-everything in h-orthonormal frames.  ``build_L`` exposes the determinant-side
-piece alone (the derivative of f -> det(M)^(1/n)); its second-order
-coefficient is K * B with the weight matrix B = (psi/n) M^(-1) of ``build_B``,
-while DK's is B * K/psi — one scalar-field normalization apart.
+everything in h-orthonormal frames.
 
 ``build_JK`` assembles the comparison (Jacobi) operator of the totally
 umbilic zero-height slice,
@@ -31,15 +28,16 @@ zero Dirichlet values.
 Storage: every operator of one (chart, domain) is stored on one sparsity
 pattern, the union of the interior rows of the frame operators H[(a, b)]
 (a <= b) and P[a] and the diagonal, with boundary rows holding the diagonal
-alone.  The frame operators and the pattern are built together, by index
-arithmetic on the grid's stencil slots (``grids.Stencils``): the frame
-operators' weights per slot combine the derivative operators' slot by
-slot, the pattern is the set of slots any of them uses, and the int32
-position in it of every entry of each frame operator is read off the
-slots.  Both are cached on the domain; a build then only fills the
-values, one scatter-add per frame operator.  The stored pattern, and with
-it the fill of a factorization, therefore does not depend on f; entries
-that cancel stay as zeros.
+alone.  Both are built from the grid's stencil slots (``grids.Stencils``),
+which ``GridDomain.derivative_ops`` builds once: the frame operators'
+weights per slot combine the derivative operators' slot by slot, and the
+pattern is the set of slots any of them uses, each stored entry naming the
+slot it reads.  Both are cached on the domain.  A build then only fills
+the values: it adds each frame operator's weights, times their
+coefficients, up per slot in term order and gathers the slots into the
+pattern once.  The stored pattern, and with it the fill of a
+factorization, therefore does not depend on f; entries that cancel stay
+as zeros.
 
 Factorization: a direct LU takes rows and columns in the domain's
 nested-dissection order (``GridDomain.dissection_order``) and SuperLU keeps
@@ -62,7 +60,7 @@ restart cycle applies the held factors 1 + k times (each further cycle one
 more): scipy's GMRES preconditions b twice from x0 = 0, and the second
 application reuses the first one's result.
 
-Coefficients: the DK and L coefficients, like the assembly they are built
+Coefficients: the DK coefficients, like the assembly they are built
 from, are computed one flat (N,) entry of each 2x2 (or 1x1) matrix at a
 time, with the operations of the matrix formulas in the same order, so the
 results are those of the (N, n, n) broadcast forms bit for bit.
@@ -70,28 +68,21 @@ results are those of the (N, n, n) broadcast forms bit for bit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import (
-    assemble_curvature,
-    require_admissible,
-    sym_inverse,
-    sym_inverse_parts,
-)
+from .assembly import assemble_curvature, require_admissible, sym_inverse_parts
 from .errors import SingularLinearSystem, SingularShapeOperator
-from .grids import derivative_stencils
 from .riemann import normal_curvature_endomorphism
 
 __all__ = [
     "EllipticOperator",
     "HeldLU",
     "frame_operators",
-    "build_B",
-    "build_L",
     "build_DK",
     "build_JK",
     "measured_normal_curvature",
@@ -104,26 +95,56 @@ def frame_operators(chart, domain):
 
     Returns (P, H) with P[a] and H[(a, b)] (a <= b) CSR matrices of shape
     (N, N); interior rows reproduce ``assembly.frame_quantities`` exactly.
-    Cached on the domain per chart, together with the DK pattern.
+    Built on the first call from the slot tables cached on the domain.
     """
-    P, H, _ = _frame_data(chart, domain)
-    return P, H
+    return _operator_pattern(chart, domain).frame_operators
 
 
-def _frame_data(chart, domain):
-    """(P, H, pattern) of ``chart`` on ``domain``, built together and cached.
+@dataclass(frozen=True)
+class _OperatorPattern:
+    """Union sparsity pattern of the operators ``_operator_matrix`` sums.
+
+    ``indptr``/``indices`` hold, on interior rows, every entry of the frame
+    operators and the diagonal; boundary rows hold the diagonal alone.
+    ``tables`` are the frame operators as ``Stencils`` operators, in the
+    term order H[(a, b)], then P[a]; ``source`` is slot * N + row of the
+    slot every stored entry reads.
+    """
+
+    derivs: object  # the domain's DerivOps
+    tables: tuple
+    indptr: np.ndarray
+    indices: np.ndarray
+    source: np.ndarray
+    diagonal: np.ndarray  # position of (i, i) for every row i
+
+    @functools.cached_property
+    def frame_operators(self):
+        """(P, H) as CSR; a table that is a derivative operator's is its CSR."""
+        st, d1, d2 = self.derivs.stencils
+        mats = [
+            csr if table is derivative else st.csr(table)
+            for table, derivative, csr in zip(
+                self.tables, [*d2.values(), *d1], [*self.derivs.d2.values(), *self.derivs.d1]
+            )
+        ]
+        return tuple(mats[len(d2):]), dict(zip(d2, mats))
+
+
+def _operator_pattern(chart, domain):
+    """The frame operators' slot tables and their union pattern, cached.
 
     Off polar grids the frame operators are the derivative operators.  On
     polar ones P[1], H[(0, 1)] and H[(1, 1)] combine the derivative
-    operators slot by slot (``grids.Stencils``), with the operations of the
-    sparse products and sums of ``diag(1/w) @ D``; a slot whose value is
-    zero holds no entry, as the sparse products and sums drop exact zeros.
+    operators slot by slot, with the operations of the sparse products and
+    sums of ``diag(1/w) @ D``; a slot whose value is zero holds no entry, as
+    the sparse products and sums drop exact zeros.
     """
 
     def build():
-        st, d1, d2 = derivative_stencils(domain)
-        ops = domain.derivative_ops()
-        P, H = list(ops.d1), dict(ops.d2)
+        derivs = domain.derivative_ops()
+        st, d1, d2 = derivs.stencils
+        d1, d2 = list(d1), dict(d2)  # the cached tables stay as they are
         if domain.layout == "polar":
             s = domain.coords[:, 0]
             w, wp = chart.base_warp(s)
@@ -134,17 +155,8 @@ def _frame_data(chart, domain):
             d2[(0, 1)] = _combine(lambda a, b: inv * (a - ratio * b), d2[(0, 1)], d1[1])
             d2[(1, 1)] = _combine(lambda a, b: inv2 * a + ratio * b, d2[(1, 1)], d1[0])
             d1[1] = _combine(lambda a: inv * a, d1[1])
-            P[1] = H[(0, 1)] = H[(1, 1)] = None  # built from their weights below
-        tables = list(d2.values()) + d1  # the term order of _operator_matrix
-        indptr, indices, where, diagonal = _union(st, domain, tables)
-        terms = []
-        for table, op in zip(tables, list(H.values()) + P):
-            weights, pos, cols = st.entries(sorted(table), table, where, st.cols)
-            pos = pos[weights != 0]  # before matrix() compacts the weights
-            terms.append((st.matrix(weights, cols) if op is None else op, pos))
-        ops = [op for op, _ in terms]
-        H, P = dict(zip(d2, ops)), tuple(ops[len(d2):])
-        return P, H, _OperatorPattern(indptr, indices, tuple(terms), diagonal)
+        tables = (*d2.values(), *d1)
+        return _OperatorPattern(derivs, tables, *_union(st, domain, tables))
 
     return domain.cached(("frame", chart.chart_id()), build)
 
@@ -157,37 +169,26 @@ def _combine(fn, *ops):
 
 
 def _union(st, domain, tables):
-    """(indptr, indices, where, diagonal) of the union pattern of the
+    """(indptr, indices, source, diagonal) of the union pattern of the
     ``Stencils`` operators ``tables``: per row, the slots where any of them
     has an entry (interior rows) and the node itself, in column order.
-    ``where[s, r]`` is the position of slot s of row r (the number of
-    entries on boundary rows, whose entries are dropped), ``diagonal[r]``
-    that of (r, r)."""
+    ``source`` is slot * N + row of every stored entry, ``diagonal[r]`` the
+    position of (r, r)."""
     S, N = st.cols.shape
-    inner = domain.interior
     union = np.zeros((S, N), dtype=bool)
     for table in tables:
         for s, w in table.items():
             union[s] |= w != 0
-    union &= inner
+    union &= domain.interior
     union[S // 2] = True
-    present, cols = st.entries(range(S), union, st.cols)  # (N, S), in column order
-    indices = cols[present]
-    where = np.empty((S, N), dtype=np.int32)
-    at = np.zeros(N, dtype=np.int32)
-    for s in range(S):  # in column order
-        where[s] = at
-        at += present[:, s]
+    flat = np.arange(S * N, dtype=np.int32).reshape(S, N)  # int32, as indptr
+    present, cols, source = st.entries(range(S), union, st.cols, flat)  # (N, S)
     indptr = np.zeros(N + 1, dtype=np.int32)
-    np.cumsum(at, out=indptr[1:])
-    where += indptr[:-1]
-    slot_order = np.argsort(st.column_order(range(S)), axis=1)  # back to slot order
-    where[:, st.fix] = np.take_along_axis(where[:, st.fix].T, slot_order, 1).T
-    diagonal = where[S // 2].copy()
-    where[:, ~inner] = indptr[-1]
+    np.cumsum(present.sum(axis=1, dtype=np.int32), out=indptr[1:])
+    indices, source = cols[present], source[present]
     for arr in (indptr, indices):
         arr.flags.writeable = False  # shared by every matrix built on it
-    return indptr, indices, where, diagonal
+    return indptr, indices, source, np.flatnonzero(source // N == S // 2)
 
 
 @dataclass
@@ -354,33 +355,6 @@ class HeldLU:
         return w
 
 
-@dataclass(frozen=True)
-class _OperatorPattern:
-    """Union sparsity pattern of the operators ``_operator_matrix`` sums.
-
-    ``indptr``/``indices`` hold, on interior rows, every entry of the frame
-    operators and the diagonal; boundary rows hold the diagonal alone.
-    ``terms`` lists the frame operators with, per stored entry, its position
-    in the pattern (``nnz`` for entries on boundary rows, which are dropped).
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    terms: tuple  # ((frame operator, int32 positions), ...)
-    diagonal: np.ndarray  # position of (i, i) for every row i
-
-    @property
-    def nnz(self):
-        return len(self.indices)
-
-
-def _operator_pattern(chart, domain):
-    """The union pattern of ``_operator_matrix``, built by ``frame_operators``
-    and cached with the frame operators."""
-    frame_operators(chart, domain)
-    return _frame_data(chart, domain)[2]
-
-
 def _operator_matrix(chart, domain, c2, drift, zeroth):
     """Contract per-node coefficients with frame operators; identity boundary.
 
@@ -394,10 +368,11 @@ def _operator_matrix(chart, domain, c2, drift, zeroth):
         c2[:, a, a] if a == b else c2[:, a, b] + c2[:, b, a]
         for a in range(n) for b in range(a, n)
     ] + [drift[:, a] for a in range(n)]
-    data = np.zeros(pat.nnz + 1)  # the last slot collects boundary rows
-    for (op, pos), coef in zip(pat.terms, coefs):
-        np.add.at(data, pos, np.repeat(coef, np.diff(op.indptr)) * op.data)
-    data = data[:-1]
+    acc = np.zeros(pat.derivs.stencils[0].cols.shape)  # (slots, nodes)
+    for table, coef in zip(pat.tables, coefs):
+        for s, w in table.items():
+            acc[s] += coef * w
+    data = acc.ravel()[pat.source]
     data[pat.diagonal] += zeroth
     data[pat.diagonal[domain.boundary]] = 1.0
     N = domain.num_nodes
@@ -427,18 +402,8 @@ def _warp_derivative_fields(chart, f, p, psi, n):
     return sig_t, tau_t, tau, dtpsi, dppsi
 
 
-def build_B(assembly):
-    """Per-node weight matrices B = (psi/n) M^(-1); boundary rows zero."""
-    require_admissible(assembly, "weight matrix")
-    n = assembly.M.shape[-1]
-    idx = np.flatnonzero(assembly.domain.interior)
-    out = np.zeros_like(assembly.M)
-    out[idx] = (assembly.psi[idx] / n)[:, None, None] * sym_inverse(assembly.M[idx])
-    return out
-
-
-def _derivative_coefficients(chart, domain, assembly, det_side_only):
-    """(c2, drift, zeroth) of DK (or of L when ``det_side_only``).
+def _derivative_coefficients(chart, domain, assembly):
+    """(c2, drift, zeroth) of DK.
 
     Every entry is a flat (N,) expression over the interior nodes, with the
     operations, and their order, of the (N, n, n) matrix formulas.  The
@@ -454,30 +419,25 @@ def _derivative_coefficients(chart, domain, assembly, det_side_only):
     sig_t, tau_t, tau, dtpsi, dppsi = _warp_derivative_fields(
         chart, assembly.f[idx], p, psi, n
     )
-    scale = K * psi if det_side_only else K  # det-side derivative vs full K
 
     def minv(a, b):
         return Minv[(min(a, b), max(a, b))]
 
     Minv_p = [sum(minv(a, b) * p[b] for b in range(n)) for a in range(n)]
-    scale_n = scale / n
-    drift_scale = 2.0 * scale * tau / n
+    K_n = K / n
+    drift_scale = 2.0 * K * tau / n
     tr_Minv = sum(minv(a, a) for a in range(n))
-    c0_i = scale_n * (sig_t * tr_Minv + tau_t * sum(pa * mp for pa, mp in zip(p, Minv_p)))
-    if not det_side_only:
-        c0_i = c0_i - K * dtpsi / psi
-        k_psi = K / psi
+    c0_i = K_n * (sig_t * tr_Minv + tau_t * sum(pa * mp for pa, mp in zip(p, Minv_p)))
+    c0_i = c0_i - K * dtpsi / psi
+    k_psi = K / psi
     N = domain.num_nodes
     c2 = np.zeros((N, n, n))
     drift = np.zeros((N, n))
     zeroth = np.zeros(N)
     for (a, b), m_ab in Minv.items():
-        c2[idx, a, b] = c2[idx, b, a] = scale_n * m_ab
+        c2[idx, a, b] = c2[idx, b, a] = K_n * m_ab
     for a in range(n):
-        drift_a = drift_scale * Minv_p[a]
-        if not det_side_only:
-            drift_a = drift_a - k_psi * dppsi[a]
-        drift[idx, a] = drift_a
+        drift[idx, a] = drift_scale * Minv_p[a] - k_psi * dppsi[a]
     zeroth[idx] = c0_i
     return c2, drift, zeroth
 
@@ -487,19 +447,9 @@ def build_DK(chart, domain, f, assembly=None):
     if assembly is None:
         assembly = assemble_curvature(chart, domain, f)
     require_admissible(assembly, "linearization point")
-    c2, drift, zeroth = _derivative_coefficients(chart, domain, assembly, False)
+    c2, drift, zeroth = _derivative_coefficients(chart, domain, assembly)
     matrix = _operator_matrix(chart, domain, c2, drift, zeroth)
     return EllipticOperator(domain, matrix, c2, drift, zeroth, kind="DK")
-
-
-def build_L(chart, domain, f, assembly=None):
-    """Determinant-side derivative f -> det(M)^(1/n) (diagnostic companion)."""
-    if assembly is None:
-        assembly = assemble_curvature(chart, domain, f)
-    require_admissible(assembly, "linearization point")
-    c2, drift, zeroth = _derivative_coefficients(chart, domain, assembly, True)
-    matrix = _operator_matrix(chart, domain, c2, drift, zeroth)
-    return EllipticOperator(domain, matrix, c2, drift, zeroth, kind="L")
 
 
 def measured_normal_curvature(chart, domain):

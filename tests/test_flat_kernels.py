@@ -1,10 +1,9 @@
 """Flat per-component kernels against the (N, n, n) matrix formulas they replace.
 
-The assembly and the DK/L coefficients are computed one flat (N,) entry at a
+The assembly and the DK coefficients are computed one flat (N,) entry at a
 time.  The reference copies below are the broadcast formulas those kernels
 replaced; every output must match them byte for byte (signed zeros
-included), as must the union pattern of the DK matrix against its
-sort-based construction and the Krylov path against plain scipy GMRES.
+included), as must the Krylov path against plain scipy GMRES.
 """
 
 import numpy as np
@@ -23,10 +22,7 @@ from graphcurv.linearize import (
     HeldLU,
     _derivative_coefficients,
     _operator_matrix,
-    _operator_pattern,
     build_DK,
-    build_L,
-    frame_operators,
 )
 
 # ---- reference copies of the broadcast formulas -----------------------------
@@ -100,7 +96,7 @@ def ref_assembly(chart, domain, f):
     }
 
 
-def ref_derivative_coefficients(chart, domain, assembly, det_side_only):
+def ref_derivative_coefficients(chart, domain, assembly):
     n = domain.n
     idx = np.flatnonzero(domain.interior)
     K = assembly.K[idx]
@@ -118,15 +114,13 @@ def ref_derivative_coefficients(chart, domain, assembly, det_side_only):
     denom = rho * rho + q
     dtpsi = psi * ((n - 2.0) * rho_t / (n * rho) + (n + 2.0) * rho * rho_t / (n * denom))
     dppsi = psi[..., None] * (n + 2.0) * p / (n * denom[..., None])
-    scale = K * psi if det_side_only else K
     Minv_p = np.einsum("xab,xb->xa", Minv, p)
-    c2_i = (scale / n)[:, None, None] * Minv
-    drift_i = (2.0 * scale * tau / n)[:, None] * Minv_p
+    c2_i = (K / n)[:, None, None] * Minv
+    drift_i = (2.0 * K * tau / n)[:, None] * Minv_p
     tr_Minv = np.trace(Minv, axis1=1, axis2=2)
-    c0_i = (scale / n) * (sig_t * tr_Minv + tau_t * np.sum(p * Minv_p, axis=-1))
-    if not det_side_only:
-        drift_i = drift_i - (K / psi)[:, None] * dppsi
-        c0_i = c0_i - K * dtpsi / psi
+    c0_i = (K / n) * (sig_t * tr_Minv + tau_t * np.sum(p * Minv_p, axis=-1))
+    drift_i = drift_i - (K / psi)[:, None] * dppsi
+    c0_i = c0_i - K * dtpsi / psi
     N = domain.num_nodes
     c2 = np.zeros((N, n, n))
     drift = np.zeros((N, n))
@@ -135,30 +129,6 @@ def ref_derivative_coefficients(chart, domain, assembly, det_side_only):
     drift[idx] = drift_i
     zeroth[idx] = c0_i
     return c2, drift, zeroth
-
-
-def ref_operator_pattern(chart, domain):
-    """(indptr, indices, term positions, diagonal) by sorting entry keys."""
-    P, H = frame_operators(chart, domain)
-    n = domain.n
-    N = domain.num_nodes
-    ops = [H[(a, b)] for a in range(n) for b in range(a, n)] + list(P)
-    inner = domain.interior
-    rows, keys = [], []
-    for op in ops:
-        op.sum_duplicates()
-        rows.append(np.repeat(np.arange(N, dtype=np.int64), np.diff(op.indptr)))
-        keys.append(rows[-1] * N + op.indices)
-    diag = np.arange(N, dtype=np.int64) * (N + 1)
-    union = np.sort(np.concatenate([k[inner[r]] for r, k in zip(rows, keys)] + [diag]))
-    union = union[np.diff(union, prepend=-1) != 0]
-    indptr = np.searchsorted(union, np.arange(N + 1, dtype=np.int64) * N).astype(np.int32)
-    indices = (union % N).astype(np.int32)
-    positions = [
-        np.where(inner[r], np.searchsorted(union, k), len(union)).astype(np.int32)
-        for r, k in zip(rows, keys)
-    ]
-    return indptr, indices, positions, np.searchsorted(union, diag)
 
 
 # ---- cases --------------------------------------------------------------------
@@ -220,14 +190,13 @@ def test_flat_kernels_match_the_matrix_formulas_bitwise(domain_kind, chart_kind)
             # flat in y, so only the hyperbolic chart's Psi makes M definite
             assert any(dom.periodic) and chart_kind != "hyperbolic"
             continue
-        for build, det_side in ((build_DK, False), (build_L, True)):
-            op = build(chart, dom, f, assembly=asm)
-            coefs = ref_derivative_coefficients(chart, dom, asm, det_side)
-            for got, want in zip((op.second_order, op.drift, op.zeroth), coefs):
-                assert bitwise_equal(got, want)
-            want = _operator_matrix(chart, dom, *coefs)
-            for part in ("data", "indices", "indptr"):
-                assert bitwise_equal(getattr(op.matrix, part), getattr(want, part))
+        op = build_DK(chart, dom, f, assembly=asm)
+        coefs = ref_derivative_coefficients(chart, dom, asm)
+        for got, want in zip((op.second_order, op.drift, op.zeroth), coefs):
+            assert bitwise_equal(got, want)
+        want = _operator_matrix(chart, dom, *coefs)
+        for part in ("data", "indices", "indptr"):
+            assert bitwise_equal(getattr(op.matrix, part), getattr(want, part))
 
 
 def test_flat_coefficients_keep_the_signed_zeros_of_the_reductions():
@@ -237,25 +206,10 @@ def test_flat_coefficients_keep_the_signed_zeros_of_the_reductions():
     chart = CHARTS["hyperbolic"](2)
     asm = assemble_curvature(chart, dom, fields(dom)[1])
     asm.grad[::3] = -0.0
-    for det_side in (False, True):
-        got = _derivative_coefficients(chart, dom, asm, det_side)
-        want = ref_derivative_coefficients(chart, dom, asm, det_side)
-        for g, w in zip(got, want):
-            assert bitwise_equal(g, w)
-
-
-@pytest.mark.parametrize("domain_kind", sorted(DOMAINS))
-def test_operator_pattern_matches_the_sorted_key_construction(domain_kind):
-    dom = DOMAINS[domain_kind]()
-    chart = HyperbolicChart(n=dom.n, offset=0.5)
-    indptr, indices, positions, diagonal = ref_operator_pattern(chart, dom)
-    pat = _operator_pattern(chart, dom)
-    assert bitwise_equal(pat.indptr, indptr)
-    assert bitwise_equal(pat.indices, indices)
-    assert len(pat.terms) == len(positions)
-    for (_, got), want in zip(pat.terms, positions):
-        assert bitwise_equal(got, want)
-    assert np.array_equal(pat.diagonal, diagonal)
+    got = _derivative_coefficients(chart, dom, asm)
+    want = ref_derivative_coefficients(chart, dom, asm)
+    for g, w in zip(got, want):
+        assert bitwise_equal(g, w)
 
 
 # ---- the Krylov path -------------------------------------------------------------

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from graphcurv.errors import DomainMismatch, OutOfRange
 from graphcurv.grids import (
     GridDomain,
-    _1d_stencil,
-    _central,
     coarsen_domain,
     export_csv,
     load_grid,
@@ -100,23 +98,6 @@ def test_interval_ops_exact_on_quadratics():
     # boundary rows are left empty
     assert d1[0] == d1[-1] == 0.0
     assert d2[0] == d2[-1] == 0.0
-
-
-@pytest.mark.parametrize("periodic", [False, True])
-@pytest.mark.parametrize("m", [5, 8])
-def test_1d_stencils_match_dense_central_differences(m, periodic):
-    h = 0.3
-    rows = range(m) if periodic else range(1, m - 1)
-    first, second = np.zeros((m, m)), np.zeros((m, m))
-    for i in rows:
-        first[i, (i + 1) % m] += 0.5 / h
-        first[i, (i - 1) % m] -= 0.5 / h
-        second[i, [(i - 1) % m, i, (i + 1) % m]] += np.array([1.0, -2.0, 1.0]) / h**2
-    got = [_1d_stencil(m, w, periodic) for w in _central(h)]
-    for mat, dense in zip(got, (first, second)):
-        assert mat.format == "csr" and mat.has_canonical_format
-        assert mat.nnz == np.count_nonzero(dense)
-        assert np.allclose(mat.toarray(), dense, rtol=1e-15, atol=0.0)
 
 
 def test_box_ops_exact_on_quadratics():

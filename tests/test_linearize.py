@@ -17,10 +17,8 @@ from graphcurv.linearize import (
     EllipticOperator,
     HeldLU,
     _PermutedLU,
-    build_B,
     build_DK,
     build_JK,
-    build_L,
     frame_operators,
     measured_normal_curvature,
     stability_check,
@@ -46,40 +44,9 @@ def smooth_direction(dom):
 # ---- coefficient identities ---------------------------------------------------
 
 
-def test_weight_matrix_inverts_frame_matrix():
-    chart = HyperbolicChart(n=2, offset=D)
-    dom = ball()
-    asm = assemble_curvature(chart, dom, safe_field(dom))
-    B = build_B(asm)
-    idx = np.flatnonzero(dom.interior)
-    prod = np.einsum("xab,xbc->xac", B[idx], asm.M[idx])
-    want = (asm.psi[idx] / dom.n)[:, None, None] * np.eye(dom.n)
-    assert np.max(np.abs(prod - want)) < 1e-14
-    assert np.all(B[dom.boundary] == 0.0)
-
-
-def test_second_order_coefficients_share_one_normalization():
-    chart = HyperbolicChart(n=2, offset=D)
-    dom = ball()
-    f = safe_field(dom)
-    asm = assemble_curvature(chart, dom, f)
-    B = build_B(asm)
-    dk = build_DK(chart, dom, f, assembly=asm)
-    L = build_L(chart, dom, f, assembly=asm)
-    idx = np.flatnonzero(dom.interior)
-    scale_dk = (asm.K / asm.psi)[idx, None, None]
-    scale_l = asm.K[idx, None, None]
-    assert np.max(np.abs(dk.second_order[idx] - scale_dk * B[idx])) < 1e-14
-    assert np.max(np.abs(L.second_order[idx] - scale_l * B[idx])) < 1e-14
-    assert dk.kind == "DK" and L.kind == "L"
-
-
 def test_weight_matrix_requires_admissible_point():
     chart = EuclideanChart(n=2)
     dom = ball(4, 16)
-    asm = assemble_curvature(chart, dom, np.zeros(dom.num_nodes))
-    with pytest.raises(NonAdmissible):
-        build_B(asm)
     with pytest.raises(NonAdmissible):
         build_DK(chart, dom, np.zeros(dom.num_nodes))
 

@@ -2,22 +2,31 @@
 
 The derivative operators, frame operators, DK union pattern and
 nested-dissection order of a grid are built by index arithmetic on stencil
-slots.  The reference copies below are the constructions they replaced:
-COO -> CSR conversions, Kronecker products, ``sp.diags(x) @ A`` products and
-a recursive dissection.  Every output must match them exactly: the CSR
+slots, and a DK is filled by adding coefficients times slot weights up per
+slot.  The reference copies below are the constructions they replaced:
+COO -> CSR conversions, Kronecker products, ``sp.diags(x) @ A`` products, a
+pattern of sorted entry keys filled by one scatter-add per frame operator,
+and a recursive dissection.  Every output must match them exactly: the CSR
 arrays of the derivative operators, each frame operator's entries (which
 entries exist included, as the sparse products drop exact zeros), the
-union pattern with its term positions and diagonal, and the order.
+union pattern with its diagonal, the matrices built on it, and the order.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from graphcurv.assembly import assemble_curvature
 from graphcurv.charts import EpsilonChart, EuclideanChart, HyperbolicChart
 from graphcurv import grids
 from graphcurv.grids import GridDomain, _boundary_rle
-from graphcurv.linearize import _operator_pattern, frame_operators
+from graphcurv.linearize import (
+    _operator_matrix,
+    _operator_pattern,
+    build_DK,
+    build_JK,
+    frame_operators,
+)
 
 # ---- reference copies of the sparse-algebra constructions ---------------------
 
@@ -177,7 +186,8 @@ def ref_frame_operators(chart, dom):
 
 
 def ref_operator_pattern(chart, dom):
-    """(indptr, indices, term positions, diagonal) by sorting entry keys."""
+    """(frame operators, indptr, indices, term positions, diagonal) by
+    sorting entry keys; the operators in term order, H[(a, b)] then P[a]."""
     P, H = ref_frame_operators(chart, dom)
     n = dom.n
     N = dom.num_nodes
@@ -197,7 +207,26 @@ def ref_operator_pattern(chart, dom):
         np.where(inner[r], np.searchsorted(union, k), len(union)).astype(np.int32)
         for r, k in zip(rows, keys)
     ]
-    return indptr, indices, positions, np.searchsorted(union, diag)
+    return ops, indptr, indices, positions, np.searchsorted(union, diag)
+
+
+def ref_operator_matrix(dom, pattern, c2, drift, zeroth):
+    """The DK-shaped matrix of these coefficients, one scatter-add of each
+    frame operator's entries into their positions in ``pattern``."""
+    ops, indptr, indices, positions, diagonal = pattern
+    n = dom.n
+    coefs = [
+        c2[:, a, a] if a == b else c2[:, a, b] + c2[:, b, a]
+        for a in range(n) for b in range(a, n)
+    ] + [drift[:, a] for a in range(n)]
+    data = np.zeros(len(indices) + 1)  # the last slot collects boundary rows
+    for op, pos, coef in zip(ops, positions, coefs):
+        np.add.at(data, pos, np.repeat(coef, np.diff(op.indptr)) * op.data)
+    data = data[:-1]
+    data[diagonal] += zeroth
+    data[diagonal[dom.boundary]] = 1.0
+    N = dom.num_nodes
+    return sp.csr_matrix((data, indices, indptr), shape=(N, N))
 
 
 def ref_dissect(block, out):
@@ -275,6 +304,47 @@ CHARTS = {
 }
 
 
+def fields(dom):
+    """A symmetric convex bowl and a wiggled one.  On the cartesian grids
+    with a periodic axis the bowl is in x alone and the wiggle has period 2
+    in y; on the torus (period 1 in x) the bowl is flat."""
+    c = dom.coords
+    if dom.layout == "polar":
+        x, y = c[:, 0] * np.cos(c[:, 1]), c[:, 0] * np.sin(c[:, 1])
+    elif dom.layout == "cartesian":
+        x, y = c[:, 0], c[:, 1]
+    else:
+        x, y = c[:, 0], np.zeros(dom.num_nodes)
+    if dom.periodic == (True, True):
+        return [0.0 * x, 0.005 * np.sin(2 * np.pi * x) * np.cos(np.pi * y)]
+    if dom.layout == "cartesian" and any(dom.periodic):
+        bowl = 0.3 * (x**2 - 2.0)
+        return [bowl, bowl + 0.02 * np.sin(2 * x) * np.cos(np.pi * y)]
+    bowl = 0.3 * (x**2 + y**2 - 2.0)
+    return [bowl, bowl + 0.02 * np.sin(2 * x + 0.3) * np.cos(3 * y + 0.2)]
+
+
+def built_operators(chart, dom):
+    """DK of each field, and with a gradient of signed zeros, where it is
+    admissible, and JK on the hyperbolic chart."""
+    ops = []
+    for f in fields(dom):
+        for signed_zeros in (False, True):
+            asm = assemble_curvature(chart, dom, f)
+            if signed_zeros:
+                asm.grad[::3] = -0.0
+            if asm.admissible:
+                ops.append(build_DK(chart, dom, f, assembly=asm))
+            else:
+                # not convex along a periodic axis, so only the hyperbolic
+                # chart's Psi makes M definite
+                assert dom.layout == "cartesian" and any(dom.periodic)
+                assert not isinstance(chart, HyperbolicChart)
+    if isinstance(chart, HyperbolicChart):
+        ops.append(build_JK(chart.base_hypersurface(), dom))
+    return ops
+
+
 def bitwise_equal(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -316,18 +386,26 @@ def test_frame_operators_and_pattern_match_the_sparse_algebra(domain_kind, chart
     assert sorted(H) == sorted(refH)
     for got, want in list(zip(P, refP)) + [(H[k], refH[k]) for k in refH]:
         assert same_entries(got, want)
-    indptr, indices, positions, diagonal = ref_operator_pattern(chart, dom)
+    ref = ref_operator_pattern(chart, dom)
     pat = _operator_pattern(chart, dom)
-    assert bitwise_equal(pat.indptr, indptr)
-    assert bitwise_equal(pat.indices, indices)
-    assert np.array_equal(pat.diagonal, diagonal)
-    # term positions follow each frame operator's own entry order
-    ops = [H[(a, b)] for a in range(dom.n) for b in range(a, dom.n)] + list(P)
-    assert [op for op, _ in pat.terms] == ops
-    ref_ops = [refH[(a, b)] for a in range(dom.n) for b in range(a, dom.n)] + list(refP)
-    for (op, got), ref, want in zip(pat.terms, ref_ops, positions):
-        assert bitwise_equal(op.indices, ref.sorted_indices().indices)
-        assert bitwise_equal(got, want)
+    assert bitwise_equal(pat.indptr, ref[1])
+    assert bitwise_equal(pat.indices, ref[2])
+    assert np.array_equal(pat.diagonal, ref[4])
+    # every matrix built on the pattern is the scatter-add fill, byte for
+    # byte; random coefficients with signed zeros also cover the cases no
+    # field is admissible on
+    rng = np.random.default_rng(7)
+    N, n = dom.num_nodes, dom.n
+    coefs = [rng.standard_normal(shape) for shape in ((N, n, n), (N, n), (N,))]
+    for arr in coefs:
+        arr[::5] = -0.0
+    cases = [(_operator_matrix(chart, dom, *coefs), coefs)] + [
+        (op.matrix, (op.second_order, op.drift, op.zeroth)) for op in built_operators(chart, dom)
+    ]
+    for got, coefficients in cases:
+        want = ref_operator_matrix(dom, ref, *coefficients)
+        for part in ("data", "indices", "indptr"):
+            assert bitwise_equal(getattr(got, part), getattr(want, part)), part
 
 
 @pytest.mark.parametrize("domain", [
@@ -366,3 +444,31 @@ def test_build_time_adds_up_once_per_build(monkeypatch):
     assert dom.build_s == 3  # cache hits cost nothing
     dom.dissection_order()  # ticks 5 and 6
     assert dom.build_s == 4
+
+
+def test_one_stencil_build_per_grid_serves_every_operator(monkeypatch):
+    built = []
+    real = grids.derivative_stencils
+    monkeypatch.setattr(grids, "derivative_stencils", lambda dom: built.append(dom) or real(dom))
+    chart = HyperbolicChart(n=2, offset=0.5)
+    dom = GridDomain.ball(1.0, 8, 32)
+    build_DK(chart, dom, fields(dom)[1])
+    assert built == [dom]
+
+    def snapshot(ops):
+        _, d1, d2 = ops.stencils
+        tables = list(d1) + [d2[k] for k in sorted(d2)]
+        arrays = [w for t in tables for w in t.values()]
+        for op in list(ops.d1) + [ops.d2[k] for k in sorted(ops.d2)]:
+            arrays += [op.data, op.indices, op.indptr]
+        return [sorted(t) for t in tables], [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+    # the frame tables combine the cached weights without writing to them
+    dom = GridDomain.ball(1.0, 8, 32)
+    ops = dom.derivative_ops()
+    before = snapshot(ops)
+    build_DK(chart, dom, fields(dom)[1])
+    P, H = frame_operators(chart, dom)
+    assert len(built) == 2 and dom.derivative_ops() is ops
+    assert snapshot(ops) == before
+    assert P[0] is ops.d1[0] and H[(0, 0)] is ops.d2[(0, 0)]
