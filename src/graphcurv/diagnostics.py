@@ -71,19 +71,21 @@ class BarrierPair:
         return self.lower, self.upper
 
 
-def _radial_curvature(chart, svals, f, h1, n):
-    """Curvature, margin pieces of a rotationally symmetric graph (1-D grid).
+def _radial_curvature(chart, ratio, f, h1, n):
+    """Curvature, margin pieces of rotationally symmetric graphs (1-D grid).
 
-    Node 0 is the pole (even symmetry), the last node is the rim.  Returns
-    (K, M1, M2) on all nodes; rim values are garbage and never read.
+    ``f`` holds one profile per row, node 0 the pole (even symmetry), the
+    last node the rim; ``ratio`` is W'/W of the base warp at the nodes (its
+    pole entry is unused).  Returns (K, M1, M2) shaped like ``f``; rim
+    values are garbage and never read.
     """
     p = np.zeros_like(f)
-    p[1:-1] = (f[2:] - f[:-2]) / (2.0 * h1)
+    p[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * h1)
     fpp = np.zeros_like(f)
-    fpp[0] = 2.0 * (f[1] - f[0]) / h1**2
-    fpp[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h1**2
-    w, wp = chart.base_warp(np.maximum(svals, h1))  # pole entry unused below
-    hphi = np.where(svals > 0, (wp / w) * p, fpp)
+    fpp[..., 0] = 2.0 * (f[..., 1] - f[..., 0]) / h1**2
+    fpp[..., 1:-1] = (f[..., 2:] - 2.0 * f[..., 1:-1] + f[..., :-2]) / h1**2
+    hphi = ratio * p
+    hphi[..., 0] = fpp[..., 0]
     c, cp, _ = chart.warp(f)
     c0 = chart.c0
     rho = c / c0
@@ -167,8 +169,11 @@ def _cap_profile(chart, k, R, m, n, tol, max_iter):
     f = np.sqrt(rs**2 - R**2) - np.sqrt(rs**2 - svals**2)
     f[-1] = 0.0
 
+    w, wp = chart.base_warp(np.maximum(svals, h1))
+    ratio = wp / w
+
     def resid(fv):
-        K, m1, m2 = _radial_curvature(chart, svals, fv, h1, n)
+        K, m1, m2 = _radial_curvature(chart, ratio, fv, h1, n)
         r = K[:-1] - k
         margin = float(np.min(np.minimum(m1[:-1], m2[:-1])))
         return r, margin
@@ -184,19 +189,19 @@ def _cap_profile(chart, k, R, m, n, tol, max_iter):
     # below h1^2 so the induced change of f'' sits in the linear regime;
     # central differences keep the quadratic contamination harmless.
     eps = 1e-9
+    # tridiagonal Jacobian via 3-coloring of the unknowns 0..m-1: each color
+    # is bumped up and down, the six probes evaluated as one (6, m+1) stack
+    colors = [np.arange(color, m, 3) for color in range(3)]
+    bumps = np.zeros((3, m + 1))
+    for row, idx in zip(bumps, colors):
+        row[idx] = eps
     for _ in range(max_iter):
         if rnorm <= goal:
             break
-        # tridiagonal Jacobian via 3-coloring of the unknowns 0..m-1
-        bands = []
-        for color in range(3):
-            bump = np.zeros(m + 1)
-            idx = np.arange(color, m, 3)
-            bump[idx] = eps
-            rp, _ = resid(f + bump)
-            rm, _ = resid(f - bump)
-            dr = (rp - rm) / (2.0 * eps)
-            bands.append(_band_entries(idx, dr, m))
+        K, _, _ = _radial_curvature(chart, ratio, np.concatenate([f + bumps, f - bumps]), h1, n)
+        r_probe = K[:, :-1] - k
+        dr = (r_probe[:3] - r_probe[3:]) / (2.0 * eps)
+        bands = [_band_entries(idx, d, m) for idx, d in zip(colors, dr)]
         rows, colids, data = (np.concatenate(part) for part in zip(*bands))
         jac = sp.csc_matrix((data, (rows, colids)), shape=(m, m))
         try:

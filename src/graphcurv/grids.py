@@ -468,8 +468,7 @@ def save_grid(path, domain, values, chart_id):
     }
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for v in values:
-            fh.write("%.17g\n" % v)
+        fh.write(("%.17g\n" * len(values)) % tuple(values.tolist()))
 
 
 def load_grid(path):

@@ -405,41 +405,41 @@ def _warp_derivative_fields(chart, f, p, psi, n):
 def _derivative_coefficients(chart, domain, assembly):
     """(c2, drift, zeroth) of DK.
 
-    Every entry is a flat (N,) expression over the interior nodes, with the
-    operations, and their order, of the (N, n, n) matrix formulas.  The
+    Every entry is a flat (N,) expression over all nodes, with the
+    operations, and their order, of the (N, n, n) matrix formulas; boundary
+    rows, where M = 0 makes them inf or nan, are then set to zero.  The
     builtin ``sum`` starts from 0, as numpy's reductions (``np.sum``,
     ``np.trace``, ``np.einsum``) do, so even signed zeros agree.
     """
     n = domain.n
-    idx = np.flatnonzero(domain.interior)
-    K = assembly.K[idx]
-    psi = assembly.psi[idx]
-    p = [assembly.grad[idx, a] for a in range(n)]
-    Minv = sym_inverse_parts(assembly.M[idx])
-    sig_t, tau_t, tau, dtpsi, dppsi = _warp_derivative_fields(
-        chart, assembly.f[idx], p, psi, n
-    )
+    interior = domain.interior
+    K = assembly.K
+    psi = assembly.psi
+    p = [assembly.grad[:, a] for a in range(n)]
 
     def minv(a, b):
         return Minv[(min(a, b), max(a, b))]
 
-    Minv_p = [sum(minv(a, b) * p[b] for b in range(n)) for a in range(n)]
-    K_n = K / n
-    drift_scale = 2.0 * K * tau / n
-    tr_Minv = sum(minv(a, a) for a in range(n))
-    c0_i = K_n * (sig_t * tr_Minv + tau_t * sum(pa * mp for pa, mp in zip(p, Minv_p)))
-    c0_i = c0_i - K * dtpsi / psi
-    k_psi = K / psi
-    N = domain.num_nodes
-    c2 = np.zeros((N, n, n))
-    drift = np.zeros((N, n))
-    zeroth = np.zeros(N)
-    for (a, b), m_ab in Minv.items():
-        c2[idx, a, b] = c2[idx, b, a] = K_n * m_ab
-    for a in range(n):
-        drift[idx, a] = drift_scale * Minv_p[a] - k_psi * dppsi[a]
-    zeroth[idx] = c0_i
-    return c2, drift, zeroth
+    with np.errstate(divide="ignore", invalid="ignore"):  # boundary rows only
+        Minv = sym_inverse_parts(assembly.M)
+        sig_t, tau_t, tau, dtpsi, dppsi = _warp_derivative_fields(
+            chart, assembly.f, p, psi, n
+        )
+        Minv_p = [sum(minv(a, b) * p[b] for b in range(n)) for a in range(n)]
+        K_n = K / n
+        drift_scale = 2.0 * K * tau / n
+        tr_Minv = sum(minv(a, a) for a in range(n))
+        c0 = K_n * (sig_t * tr_Minv + tau_t * sum(pa * mp for pa, mp in zip(p, Minv_p)))
+        c0 = c0 - K * dtpsi / psi
+        k_psi = K / psi
+        c2 = np.empty((domain.num_nodes, n, n))
+        for (a, b), m_ab in Minv.items():
+            c2[:, a, b] = c2[:, b, a] = np.where(interior, K_n * m_ab, 0.0)
+        drift = np.stack([
+            np.where(interior, drift_scale * Minv_p[a] - k_psi * dppsi[a], 0.0)
+            for a in range(n)
+        ], axis=1)
+    return c2, drift, np.where(interior, c0, 0.0)
 
 
 def build_DK(chart, domain, f, assembly=None):
@@ -525,8 +525,17 @@ def stability_check(chart, domain, f, assembly=None):
     is true iff w < 0 at every interior node, and w is returned as the
     witness.  ``assembly`` is ``assemble_curvature(chart, domain, f)`` when
     the caller already has it, handed on to ``build_DK``.
+
+    The factorization is the probe's memory peak, so once DK is built the
+    probe releases what it does not read: ``domain`` is left without cached
+    operators (``drop_caches``; they rebuild on the next call that needs
+    them) and DK without its coefficient arrays.  The LU then holds the
+    matrix, its dissection-order copy and the right-hand side, and the
+    witness is the one the cached operators give, bit for bit.
     """
     op = build_DK(chart, domain, f, assembly=assembly)
+    domain.drop_caches()
+    op.second_order = op.drift = op.zeroth = None
     rhs = np.where(domain.interior, 1.0, 0.0)
     w = op.solve(rhs)
     stable = bool(np.all(w[domain.interior] < 0.0))

@@ -13,6 +13,11 @@ sparse stencils the rest of the library uses, and nu the unit normal fixed by
 curvature correction of the Gauss formula is proportional to the position
 vector and dies against nu.)  Principal curvatures solve det(A - lambda g) = 0
 and K is the signed n-th root of their product.
+
+Every inner product above, and the cofactor expansion of nu, is a sum of
+flat (N,) component products: no (N, n, n, m) stack of second partials is
+formed, and X with its first partials is stored component-major, so each
+component is one contiguous array.  Only the returned fields are stacked.
 """
 
 from __future__ import annotations
@@ -21,30 +26,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assembly import _sym_stack
 from .errors import DegenerateMetric
 
 __all__ = ["ShapeData", "curvature_oracle"]
 
 
 def _inner(x, y, minkowski):
-    prod = x * y
+    """<x, y> over the last axis, summed one flat component product at a
+    time; on Minkowski space component 0 is the timelike one."""
+    first = 1 if minkowski else 0
+    out = x[..., first] * y[..., first]
+    for k in range(first + 1, x.shape[-1]):
+        out += x[..., k] * y[..., k]
     if minkowski:
-        return np.sum(prod[..., 1:], axis=-1) - prod[..., 0]
-    return np.sum(prod, axis=-1)
+        out -= x[..., 0] * y[..., 0]
+    return out
 
 
 def _euclid_cross(rows):
-    """Vector orthogonal (Euclidean) to m-1 row vectors, shape (..., m)."""
+    """Vector orthogonal (Euclidean) to the m-1 vectors rows[..., i, :],
+    shape (..., m), built one flat component at a time."""
     m = rows.shape[-1]
+    r = [rows[..., i, :] for i in range(m - 1)]
     if m == 2:
-        r = rows[..., 0, :]
-        return np.stack([-r[..., 1], r[..., 0]], axis=-1)
-    if m == 3:
-        return np.cross(rows[..., 0, :], rows[..., 1, :])
-    if m == 4:
+        out = [-r[0][..., 1], r[0][..., 0]]
+    elif m == 3:
+        x, y = r
+        out = [x[..., 1] * y[..., 2] - x[..., 2] * y[..., 1],
+               x[..., 2] * y[..., 0] - x[..., 0] * y[..., 2],
+               x[..., 0] * y[..., 1] - x[..., 1] * y[..., 0]]
+    elif m == 4:
         # (-1)^l det(rows without column l), each 3x3 determinant expanded
         # along the first row over the 2x2 minors of the other two
-        x, y, z = (rows[..., i, :] for i in range(3))
+        x, y, z = r
         minor2 = {(i, j): y[..., i] * z[..., j] - y[..., j] * z[..., i]
                   for i in range(4) for j in range(i + 1, 4)}
         out = []
@@ -53,8 +68,9 @@ def _euclid_cross(rows):
             det = (x[..., a] * minor2[b, c] - x[..., b] * minor2[a, c]
                    + x[..., c] * minor2[a, b])
             out.append(-det if l % 2 else det)
-        return np.stack(out, axis=-1)
-    raise ValueError(f"unsupported ambient dimension {m}")
+    else:
+        raise ValueError(f"unsupported ambient dimension {m}")
+    return np.moveaxis(np.stack(out), 0, -1)  # stored component-major
 
 
 @dataclass
@@ -80,22 +96,18 @@ def curvature_oracle(chart, domain, f):
     ops = domain.derivative_ops()
     n = domain.n
     num, m = X.shape
-    Xa = np.stack([ops.d1[a] @ X for a in range(n)], axis=1)  # (N, n, m)
-    Xab = np.zeros((num, n, n, m))
-    for (a, b), op in ops.d2.items():
-        Xab[:, a, b] = op @ X
-        if a != b:
-            Xab[:, b, a] = Xab[:, a, b]
+    # X and its first partials, stored component-major: every component
+    # rows[:, i, k] is one contiguous (N,) array
+    rows = np.empty((n + 1, m, num)).transpose(2, 0, 1)
+    rows[:, 0] = X
+    for a in range(n):
+        rows[:, a + 1] = ops.d1[a] @ X
+    Xa = rows[:, 1:]
+    g = {(a, b): _inner(Xa[:, a], Xa[:, b], mink) for a in range(n) for b in range(a, n)}
 
-    g = np.einsum("xam,xbm->xab", Xa, Xa)
+    nu = _euclid_cross(rows if mink else Xa)
     if mink:
-        g -= 2.0 * Xa[:, :, None, 0] * Xa[:, None, :, 0]
-
-    rows = np.concatenate([X[:, None, :], Xa], axis=1) if mink else Xa
-    nu = _euclid_cross(rows)
-    if mink:
-        nu = nu.copy()
-        nu[..., 0] = -nu[..., 0]
+        nu[:, 0] = -nu[:, 0]
 
     interior = domain.interior
     nn = _inner(nu, nu, mink)
@@ -109,29 +121,23 @@ def curvature_oracle(chart, domain, f):
     nu = nu * flip[:, None]
     align = align * flip
 
-    A = np.einsum("xabm,xm->xab", Xab, nu)
-    if mink:
-        A -= 2.0 * Xab[..., 0] * nu[:, None, None, 0]
+    A = {ab: _inner(op @ X, nu, mink) for ab, op in ops.d2.items()}
 
     if n == 1:
-        gg = g[:, 0, 0]
+        gg = g[0, 0]
         if np.any(gg[interior] <= 0.0):
             raise DegenerateMetric("induced metric is degenerate")
-        lam = np.where(gg > 0, A[:, 0, 0] / np.where(gg > 0, gg, 1.0), 0.0)
+        lam = np.where(gg > 0, A[0, 0] / np.where(gg > 0, gg, 1.0), 0.0)
         lambdas = lam[:, None]
         K = lam
         norm_A = np.abs(lam)
     else:
-        a = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] ** 2
+        a = g[0, 0] * g[1, 1] - g[0, 1] ** 2
         if np.any(a[interior] <= 0.0):
             raise DegenerateMetric("induced metric is degenerate")
         asafe = np.where(a > 0, a, 1.0)
-        b = (
-            A[:, 0, 0] * g[:, 1, 1]
-            + A[:, 1, 1] * g[:, 0, 0]
-            - 2.0 * A[:, 0, 1] * g[:, 0, 1]
-        )
-        c = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] ** 2
+        b = A[0, 0] * g[1, 1] + A[1, 1] * g[0, 0] - 2.0 * A[0, 1] * g[0, 1]
+        c = A[0, 0] * A[1, 1] - A[0, 1] ** 2
         disc = np.maximum(b * b - 4.0 * a * c, 0.0)
         root = np.sqrt(disc)
         lam_lo = (b - root) / (2.0 * asafe)
@@ -141,6 +147,7 @@ def curvature_oracle(chart, domain, f):
         K = np.sign(ratio) * np.sqrt(np.abs(ratio))
         norm_A = np.maximum(np.abs(lam_lo), np.abs(lam_hi))
 
+    g, A = _sym_stack(g, n), _sym_stack(A, n)
     out = ~interior
     for arr in (g, A, lambdas, nu):
         arr[out] = 0.0

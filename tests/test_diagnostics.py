@@ -303,6 +303,77 @@ def test_cap_profiles_are_solved_once_per_fine_grid(monkeypatch):
     assert len(solved) == 4 and pair.lower.tobytes() == want[1].tobytes()
 
 
+def ref_cap_profile(chart, k, R, m, n, tol, max_iter):
+    """``_cap_profile`` with its Jacobian probes evaluated one call each, in
+    the loop over the three colors."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    from graphcurv.diagnostics import _radial_curvature
+
+    h1 = R / m
+    svals = h1 * np.arange(m + 1)
+    rs = max(1.0 / k, 1.05 * R)
+    f = np.sqrt(rs**2 - R**2) - np.sqrt(rs**2 - svals**2)
+    f[-1] = 0.0
+    w, wp = chart.base_warp(np.maximum(svals, h1))
+
+    def resid(fv):
+        K, m1, m2 = _radial_curvature(chart, wp / w, fv, h1, n)
+        return K[:-1] - k, float(np.min(np.minimum(m1[:-1], m2[:-1])))
+
+    r, margin = resid(f)
+    rnorm, r2 = float(np.max(np.abs(r))), float(np.linalg.norm(r))
+    goal = max(tol, 1e3 * np.finfo(float).eps * (1.0 + float(np.max(np.abs(f)))) / h1**2)
+    eps = 1e-9
+    for _ in range(max_iter):
+        if rnorm <= goal:
+            break
+        bands = []
+        for color in range(3):
+            bump = np.zeros(m + 1)
+            idx = np.arange(color, m, 3)
+            bump[idx] = eps
+            rp, _ = resid(f + bump)
+            rm, _ = resid(f - bump)
+            bands.append(_band_entries(idx, (rp - rm) / (2.0 * eps), m))
+        rows, colids, data = (np.concatenate(part) for part in zip(*bands))
+        jac = sp.csc_matrix((data, (rows, colids)), shape=(m, m))
+        step = np.concatenate([spla.splu(jac).solve(-r), [0.0]])
+        for kk in range(11):
+            s = 2.0**-kk
+            f_new = f + s * step
+            r_new, margin_new = resid(f_new)
+            if margin_new < 0.1 * margin:
+                continue
+            rn2 = float(np.linalg.norm(r_new))
+            if rn2 > (1.0 - s / 8.0) * r2:
+                continue
+            f, r, rnorm, r2, margin = f_new, r_new, float(np.max(np.abs(r_new))), rn2, margin_new
+            break
+        else:
+            break
+    return f
+
+
+@pytest.mark.parametrize("m", [512, 1024])
+def test_cap_profile_probes_as_one_stack_match_the_probe_loop_bitwise(monkeypatch, m):
+    # the six colored probes go through _radial_curvature as one (6, m+1)
+    # stack; numpy's elementwise cosh, sinh and pow must give each row the
+    # bits a call of its own gives
+    import graphcurv.diagnostics as diag
+
+    chart = HyperbolicChart(n=2, offset=D)
+    want = ref_cap_profile(chart, 0.95, 1.0, m, 2, 1e-10, 60)
+    real = diag._radial_curvature
+    shapes = []
+    monkeypatch.setattr(diag, "_radial_curvature",
+                        lambda *args: shapes.append(args[2].shape) or real(*args))
+    got = diag._cap_profile(chart, 0.95, 1.0, m, 2, 1e-10, 60)
+    assert (6, m + 1) in shapes
+    assert got.tobytes() == want.tobytes()
+
+
 def test_band_entries_match_the_loop_reference():
     m = 40
     dr = np.random.default_rng(4).standard_normal(m)

@@ -6,6 +6,8 @@ replaced; every output must match them byte for byte (signed zeros
 included), as must the Krylov path against plain scipy GMRES.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -197,6 +199,23 @@ def test_flat_kernels_match_the_matrix_formulas_bitwise(domain_kind, chart_kind)
         want = _operator_matrix(chart, dom, *coefs)
         for part in ("data", "indices", "indptr"):
             assert bitwise_equal(getattr(op.matrix, part), getattr(want, part))
+
+
+@pytest.mark.parametrize("domain_kind,chart_kind", CASES)
+def test_dk_coefficients_raise_no_floating_point_warnings(domain_kind, chart_kind):
+    # boundary rows hold M = 0, so their expressions are inf or nan until
+    # they are zeroed; interior rows of an admissible point are finite
+    dom = DOMAINS[domain_kind]()
+    chart = CHARTS[chart_kind](dom.n)
+    for f in fields(dom):
+        asm = assemble_curvature(chart, dom, f)
+        if not asm.admissible:
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coefs = _derivative_coefficients(chart, dom, asm)
+        for coef in coefs:
+            assert np.all(coef[dom.boundary] == 0.0)
 
 
 def test_flat_coefficients_keep_the_signed_zeros_of_the_reductions():

@@ -275,6 +275,16 @@ def test_load_keeps_special_values_and_skips_blank_lines(tmp_path):
         load_grid(empty)
 
 
+def test_save_grid_writes_the_bytes_of_the_per_value_loop(tmp_path):
+    dom = GridDomain.interval(0.0, 1.0, 12)
+    vals = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-300, -1e-300, -1.0 / 3.0, -7.0,
+                     -2.2250738585072014e-308, -np.pi, 1e22, -1.7976931348623157e308, 0.1])
+    path = tmp_path / "v.grid"
+    save_grid(path, dom, vals, "euclidean:n=2")
+    _, values = path.read_bytes().split(b"\n", 1)
+    assert values == "".join("%.17g\n" % v for v in vals).encode()
+
+
 def test_load_rejects_corruption(tmp_path):
     import json
 

@@ -181,6 +181,50 @@ def test_stability_check_reuses_a_given_assembly_bitwise():
     assert shared["witness"].tobytes() == fresh["witness"].tobytes()
 
 
+def test_stability_check_factors_without_the_grid_caches(monkeypatch):
+    # the LU is the probe's memory peak; when it starts, the domain's cached
+    # operators and DK's coefficients are released
+    import tracemalloc
+
+    real = spla.splu
+    at_entry = []
+
+    def spy(*args, **kwargs):
+        at_entry.append(tracemalloc.get_traced_memory()[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    tracemalloc.start()
+    try:
+        dom = ball(64, 256)
+        f = np.zeros(dom.num_nodes)
+        start = tracemalloc.get_traced_memory()[0]
+        res = stability_check(HyperbolicChart(n=2, offset=D), dom, f)
+    finally:
+        tracemalloc.stop()
+    assert res["stable"] and len(at_entry) == 1
+    # left: the matrix and its permuted CSC copy (about 9 entries a row at
+    # 12 bytes, twice), the order and two right-hand sides, about 246 bytes
+    # a node; DK's coefficients would add 56, the grid caches about 540
+    assert at_entry[0] - start < 275 * dom.num_nodes
+    assert set(dom._frame_cache) == {"dissection_order"}
+
+
+def test_stability_check_without_caches_matches_the_cached_probe_bitwise():
+    chart = HyperbolicChart(n=2, offset=D)
+    dom = ball(16, 64)
+    f = safe_field(dom)
+    rhs = np.where(dom.interior, 1.0, 0.0)
+    want = build_DK(chart, dom, f).solve(rhs)  # the operators stay cached
+    assert "derivative_ops" in dom._frame_cache
+    assert np.all(want[dom.interior] < 0.0)
+    for _ in range(2):  # with the caches, then rebuilt after the first drop
+        res = stability_check(chart, dom, f)
+        assert res["stable"]
+        assert res["witness"].tobytes() == want.tobytes()
+        assert "derivative_ops" not in dom._frame_cache
+
+
 def test_solve_enforces_exact_dirichlet_zero():
     chart = HyperbolicChart(n=2, offset=D)
     dom = ball()

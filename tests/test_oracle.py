@@ -111,3 +111,78 @@ def test_euclid_cross_is_orthogonal_to_its_rows(m):
     # with the time component negated, Minkowski-orthogonal instead
     mink = nu * np.where(np.arange(m) == 0, -1.0, 1.0)
     assert np.max(np.abs(_inner(rows, mink[:, None, :], True)) / scale) <= 1e-14
+
+
+# ---- the flat component sums against the stacked einsum forms -----------------
+
+
+def ref_curvature_oracle(chart, domain, f):
+    """The oracle's interior fields from (N, n, n, m) stacks of partials and
+    einsums, with the normal from LU determinants of minors (orientation
+    fixed against the vertical as the oracle fixes it)."""
+    mink = chart.minkowski
+    X = chart.embed(domain.coords, f, domain.layout)
+    ops = domain.derivative_ops()
+    n = domain.n
+    num, m = X.shape
+    eta = np.where(np.arange(m) == 0, -1.0, 1.0) if mink else np.ones(m)
+    Xa = np.stack([ops.d1[a] @ X for a in range(n)], axis=1)
+    Xab = np.zeros((num, n, n, m))
+    for (a, b), op in ops.d2.items():
+        Xab[:, a, b] = Xab[:, b, a] = op @ X
+    g = np.einsum("xam,xbm,m->xab", Xa, Xa, eta)
+    rows = np.concatenate([X[:, None, :], Xa], axis=1) if mink else Xa
+    cols = np.arange(m)
+    nu = np.stack(
+        [(-1.0) ** l * np.linalg.det(rows[..., cols != l]) for l in range(m)], axis=-1
+    ) * eta
+    nn = np.einsum("xm,xm,m->x", nu, nu, eta)
+    nu = nu / np.sqrt(np.where(nn > 0, nn, 1.0))[:, None]
+    align = np.einsum("xm,xm,m->x", nu, chart.vertical(domain.coords, f, domain.layout), eta)
+    flip = np.where(align < 0.0, -1.0, 1.0)
+    nu, align = nu * flip[:, None], align * flip
+    A = np.einsum("xabm,xm,m->xab", Xab, nu, eta)
+    inner = domain.interior
+    g, A, nu, align = g[inner], A[inner], nu[inner], align[inner]
+    if n == 1:
+        lam = A[:, 0, 0] / g[:, 0, 0]
+        lambdas, K = lam[:, None], lam
+    else:
+        a = g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] ** 2
+        b = A[:, 0, 0] * g[:, 1, 1] + A[:, 1, 1] * g[:, 0, 0] - 2.0 * A[:, 0, 1] * g[:, 0, 1]
+        c = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] ** 2
+        root = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
+        lambdas = np.stack([(b - root) / (2.0 * a), (b + root) / (2.0 * a)], axis=-1)
+        K = np.sign(c / a) * np.sqrt(np.abs(c / a))
+    return {
+        "g": g, "A": A, "normal": nu, "vert_align": align, "K": K, "lambdas": lambdas,
+        "norm_A": np.max(np.abs(lambdas), axis=-1),
+    }
+
+
+def _wiggled_bowl(dom):
+    s = dom.coords[:, 0]
+    if dom.n == 1:
+        return -0.05 * (1 - s**2) - 0.01 * s**3
+    phi = dom.coords[:, 1]
+    return -0.05 * (1 - s**2) - 0.008 * s**3 * np.cos(3 * phi) * (1 - s**2)
+
+
+@pytest.mark.parametrize("chart", [
+    HyperbolicChart(n=2, offset=0.5), EuclideanChart(n=2), EpsilonChart(n=2, eps=0.1),
+    HyperbolicChart(n=1, offset=0.5), EuclideanChart(n=1),
+], ids=lambda c: c.chart_id())
+def test_flat_oracle_matches_the_einsum_stacks(chart):
+    dom = (GridDomain.ball(1.0, 16, 64) if chart.n == 2
+           else GridDomain.interval(-1.0, 1.0, 64))
+    sd = curvature_oracle(chart, dom, _wiggled_bowl(dom))
+    inner = dom.interior
+    for name, want in ref_curvature_oracle(chart, dom, _wiggled_bowl(dom)).items():
+        got = getattr(sd, name)[inner]
+        assert got.shape == want.shape, name
+        # the discriminant of the principal curvatures cancels at
+        # near-umbilic nodes, so they get the looser bound
+        rtol = 1e-9 if name in ("lambdas", "norm_A") else 1e-13
+        assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want)), name
+    assert sd.g.shape == (dom.num_nodes, dom.n, dom.n) == sd.A.shape
+    assert sd.normal.shape == (dom.num_nodes, dom.n + (2 if chart.minkowski else 1))
