@@ -7,9 +7,11 @@ solver's line search can enforce exactly that nodewise.
 
 ``sphere_cap_barrier`` builds the rotationally symmetric constant-curvature
 cap over a polar ball domain by solving the radial two-point reduction of the
-graph-curvature equation on a refined 1-D grid (damped Newton with the same
-admissibility-margin safeguard as the full solver), then restricting to the
-domain's radii, which the refined grid contains exactly.
+graph-curvature equation on a refined 1-D grid, then restricting to the
+domain's radii, which the refined grid contains exactly.  The solve is damped
+Newton with the same admissibility-margin safeguard as the full solver; each
+step solves the exact tridiagonal Jacobian of the radial curvature with one
+banded LU, starting from the Euclidean cap of the excess curvature k - phi0.
 
 ``pogorelov_monitor`` evaluates the interior-estimate test function
 
@@ -24,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import solve_banded
 
 from .assembly import assemble_curvature, frame_quantities
 from .errors import NonAdmissible, OutOfRange, TransversalityFailure
+from .linearize import _warp_derivative_fields
 from .shape_oracle import _inner, curvature_oracle
 
 __all__ = [
@@ -71,6 +73,13 @@ class BarrierPair:
         return self.lower, self.upper
 
 
+def _radial_slope(f, h1):
+    """Central-difference f' at the nodes of each row; 0 at the pole and rim."""
+    p = np.zeros_like(f)
+    p[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * h1)
+    return p
+
+
 def _radial_curvature(chart, ratio, f, h1, n):
     """Curvature, margin pieces of rotationally symmetric graphs (1-D grid).
 
@@ -79,8 +88,7 @@ def _radial_curvature(chart, ratio, f, h1, n):
     pole entry is unused).  Returns (K, M1, M2) shaped like ``f``; rim
     values are garbage and never read.
     """
-    p = np.zeros_like(f)
-    p[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * h1)
+    p = _radial_slope(f, h1)
     fpp = np.zeros_like(f)
     fpp[..., 0] = 2.0 * (f[..., 1] - f[..., 0]) / h1**2
     fpp[..., 1:-1] = (f[..., 2:] - 2.0 * f[..., 1:-1] + f[..., :-2]) / h1**2
@@ -99,20 +107,36 @@ def _radial_curvature(chart, ratio, f, h1, n):
     return K, m1, m2
 
 
-def _band_entries(cols, dr, m):
-    """(rows, cols, values) of the nonzero tridiagonal entries in ``cols``.
+def _radial_jacobian(chart, ratio, f, h1, n, K, m1, m2):
+    """Exact Jacobian of K[:-1] in f[:-1] (the rim value is fixed).
 
-    ``dr`` is the finite-difference derivative of the residual along a bump
-    of the columns ``cols`` (one color of a 3-coloring), so column j owns
-    rows j-1, j, j+1; entries come column by column in that row order, rows
-    outside 0..m-1 and exact zeros dropped.
+    ``K, m1, m2`` are ``_radial_curvature(chart, ratio, f, h1, n)`` at an
+    admissible profile (m1, m2 > 0 off the rim), so K = (m1 m2)^(1/n) / psi
+    and dK = K (dm1/m1 + dm2/m2) / n - K dpsi/psi.  Row j reaches f[j-1],
+    f[j], f[j+1] through the warp at t = f[j], through p and through f'';
+    on the pole row p = 0 and f'' = 2 (f1 - f0) / h^2 enters m1 and m2
+    alike.  Returns the (3, m) bands in ``solve_banded((1, 1), ...)``
+    layout: superdiagonal in row 0 from column 1, diagonal in row 1,
+    subdiagonal in row 2 up to column m - 2.
     """
-    i = (cols[:, None] + np.arange(-1, 2)).ravel()
-    j = np.repeat(cols, 3)
-    inside = (i >= 0) & (i < m)
-    i, j = i[inside], j[inside]
-    keep = dr[i] != 0.0
-    return i[keep], j[keep], dr[i[keep]]
+    K, m1, m2 = K[:-1], m1[:-1], m2[:-1]
+    p = _radial_slope(f, h1)[:-1]
+    # with psi = 1 the psi derivatives come back as those of log psi
+    sig_t, tau_t, tau, dlpsi_t, (dlpsi_p,) = _warp_derivative_fields(
+        chart, f[:-1], [p], 1.0, n
+    )
+    k1, k2 = K / (n * m1), K / (n * m2)
+    k_t = k1 * (sig_t + tau_t * p * p) + k2 * sig_t - K * dlpsi_t
+    k_p = k1 * 2.0 * tau * p + k2 * ratio[:-1] - K * dlpsi_p
+    lap = k1 / h1**2
+    lap[0] += k2[0] / h1**2
+    grad = k_p / (2.0 * h1)
+    bands = np.zeros((3, len(K)))
+    bands[0, 1:] = (lap + grad)[:-1]
+    bands[1] = k_t - 2.0 * lap
+    bands[2, :-1] = (lap - grad)[1:]
+    bands[0, 1] = 2.0 * lap[0]
+    return bands
 
 
 def sphere_cap_barrier(chart, domain, k, refine=32, tol=1e-10, max_iter=60,
@@ -120,10 +144,10 @@ def sphere_cap_barrier(chart, domain, k, refine=32, tol=1e-10, max_iter=60,
     """Constant-curvature-k cap over a polar ball, as a grid function.
 
     Solves the radial two-point problem K(f) = k, f'(0) = 0, f(R) = 0 on a
-    ``refine``-times finer radius grid with damped Newton (tridiagonal
-    Jacobian by finite-difference coloring), then reads off the domain's
-    radii.  Raises OutOfRange when no cap with that curvature exists over
-    the ball (Newton leaves the admissible cone or stalls).
+    ``refine``-times finer radius grid with damped Newton on the exact
+    tridiagonal Jacobian (one banded solve a step), then reads off the
+    domain's radii.  Raises OutOfRange when no cap with that curvature
+    exists over the ball (Newton leaves the admissible cone or stalls).
 
     The fine grid has at most 1024 cells, so the refinements of one ball
     share it.  ``profiles``, a dict the caller owns, keeps each radial
@@ -137,9 +161,9 @@ def sphere_cap_barrier(chart, domain, k, refine=32, tol=1e-10, max_iter=60,
     nr = domain.shape[0] - 1
     R = domain.extent[0][1]
     # The radial profile is fully resolved well before a thousand cells; past
-    # that the only thing that grows is the eps/h^2 noise floor and the
-    # conditioning of the bump Jacobian.  Keep m a multiple of nr so the
-    # read-off lands on domain radii exactly.
+    # that the only things that grow are the eps/h^2 noise floor and the
+    # conditioning of the Jacobian.  Keep m a multiple of nr so the read-off
+    # lands on domain radii exactly.
     refine = max(1, min(refine, 1024 // nr))
     m = refine * nr
     key = (chart.chart_id(), k, R, m, domain.n, tol, max_iter)
@@ -158,14 +182,20 @@ def sphere_cap_barrier(chart, domain, k, refine=32, tol=1e-10, max_iter=60,
 def _cap_profile(chart, k, R, m, n, tol, max_iter):
     """Values at s = j R / m, j = 0..m, of the radial curvature-k cap.
 
-    Second differences on the fine grid put an evaluation-noise floor of
-    order machine-eps / h^2 under the discrete residual; convergence is
-    declared at ``tol`` or at that floor, whichever is larger.
+    Damped Newton: each step solves the exact tridiagonal Jacobian
+    (``_radial_jacobian``) with one banded LU.  The seed is the Euclidean
+    cap of the curvature k - phi0 that the graph adds to the base slice's
+    phi0 when 0 < phi0 < k, and of curvature k otherwise, with its sphere
+    radius at least 1.05 R.  Second differences on the fine grid put an
+    evaluation-noise floor of order machine-eps / h^2 under the discrete
+    residual; convergence is declared at ``tol`` or at that floor,
+    whichever is larger.
     """
     h1 = R / m
     svals = h1 * np.arange(m + 1)
-    # shallow euclidean cap of sphere radius max(1/k, 1.05 R) as the seed
-    rs = max(1.0 / k, 1.05 * R)
+    phi0 = chart.base_hypersurface().phi0
+    excess = k - phi0 if 0.0 < phi0 < k else k
+    rs = max(1.0 / excess, 1.05 * R)
     f = np.sqrt(rs**2 - R**2) - np.sqrt(rs**2 - svals**2)
     f[-1] = 0.0
 
@@ -174,46 +204,30 @@ def _cap_profile(chart, k, R, m, n, tol, max_iter):
 
     def resid(fv):
         K, m1, m2 = _radial_curvature(chart, ratio, fv, h1, n)
-        r = K[:-1] - k
         margin = float(np.min(np.minimum(m1[:-1], m2[:-1])))
-        return r, margin
+        return K[:-1] - k, margin, (K, m1, m2)
 
-    r, margin = resid(f)
+    r, margin, parts = resid(f)
     if margin <= 0:
         raise OutOfRange(f"cap seed is not admissible (margin {margin:.3e})")
     rnorm = float(np.max(np.abs(r)))
     r2 = float(np.linalg.norm(r))
     floor = 1e3 * np.finfo(float).eps * (1.0 + float(np.max(np.abs(f)))) / h1**2
     goal = max(tol, floor)
-    # Column bump for the finite-difference Jacobian.  It must stay well
-    # below h1^2 so the induced change of f'' sits in the linear regime;
-    # central differences keep the quadratic contamination harmless.
-    eps = 1e-9
-    # tridiagonal Jacobian via 3-coloring of the unknowns 0..m-1: each color
-    # is bumped up and down, the six probes evaluated as one (6, m+1) stack
-    colors = [np.arange(color, m, 3) for color in range(3)]
-    bumps = np.zeros((3, m + 1))
-    for row, idx in zip(bumps, colors):
-        row[idx] = eps
     for _ in range(max_iter):
         if rnorm <= goal:
             break
-        K, _, _ = _radial_curvature(chart, ratio, np.concatenate([f + bumps, f - bumps]), h1, n)
-        r_probe = K[:, :-1] - k
-        dr = (r_probe[:3] - r_probe[3:]) / (2.0 * eps)
-        bands = [_band_entries(idx, d, m) for idx, d in zip(colors, dr)]
-        rows, colids, data = (np.concatenate(part) for part in zip(*bands))
-        jac = sp.csc_matrix((data, (rows, colids)), shape=(m, m))
+        bands = _radial_jacobian(chart, ratio, f, h1, n, *parts)
         try:
-            delta = spla.splu(jac).solve(-r)
-        except RuntimeError as exc:
+            delta = solve_banded((1, 1), bands, -r)
+        except np.linalg.LinAlgError as exc:
             raise OutOfRange(f"cap continuation lost ellipticity: {exc}") from exc
         step = np.concatenate([delta, [0.0]])
         accepted = False
         for kk in range(11):
             s = 2.0**-kk
             f_new = f + s * step
-            r_new, margin_new = resid(f_new)
+            r_new, margin_new, parts_new = resid(f_new)
             if margin_new < 0.1 * margin:
                 continue
             # Sufficient decrease is judged in the 2-norm: a Newton step
@@ -225,7 +239,7 @@ def _cap_profile(chart, k, R, m, n, tol, max_iter):
             if rn2 > (1.0 - s / 8.0) * r2:
                 continue
             rn = float(np.max(np.abs(r_new)))
-            f, r, rnorm, r2, margin = f_new, r_new, rn, rn2, margin_new
+            f, r, rnorm, r2, margin, parts = f_new, r_new, rn, rn2, margin_new, parts_new
             accepted = True
             break
         if not accepted:

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphcurv.assembly import assemble_curvature, order_compare
-from graphcurv.charts import EuclideanChart, HyperbolicChart
+from graphcurv.charts import EpsilonChart, EuclideanChart, HyperbolicChart
 from graphcurv.diagnostics import (
-    _band_entries,
     curvature_norm_report,
     make_barrier_pair,
     offset_barrier,
@@ -303,9 +302,26 @@ def test_cap_profiles_are_solved_once_per_fine_grid(monkeypatch):
     assert len(solved) == 4 and pair.lower.tobytes() == want[1].tobytes()
 
 
+def _band_entries(cols, dr, m):
+    """(rows, cols, values) of the nonzero tridiagonal entries in ``cols``.
+
+    ``dr`` is the finite-difference derivative of the residual along a bump
+    of the columns ``cols`` (one color of a 3-coloring), so column j owns
+    rows j-1, j, j+1; entries come column by column in that row order, rows
+    outside 0..m-1 and exact zeros dropped.
+    """
+    i = (cols[:, None] + np.arange(-1, 2)).ravel()
+    j = np.repeat(cols, 3)
+    inside = (i >= 0) & (i < m)
+    i, j = i[inside], j[inside]
+    keep = dr[i] != 0.0
+    return i[keep], j[keep], dr[i[keep]]
+
+
 def ref_cap_profile(chart, k, R, m, n, tol, max_iter):
-    """``_cap_profile`` with its Jacobian probes evaluated one call each, in
-    the loop over the three colors."""
+    """The radial cap solved from the Euclidean curvature-k seed with a
+    3-colored central-difference Jacobian and a sparse LU, its probes
+    evaluated one call each in the loop over the three colors."""
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
@@ -356,22 +372,93 @@ def ref_cap_profile(chart, k, R, m, n, tol, max_iter):
     return f
 
 
+def cap_residual(chart, k, f, n=2):
+    """max |K - k| off the rim of the radial profile f over the unit ball."""
+    from graphcurv.diagnostics import _radial_curvature
+
+    m = len(f) - 1
+    h1 = 1.0 / m
+    w, wp = chart.base_warp(np.maximum(h1 * np.arange(m + 1), h1))
+    K, _, _ = _radial_curvature(chart, wp / w, f, h1, n)
+    return float(np.max(np.abs(K[:-1] - k)))
+
+
 @pytest.mark.parametrize("m", [512, 1024])
-def test_cap_profile_probes_as_one_stack_match_the_probe_loop_bitwise(monkeypatch, m):
-    # the six colored probes go through _radial_curvature as one (6, m+1)
-    # stack; numpy's elementwise cosh, sinh and pow must give each row the
-    # bits a call of its own gives
+def test_cap_profile_agrees_with_the_finite_difference_reference(m):
+    # the exact banded Jacobian and the excess-curvature seed reach the cap
+    # of the colored finite-difference route, and a smaller residual
     import graphcurv.diagnostics as diag
 
     chart = HyperbolicChart(n=2, offset=D)
     want = ref_cap_profile(chart, 0.95, 1.0, m, 2, 1e-10, 60)
-    real = diag._radial_curvature
-    shapes = []
-    monkeypatch.setattr(diag, "_radial_curvature",
-                        lambda *args: shapes.append(args[2].shape) or real(*args))
     got = diag._cap_profile(chart, 0.95, 1.0, m, 2, 1e-10, 60)
-    assert (6, m + 1) in shapes
-    assert got.tobytes() == want.tobytes()
+    assert np.max(np.abs(got - want)) <= 2e-7
+    assert cap_residual(chart, 0.95, got) < cap_residual(chart, 0.95, want)
+
+
+@pytest.mark.parametrize("chart", [
+    EuclideanChart(n=2), HyperbolicChart(n=2, offset=D), EpsilonChart(eps=0.1, n=2),
+], ids=["euclidean", "hyperbolic", "epsilon"])
+@pytest.mark.parametrize("m", [64, 512])
+def test_radial_jacobian_matches_central_differences(chart, m):
+    import graphcurv.diagnostics as diag
+
+    k = 0.95 if isinstance(chart, HyperbolicChart) else 0.5
+    h1 = 1.0 / m
+    s = h1 * np.arange(m + 1)
+    w, wp = chart.base_warp(np.maximum(s, h1))
+    ratio = wp / w
+    f = diag._cap_profile(chart, k, 1.0, m, 2, 1e-10, 60)
+    f = f + 0.01 * np.cos(0.5 * np.pi * s) * np.sin(3.0 * s)  # zero at the rim
+    parts = diag._radial_curvature(chart, ratio, f, h1, 2)
+    assert np.min(np.minimum(parts[1][:-1], parts[2][:-1])) > 0.0
+    bands = diag._radial_jacobian(chart, ratio, f, h1, 2, *parts)
+    exact = np.diag(bands[1]) + np.diag(bands[0, 1:], 1) + np.diag(bands[2, :-1], -1)
+    # 1e-7 at m = 64, shrunk with h^2 so that the bump moves f'' (and the
+    # truncation error of the central difference) equally on every grid
+    step = 1e-7 * (64 / m) ** 2
+    fd = np.empty((m, m))
+    for j in range(m):
+        bump = np.zeros(m + 1)
+        bump[j] = step
+        up, _, _ = diag._radial_curvature(chart, ratio, f + bump, h1, 2)
+        down, _, _ = diag._radial_curvature(chart, ratio, f - bump, h1, 2)
+        fd[:, j] = (up[:-1] - down[:-1]) / (2.0 * step)
+    band = np.abs(np.subtract.outer(np.arange(m), np.arange(m))) <= 1
+    scale = np.max(np.abs(exact))
+    assert np.max(np.abs(fd - exact)[band]) <= 1e-6 * scale
+    assert np.all(fd[~band] == 0.0)
+
+
+@pytest.mark.parametrize("m", [512, 1024])
+def test_cap_profile_takes_few_curvature_evaluations(monkeypatch, m):
+    import graphcurv.diagnostics as diag
+
+    chart = HyperbolicChart(n=2, offset=D)
+    calls = []
+    real = diag._radial_curvature
+    monkeypatch.setattr(diag, "_radial_curvature",
+                        lambda *args: calls.append(1) or real(*args))
+    f = diag._cap_profile(chart, 0.95, 1.0, m, 2, 1e-10, 60)
+    assert len(calls) <= 6
+    assert cap_residual(chart, 0.95, f) <= 1e-8
+
+
+def test_singular_cap_jacobian_is_out_of_range(monkeypatch):
+    import graphcurv.diagnostics as diag
+
+    monkeypatch.setattr(diag, "_radial_jacobian", lambda *args: np.zeros((3, 64)))
+    with pytest.raises(OutOfRange, match="lost ellipticity"):
+        diag._cap_profile(HyperbolicChart(n=2, offset=D), 0.95, 1.0, 64, 2, 1e-10, 60)
+
+
+def test_cap_at_or_below_the_base_curvature_is_refused():
+    chart = HyperbolicChart(n=2, offset=D)
+    dom = ball()
+    # k == phi0 seeds from the curvature-k cap (no division by k - phi0)
+    for k in (chart.base_hypersurface().phi0, 0.4):
+        with pytest.raises(NonAdmissible):
+            make_barrier_pair(chart, dom, kind="cap", k=k)
 
 
 def test_band_entries_match_the_loop_reference():
