@@ -269,7 +269,7 @@ class _Solve:
     nopts: NewtonOptions
     f_init: np.ndarray | None
     meta: dict
-    lu: HeldLU = field(default_factory=HeldLU)  # the level's held factorization
+    lu: HeldLU = field(default_factory=HeldLU)  # the level's held preconditioner
     # newton_total and rejected_trials of a prolonged start that failed
     spent: dict = field(default_factory=lambda: {"newton_total": 0, "rejected_trials": 0})
 
@@ -395,7 +395,7 @@ def _nested_solve(run, coarse, f_coarse):
 
     Newton starts from ``prolong_values(coarse, domain, f_coarse)`` against
     the tau = 1 target; if that raises NoConvergence or NonAdmissibleInit
-    the level is solved the configured way instead, on the same held LU,
+    the level is solved the configured way instead, on the same HeldLU,
     and ``run.spent`` keeps the progress of the failed start.
     """
     f0 = prolong_values(coarse, run.target.domain, f_coarse)
@@ -427,7 +427,7 @@ def _walk(cfg, command, grids):
     before.  The first is solved the configured way from ``solver.init``,
     every finer one by ``_nested_solve`` from the solution below.  Each
     level builds its own targets (with the seeded perturbation on its grid)
-    and its own held LU; the levels share one cache of radial cap profiles,
+    and its own HeldLU; the levels share one cache of radial cap profiles,
     since refinements of one ball solve the same radial problem.  Returns
     (domain, f, meta, history) per level; the histories' ``iter`` runs on
     over the levels.  A GraphCurvError writes ``command``'s summary with the
@@ -582,8 +582,9 @@ def cmd_validate(cfg):
     except GraphCurvError as exc:
         checks["transversal"] = False
         details["pogorelov_error"] = str(exc)
-    # the stability probe's factorization is validate's memory peak, so it
-    # runs last, with the oracle's fields released
+    # the stability probe's factorization, where it needs one, is
+    # validate's memory peak, so it runs last, with the oracle's fields
+    # released
     del data
     try:
         stab = stability_check(chart, domain, f, assembly=asm)

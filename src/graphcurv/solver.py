@@ -11,11 +11,12 @@ with secant prediction and automatic step halving/doubling.
 
 Linear systems: every Newton step builds DK exactly at the current iterate
 and solves DK delta = -r through a ``linearize.HeldLU`` (GMRES
-preconditioned by a held sparse LU; DK is factorized afresh only when GMRES
-misses its tolerance).  ``newton_solve`` takes the held factorization and
-hands it back on its result; ``continuation_solve`` keeps one on the state,
-so one factorization can serve the start step, later Newton steps, later
-tau-steps and the retries after failed correctors.  The line search, the
+preconditioned by a held ring average on polar grids or a held sparse LU;
+DK is factorized afresh only when GMRES misses its tolerance).
+``newton_solve`` takes the held preconditioner and hands it back on its
+result; ``continuation_solve`` keeps one on the state, so one
+preconditioner can serve the start step, later Newton steps, later tau-steps
+and the retries after failed correctors.  The line search, the
 admissibility and sandwich tests and ``tol`` see only the resulting step.
 
 Determinism: everything here is sequential and seed-driven; the only random
@@ -147,7 +148,7 @@ def newton_solve(f_init, target, opts=None, lu=None):
     """Damped Newton for K(f) = target with zero Dirichlet data.
 
     Solves DK * delta = target - K(f) each iteration through the held
-    factorization ``lu`` (a fresh ``HeldLU`` when None; returned on the
+    preconditioner ``lu`` (a fresh ``HeldLU`` when None; returned on the
     result and updated in place) and takes the largest
     step s in {1, 1/2, ..., 2^-max_halvings} whose iterate (a) keeps the
     admissibility margin >= margin_fraction * (current margin), (b) drops the
@@ -240,7 +241,7 @@ class ContinuationState:
     all correctors, including those of rejected tau-steps (which add no
     history rows).  ``rejected_trials`` counts the line-search trials all
     correctors assembled and rejected.  ``residual_norm`` and ``margin`` are
-    those of ``f``, the last accepted iterate.  ``lu`` is the factorization
+    those of ``f``, the last accepted iterate.  ``lu`` is the preconditioner
     held across the whole walk.
     """
 

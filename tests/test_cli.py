@@ -65,11 +65,12 @@ def test_solve_happy_path(tmp_path):
     assert rows and set(rows[0]) == {"iter", "tau", "residual", "margin", "step"}
     assert float(rows[-1]["residual"]) <= 1e-9
     solves = summary["linear_solves"]
-    assert set(solves) == {"factorizations", "krylov_iterations", "fallbacks",
-                           "trisolves", "fill"}
-    assert solves["fill"] > 0
-    assert 1 <= solves["factorizations"] <= summary["newton_total"] + 1
-    assert 0 <= solves["fallbacks"] < solves["factorizations"]
+    assert set(solves) == {"factorizations", "ring_averages", "krylov_iterations",
+                           "fallbacks", "trisolves", "fill"}
+    # the ball's ring average preconditions every solve: no LU is made
+    assert solves["factorizations"] == solves["fallbacks"] == solves["fill"] == 0
+    assert solves["ring_averages"] == 1
+    assert solves["trisolves"] >= summary["newton_total"] + solves["krylov_iterations"]
 
 
 def test_solve_newton_mode(tmp_path):
@@ -82,7 +83,8 @@ def test_solve_newton_mode(tmp_path):
     assert main(["solve", "--config", str(cfg)]) == 0
     summary = read_summary(tmp_path)
     assert summary["status"] == "converged"
-    assert summary["linear_solves"]["factorizations"] >= 1
+    assert summary["linear_solves"]["factorizations"] == 0
+    assert summary["linear_solves"]["ring_averages"] >= 1
     dom, f, _ = load_grid(tmp_path / "out" / "solution.grid")
     s = dom.coords[:, 0]
     exact = np.sqrt(3.0) - np.sqrt(4.0 - s**2)
@@ -328,8 +330,9 @@ def test_failed_run_writes_its_counters(tmp_path, command):
     assert 0.0 <= summary["tau"] < 1.0
     assert summary["residual_norm"] <= 1e-9  # of the last accepted corrector
     solves = summary["linear_solves"]
-    assert solves["factorizations"] >= 1 and solves["trisolves"] >= 1
-    assert solves["fill"] > 0
+    assert solves["factorizations"] == 0 and solves["ring_averages"] >= 1
+    assert solves["trisolves"] >= 1
+    assert solves["fill"] == 0
     assert summary["per_level"] == []
     assert summary["failed_level"] == 0
     assert summary["failed_grid"] == "ball[7, 16]"
@@ -342,7 +345,9 @@ def test_failed_newton_run_reports_its_last_residual(tmp_path):
     assert summary["newton_total"] == 1
     assert summary["tau"] is None
     assert summary["residual_norm"] > 1e-9
-    assert summary["linear_solves"]["factorizations"] == 1
+    solves = summary["linear_solves"]
+    assert solves["factorizations"] == 0 and solves["ring_averages"] == 1
+    assert solves["trisolves"] == 1 + solves["krylov_iterations"]
 
 
 def test_failed_newton_run_counts_the_steps_before_a_singular_solve(tmp_path, monkeypatch):
@@ -361,7 +366,9 @@ def test_failed_newton_run_counts_the_steps_before_a_singular_solve(tmp_path, mo
     summary = read_summary(tmp_path)
     assert summary["status"] == "SingularLinearSystem"
     assert summary["newton_total"] == 1
-    assert summary["linear_solves"]["trisolves"] == 1
+    solves = summary["linear_solves"]
+    assert solves["factorizations"] == 0 and solves["ring_averages"] == 1
+    assert solves["trisolves"] == 1 + solves["krylov_iterations"]
     # the residual the first step reached is minus the second solve's rhs
     assert summary["residual_norm"] == np.max(np.abs(calls[1]))
 
@@ -509,7 +516,10 @@ def test_every_level_reports_the_time_spent_building_its_grid(tmp_path, monkeypa
     grids = [dom for dom in built if dom.shape in ((17, 64), (33, 128))]
     assert len(grids) == 2
     for meta, dom in zip(levels, sorted(grids, key=lambda d: d.num_nodes)):
-        assert built[dom] >= {"derivative_ops", "frame", "dissection_order"}
+        assert built[dom] >= {"derivative_ops", "frame"}
+        # the dissection order is built for an LU, which the ring average spares
+        factored = meta["linear_solves"]["factorizations"] > 0
+        assert ("dissection_order" in built[dom]) == factored
         assert meta["grid_s"] == dom.build_s > 0.0
 
 

@@ -234,25 +234,45 @@ def test_flat_coefficients_keep_the_signed_zeros_of_the_reductions():
 # ---- the Krylov path -------------------------------------------------------------
 
 
-def test_krylov_call_applies_the_factors_once_per_iteration_plus_one(monkeypatch):
+def assert_one_application_per_iteration_plus_one(dom, preconditioner, rhs, bowl):
+    """A Krylov call on ``dom`` that ends within one restart cycle applies
+    ``preconditioner(held)`` 1 + k times and returns plain scipy GMRES's
+    solution with it, bit for bit."""
     chart = HyperbolicChart(n=2, offset=0.5)
-    dom = GridDomain.ball(1.0, 16, 64)
-    bowl = fields(dom)[1]
     held = HeldLU()
-    rhs = np.where(dom.interior, np.sin(3 * dom.coords[:, 0]) + 0.2, 0.0)
     build_DK(chart, dom, 0.9 * bowl).solve(rhs, held=held)
     op = build_DK(chart, dom, bowl)
-    lu = held.lu
+    precond = preconditioner(held)
     # plain scipy GMRES with the same preconditioner and settings
     want, info = spla.gmres(
         op.matrix, rhs, rtol=HeldLU.RTOL, atol=0.0, restart=HeldLU.RESTART,
         maxiter=HeldLU.MAXITER, callback_type="pr_norm", callback=lambda _: None,
-        M=spla.LinearOperator(op.matrix.shape, matvec=lu.solve, dtype=float),
+        M=spla.LinearOperator(op.matrix.shape, matvec=precond.solve, dtype=float),
     )
     assert info == 0
+    products = []  # one per iteration, and one residual per restart cycle
+    matrix = spla.LinearOperator(
+        op.matrix.shape, matvec=lambda v: products.append(1) or op.matrix @ v, dtype=float
+    )
     before = dict(held.counters())
-    got = held._krylov(op.matrix, rhs)
+    got = held._krylov(matrix, rhs)
     iterations = held.krylov_iterations - before["krylov_iterations"]
-    assert 0 < iterations < HeldLU.RESTART  # one restart cycle
+    assert 0 < iterations < HeldLU.RESTART
+    assert len(products) == iterations + 1  # one restart cycle
     assert held.trisolves - before["trisolves"] == 1 + iterations
     assert bitwise_equal(got, want)
+
+
+def test_krylov_call_applies_the_factors_once_per_iteration_plus_one(monkeypatch):
+    # the held LU preconditions solves on Cartesian grids
+    dom = DOMAINS["box"]()
+    rhs = np.where(dom.interior, np.sin(3 * dom.coords[:, 0]) + 0.2, 0.0)
+    assert_one_application_per_iteration_plus_one(dom, lambda held: held.lu, rhs,
+                                                  fields(dom)[1])
+
+
+def test_krylov_call_applies_the_ring_average_once_per_iteration_plus_one():
+    dom = DOMAINS["ball"]()
+    rhs = np.where(dom.interior, np.random.default_rng(3).standard_normal(dom.num_nodes), 0.0)
+    assert_one_application_per_iteration_plus_one(dom, lambda held: held.ring, rhs,
+                                                  fields(dom)[0])

@@ -16,7 +16,10 @@ from graphcurv.grids import GridDomain
 from graphcurv.linearize import (
     EllipticOperator,
     HeldLU,
+    _operator_matrix,
     _PermutedLU,
+    _refined,
+    _RingAverage,
     build_DK,
     build_JK,
     frame_operators,
@@ -29,6 +32,16 @@ D = 0.5
 
 def ball(nr=8, nphi=32):
     return GridDomain.ball(1.0, nr, nphi)
+
+
+def box(m=13):
+    return GridDomain.box(((-1.0, 1.0), (-1.0, 1.0)), (m, m))
+
+
+def box_field(dom):
+    """The box's analogue of ``safe_field``: a shallow bowl with an odd wiggle."""
+    x, y = dom.coords[:, 0], dom.coords[:, 1]
+    return -0.05 * (1 - x**2) * (1 - y**2) - 0.008 * x**3 * (1 - x**2) * (1 - y**2)
 
 
 def safe_field(dom):
@@ -196,7 +209,7 @@ def test_stability_check_factors_without_the_grid_caches(monkeypatch):
     monkeypatch.setattr(spla, "splu", spy)
     tracemalloc.start()
     try:
-        dom = ball(64, 256)
+        dom = box(129)  # the LU runs on Cartesian grids
         f = np.zeros(dom.num_nodes)
         start = tracemalloc.get_traced_memory()[0]
         res = stability_check(HyperbolicChart(n=2, offset=D), dom, f)
@@ -254,11 +267,11 @@ def test_singular_system_is_reported():
 
 def test_held_lu_preconditions_a_neighbouring_operator():
     chart = HyperbolicChart(n=2, offset=D)
-    dom = ball()
+    dom = box()
     held = HeldLU()
     rhs = np.sin(3 * dom.coords[:, 0]) + 0.2
     build_DK(chart, dom, np.zeros(dom.num_nodes)).solve(rhs, held=held)
-    op = build_DK(chart, dom, safe_field(dom))
+    op = build_DK(chart, dom, box_field(dom))
     w = op.solve(rhs, held=held)
     assert held.factorizations == 1
     assert held.fallbacks == 0 and held.krylov_iterations > 0
@@ -274,12 +287,12 @@ def test_held_lu_counts_every_application_of_its_factors(monkeypatch):
     monkeypatch.setattr(_PermutedLU, "solve",
                         lambda self, rhs: applied.append(1) or real(self, rhs))
     chart = HyperbolicChart(n=2, offset=D)
-    dom = ball()
+    dom = box()
     held = HeldLU()
     rhs = np.sin(3 * dom.coords[:, 0]) + 0.2
     build_DK(chart, dom, np.zeros(dom.num_nodes)).solve(rhs, held=held)
     assert held.trisolves == len(applied) == 1
-    build_DK(chart, dom, safe_field(dom)).solve(rhs, held=held)
+    build_DK(chart, dom, box_field(dom)).solve(rhs, held=held)
     assert held.krylov_iterations > 0 and held.factorizations == 1
     assert held.counters()["trisolves"] == len(applied) > 1 + held.krylov_iterations
 
@@ -288,8 +301,8 @@ def test_held_lu_of_a_distant_operator_falls_back_to_direct():
     # the diagonal of DK carries none of its coupling, so GMRES preconditioned
     # by it misses the tolerance and the solve factorizes DK itself
     chart = HyperbolicChart(n=2, offset=D)
-    dom = ball(32, 128)
-    op = build_DK(chart, dom, safe_field(dom))
+    dom = box(65)
+    op = build_DK(chart, dom, box_field(dom))
     diag = EllipticOperator(dom, sp.diags(op.matrix.diagonal()).tocsr(),
                             op.second_order, op.drift, op.zeroth, kind="diag")
     rhs = np.random.default_rng(3).standard_normal(dom.num_nodes)
@@ -307,7 +320,7 @@ def test_held_lu_of_a_distant_operator_falls_back_to_direct():
 
 def test_held_lu_is_never_applied_on_another_domain():
     chart = HyperbolicChart(n=2, offset=D)
-    dom_a, dom_b = ball(), ball()  # same grid, distinct domains
+    dom_a, dom_b = box(), box()  # same grid, distinct domains
     held = HeldLU()
     rhs = np.ones(dom_a.num_nodes)
     build_DK(chart, dom_a, np.zeros(dom_a.num_nodes)).solve(rhs, held=held)
@@ -320,11 +333,165 @@ def test_held_lu_is_never_applied_on_another_domain():
     op_b = build_DK(chart, dom_b, np.zeros(dom_b.num_nodes))
     w = op_b.solve(rhs, held=held)
     assert held.counters() == {
-        "factorizations": 2, "krylov_iterations": 0, "fallbacks": 0,
+        "factorizations": 2, "ring_averages": 0, "krylov_iterations": 0, "fallbacks": 0,
         "trisolves": 2, "fill": op_b._lu.nnz,
     }
     assert held.domain is dom_b and held.lu is op_b._lu
     assert np.array_equal(w, build_DK(chart, dom_b, np.zeros(dom_b.num_nodes)).solve(rhs))
+
+
+# ---- ring average ----------------------------------------------------------------
+
+
+POLAR = {  # a domain and a rotationally symmetric admissible field on it
+    "ball": (lambda: GridDomain.ball(1.0, 8, 32), lambda s: -0.05 * (1 - s**2)),
+    "annulus": (lambda: GridDomain.annulus(0.5, 1.0, 8, 32),
+                lambda s: -0.05 * (1 - s) * (s - 0.5)),
+}
+
+
+def circulant_average(dom, matrix):
+    """``matrix`` with every ring-to-ring block replaced by the circulant of
+    its averaged diagonals and each ring's pole column by its mean; the pole
+    row is kept."""
+    A = matrix.toarray()
+    nphi = dom.shape[1]
+    start = int(dom.pole is not None)
+    rings = [start + (i - start) * nphi + np.arange(nphi) for i in range(start, dom.shape[0])]
+    j = np.arange(nphi)
+    offset = (j[None, :] - j[:, None]) % nphi  # angular offset of (row j, column k)
+    out = A.copy()
+    for rows in rings:
+        for cols in rings:
+            block = A[np.ix_(rows, cols)]
+            out[np.ix_(rows, cols)] = np.array(
+                [block[j, (j + b) % nphi].mean() for b in range(nphi)]
+            )[offset]
+        if start:
+            out[rows, 0] = A[rows, 0].mean()
+    return out
+
+
+@pytest.mark.parametrize("layout", sorted(POLAR))
+def test_ring_average_is_exact_on_rotationally_symmetric_operators(layout):
+    make, radial = POLAR[layout]
+    dom = make()
+    op = build_DK(HyperbolicChart(n=2, offset=D), dom, radial(dom.coords[:, 0]))
+    x = np.random.default_rng(7).standard_normal(dom.num_nodes)
+    got = _RingAverage(op.matrix, dom).solve(op.matrix @ x)
+    assert np.max(np.abs(got - x)) <= 1e-10 * np.max(np.abs(x))
+
+
+@pytest.mark.parametrize("layout", sorted(POLAR))
+def test_ring_average_solves_the_assembled_circulant_average(layout):
+    make, radial = POLAR[layout]
+    dom = make()
+    s, phi = dom.coords[:, 0], dom.coords[:, 1]
+    op = build_DK(HyperbolicChart(n=2, offset=D), dom, radial(s) * (1 + 0.2 * s * np.cos(3 * phi)))
+    averaged = circulant_average(dom, op.matrix)
+    assert np.max(np.abs(averaged - op.matrix.toarray())) > 1e-3  # not circulant itself
+    b = np.random.default_rng(11).standard_normal(dom.num_nodes)
+    want = spla.spsolve(sp.csc_matrix(averaged), b)
+    got = _RingAverage(op.matrix, dom).solve(b)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_first_solve_on_a_polar_grid_is_preconditioned_by_the_ring_average():
+    chart = HyperbolicChart(n=2, offset=D)
+    dom = ball()
+    held = HeldLU()
+    rhs = np.sin(3 * dom.coords[:, 0]) + 0.2
+    op = build_DK(chart, dom, safe_field(dom))
+    w = op.solve(rhs, held=held)
+    k = held.krylov_iterations
+    assert k > 0
+    assert held.counters() == {
+        "factorizations": 0, "ring_averages": 1, "krylov_iterations": k,
+        "fallbacks": 0, "trisolves": held.trisolves, "fill": 0,
+    }
+    assert held.lu is None and op._lu is None
+    b = np.where(dom.interior, rhs, 0.0)
+    assert np.linalg.norm(op.apply(w) - b) <= HeldLU.RTOL * np.linalg.norm(b)
+    assert np.all(w[dom.boundary] == 0.0)
+    # a later operator of the domain is preconditioned by the same average
+    build_DK(chart, dom, 0.5 * safe_field(dom)).solve(rhs, held=held)
+    assert held.ring_averages == 1 and held.factorizations == 0 and held.fallbacks == 0
+
+
+def anisotropic_operator(dom, eps=1e-3):
+    """c2 : Hess v for c2 = diag(1, eps) in the plane's (x, y) axes, which
+    turns with phi in the polar frames."""
+    chart = HyperbolicChart(n=2, offset=D)
+    c, s = np.cos(dom.coords[:, 1]), np.sin(dom.coords[:, 1])
+    c2 = np.zeros((dom.num_nodes, 2, 2))
+    c2[:, 0, 0] = c * c + eps * s * s
+    c2[:, 1, 1] = s * s + eps * c * c
+    c2[:, 0, 1] = c2[:, 1, 0] = (eps - 1.0) * c * s
+    c2[dom.boundary] = 0.0
+    drift, zeroth = np.zeros((dom.num_nodes, 2)), np.zeros(dom.num_nodes)
+    return EllipticOperator(dom, _operator_matrix(chart, dom, c2, drift, zeroth),
+                            c2, drift, zeroth, kind="anisotropic")
+
+
+def test_ring_average_of_a_strongly_phi_dependent_operator_falls_back_to_the_lu():
+    dom = ball(32, 128)
+    op = anisotropic_operator(dom)
+    c2, drift, zeroth = op.second_order, op.drift, op.zeroth
+    rhs = np.random.default_rng(3).standard_normal(dom.num_nodes)
+    held = HeldLU()
+    w = op.solve(rhs, held=held)
+    assert held.ring_averages == 1
+    assert held.fallbacks == 1 and held.factorizations == 1
+    assert held.krylov_iterations == HeldLU.RESTART * HeldLU.MAXITER
+    assert held.lu is op._lu and held.ring is None
+    assert held.counters()["fill"] == op._lu.nnz
+    direct = EllipticOperator(dom, op.matrix, c2, drift, zeroth).solve(rhs)
+    assert np.max(np.abs(w - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+def test_a_singular_operator_on_a_polar_grid_is_still_reported():
+    # the ring average of a ring of zero rows is singular, so the solve goes
+    # to the LU, which reports the singular system
+    chart = HyperbolicChart(n=2, offset=D)
+    dom = ball(4, 16)
+    op = build_DK(chart, dom, np.zeros(dom.num_nodes))
+    mat = op.matrix.tolil()
+    mat[1 + dom.shape[1] + np.arange(dom.shape[1]), :] = 0.0  # ring 2
+    op.matrix = mat.tocsr()
+    with pytest.raises(SingularLinearSystem):
+        _RingAverage(op.matrix, dom)
+    assert _RingAverage.of(op) is None
+    held = HeldLU()
+    with pytest.raises(SingularLinearSystem):
+        op.solve(np.ones(dom.num_nodes), held=held)
+    assert held.ring_averages == 0 and held.krylov_iterations == 0
+
+
+def test_refinement_gives_up_on_a_stall_or_after_four_corrections():
+    dom = ball(32, 128)
+    rhs = np.where(dom.interior, 1.0, 0.0)
+    assert _refined(anisotropic_operator(dom), rhs) is None  # the third correction does not halve
+    # a mildly phi-dependent DK contracts, but needs more than 4 corrections
+    op = build_DK(HyperbolicChart(n=2, offset=D), dom, safe_field(dom))
+    assert _refined(op, rhs) is None
+    radial = build_DK(HyperbolicChart(n=2, offset=D), dom, -0.05 * (1 - dom.coords[:, 0] ** 2))
+    assert _refined(radial, rhs) is not None
+
+
+def test_stability_check_on_a_polar_grid_refines_without_a_factorization(monkeypatch):
+    chart = HyperbolicChart(n=2, offset=D)
+    dom = ball(64, 256)
+    f = -0.05 * (1 - dom.coords[:, 0] ** 2)  # rotationally symmetric, like the solution
+    want = build_DK(chart, dom, f).solve(np.where(dom.interior, 1.0, 0.0))
+    factored = []
+    real = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **kw: factored.append(1) or real(*a, **kw))
+    res = stability_check(chart, dom, f)
+    w = res["witness"]
+    assert factored == []
+    assert res["stable"] and np.array_equal(np.sign(w), np.sign(want))
+    assert np.max(np.abs(w - want)) <= 1e-9 * np.max(np.abs(want))
+    assert np.all(w[dom.boundary] == 0.0)
 
 
 # ---- fixed sparsity pattern and dissection ordering ----------------------------

@@ -220,12 +220,12 @@ def test_continuation_counts_steps_of_failed_correctors(monkeypatch):
 
 
 def test_continuation_reuses_factorizations(monkeypatch):
-    # the acceptance-battery path (33x128, k = 0.9 inside a cap sandwich)
-    dom = GridDomain.ball(1.0, 32, 128)
+    # the acceptance-battery continuation to k = 0.9, on a 33x33 box: the
+    # held LU preconditions solves on Cartesian grids (polar ones start from
+    # a ring average), and cap barriers are defined over balls only
+    dom = GridDomain.box(((-1.0, 1.0), (-1.0, 1.0)), (33, 33))
     chart = HyperbolicChart(n=2, offset=D)
-    bp = make_barrier_pair(chart, dom, kind="cap", k=0.95)
-    target = SolveTarget(chart, dom, 0.9, lower=bp.lower, upper=bp.upper,
-                         phi_hat=bp.phi_hat)
+    target = SolveTarget(chart, dom, 0.9)
     factorized = []
     splu = linearize.spla.splu
     monkeypatch.setattr(
