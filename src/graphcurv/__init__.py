@@ -8,7 +8,6 @@ from .charts import (
     HyperbolicChart,
     alpha_of_theta,
     equidistant_curvature,
-    parse_chart,
     theta_of_alpha,
 )
 from .errors import (
@@ -37,7 +36,6 @@ from .grids import (
 )
 from .assembly import (
     CurvatureAssembly,
-    admissibility,
     assemble_curvature,
     conformal_graph_curvature,
     order_compare,
@@ -77,6 +75,5 @@ from .diagnostics import (
     validate_sandwich,
 )
 from .config import load_config, parse_config
-from .cli import main as cli_main
 
 __version__ = "0.1.0"

@@ -41,7 +41,6 @@ from .errors import DegenerateMetric, NonAdmissible, OutOfRange
 __all__ = [
     "CurvatureAssembly",
     "assemble_curvature",
-    "admissibility",
     "order_compare",
     "conformal_graph_curvature",
     "frame_quantities",
@@ -53,8 +52,6 @@ __all__ = [
 
 def _raw_partials(domain, f):
     ops = domain.derivative_ops()
-    if domain.n == 1:
-        return (ops.d1[0] @ f,), {(0, 0): ops.d2[(0, 0)] @ f}
     d1 = tuple(op @ f for op in ops.d1)
     d2 = {ab: op @ f for ab, op in ops.d2.items()}
     return d1, d2
@@ -66,15 +63,17 @@ def _sym_stack(parts, n):
     return np.stack(entries, axis=-1).reshape(np.shape(entries[0]) + (n, n))
 
 
-def _polar_frame(d1, d2, w, wp, radial):
-    """Frame gradient/Hessian from coordinate partials on a warped polar grid.
-
-    ``radial`` masks nodes with positive radius; on the remaining (pole) rows
-    the operators already produced local-Cartesian values, which pass through
-    unchanged.
-    """
+def warp_factors(w, wp, s):
+    """(wf, ratio): the polar warp W and W'/W at radius s > 0, 1 and 0 at the
+    pole, where the operators already produced local-Cartesian values."""
+    radial = s > 0
     wf = np.where(radial, w, 1.0)
-    ratio = np.where(radial, wp, 0.0) / wf
+    return wf, np.where(radial, wp, 0.0) / wf
+
+
+def _polar_frame(d1, d2, wf, ratio):
+    """Frame gradient/Hessian from coordinate partials on a warped polar grid,
+    with the ``warp_factors`` (wf, ratio); pole rows pass through unchanged."""
     p = np.stack([d1[0], d1[1] / wf], axis=-1)
     hess = _sym_stack({
         (0, 0): d2[(0, 0)],
@@ -88,13 +87,10 @@ def frame_quantities(chart, domain, f):
     """h-orthonormal frame gradient p (N, n) and Hessian H (N, n, n) of f."""
     f = domain.check_values(f)
     d1, d2 = _raw_partials(domain, f)
-    if domain.n == 1:
-        return d1[0][:, None], d2[(0, 0)][:, None, None]
-    if domain.layout == "cartesian":
-        return np.stack(d1, axis=-1), _sym_stack(d2, 2)
+    if domain.layout != "polar":
+        return np.stack(d1, axis=-1), _sym_stack(d2, domain.n)
     s = domain.coords[:, 0]
-    w, wp = chart.base_warp(s)
-    return _polar_frame(d1, d2, w, wp, s > 0)
+    return _polar_frame(d1, d2, *warp_factors(*chart.base_warp(s), s))
 
 
 # ---- eigenvalue helpers -----------------------------------------------------
@@ -137,11 +133,6 @@ def sym_inverse_parts(mat):
     c = mat[..., 1, 1]
     inv_det = 1.0 / (a * c - b**2)
     return {(0, 0): c * inv_det, (0, 1): -b * inv_det, (1, 1): a * inv_det}
-
-
-def sym_inverse(mat):
-    """Inverses of symmetric (N, n, n) matrices, closed form."""
-    return _sym_stack(sym_inverse_parts(mat), mat.shape[-1])
 
 
 # ---- assembly ---------------------------------------------------------------
@@ -264,12 +255,6 @@ def assemble_curvature(chart, domain, f, method="closed"):
     )
 
 
-def admissibility(chart, domain, f, method="closed"):
-    """(admissible, margin) of the graph of f; margin is min eig of M."""
-    asm = assemble_curvature(chart, domain, f, method=method)
-    return asm.admissible, asm.margin
-
-
 def require_admissible(asm, context=""):
     if not asm.admissible:
         where = f" ({context})" if context else ""
@@ -333,10 +318,8 @@ def conformal_graph_curvature(chart, domain, f):
         b01 = np.where(pole, kap**2 * d2[(0, 1)], kap * d2[(0, 1)])
         b11 = np.where(pole, kap**2 * d2[(1, 1)], d2[(1, 1)])
         rho = s / kap
-        w0 = np.sinh(rho)
-        w0p = np.cosh(rho)
         p, hess = _polar_frame((a0, a1), {(0, 0): b00, (0, 1): b01, (1, 1): b11},
-                               w0, w0p, ~pole)
+                               *warp_factors(np.sinh(rho), np.cosh(rho), s))
     q = np.sum(p * p, axis=-1)
     tanu = np.tan(u)
     mat = hess - tanu[:, None, None] * (

@@ -39,7 +39,6 @@ __all__ = [
     "EuclideanChart",
     "HyperbolicChart",
     "EpsilonChart",
-    "parse_chart",
 ]
 
 
@@ -517,26 +516,3 @@ class EpsilonChart(_HyperboloidChart):
             f"normalized={int(self.normalized)}"
         )
 
-
-def parse_chart(text):
-    """Parse a chart id string ("hyperbolic:n=2:D=0.5") back into a chart."""
-    parts = text.strip().split(":")
-    kind = parts[0]
-    kv = {}
-    for item in parts[1:]:
-        key, _, val = item.partition("=")
-        kv[key] = val
-    try:
-        if kind == "euclidean":
-            return EuclideanChart(n=int(kv.get("n", 2)))
-        if kind == "hyperbolic":
-            return HyperbolicChart(offset=float(kv.get("D", 0.5)), n=int(kv.get("n", 2)))
-        if kind == "epsilon":
-            return EpsilonChart(
-                eps=float(kv.get("eps", 0.1)),
-                n=int(kv.get("n", 2)),
-                normalized=bool(int(kv.get("normalized", 1))),
-            )
-    except ValueError as exc:
-        raise OutOfRange(f"bad chart id {text!r}: {exc}") from None
-    raise OutOfRange(f"unknown chart kind {kind!r}")

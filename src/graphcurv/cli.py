@@ -127,8 +127,6 @@ def _load_solution(path, chart, domain=None):
     """(grid, values) of a grid file written for ``chart`` (and on ``domain``)."""
     try:
         grid, values, cid = load_grid(path)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}: malformed grid header: {exc.msg}")
     except ValueError as exc:
         raise ConfigError(f"{path}: malformed grid data: {exc}")
     if chart is not None and cid != chart.chart_id():
@@ -213,20 +211,29 @@ def _target_bounds(kval, domain):
     return float(np.min(vals)), float(np.max(vals))
 
 
-# ---- commands ------------------------------------------------------------------
-
-
-def cmd_curvature(cfg):
-    t0 = time.perf_counter()
-    src = cfg["input"]["values"]
+def _check_input(cfg, key):
+    """(path, chart, domain, f, assembly, oracle, gap) of the grid file at
+    ``input.<key>``: K(f) assembled and from the oracle (one pass each), and
+    their largest interior difference."""
+    src = cfg["input"][key]
     if not src:
-        raise ConfigError("missing required key input.values")
+        raise ConfigError(f"missing required key input.{key}")
     chart = cfgmod.build_chart(cfg)
     domain, f = _load_solution(src, chart)
     asm = assemble_curvature(chart, domain, f)
     data = curvature_oracle(chart, domain, f)
     interior = domain.interior
     gap = float(np.max(np.abs(asm.K[interior] - data.K[interior])))
+    return src, chart, domain, f, asm, data, gap
+
+
+# ---- commands ------------------------------------------------------------------
+
+
+def cmd_curvature(cfg):
+    t0 = time.perf_counter()
+    src, chart, domain, f, asm, data, gap = _check_input(cfg, "values")
+    interior = domain.interior
     export_csv(
         _out_path(cfg, "kfield"),
         domain,
@@ -518,13 +525,7 @@ def cmd_solve(cfg):
 
 def cmd_validate(cfg):
     t0 = time.perf_counter()
-    src = cfg["input"]["solution"]
-    if not src:
-        raise ConfigError("missing required key input.solution")
-    chart = cfgmod.build_chart(cfg)
-    domain, f = _load_solution(src, chart)
-    asm = assemble_curvature(chart, domain, f)
-    data = curvature_oracle(chart, domain, f)  # one pass: the gap and the monitor
+    src, chart, domain, f, asm, data, gap = _check_input(cfg, "solution")
     interior = domain.interior
 
     kval = target = None
@@ -555,7 +556,6 @@ def cmd_validate(cfg):
             len(rep["above_upper"]) + len(rep["below_lower"])
         )
 
-    gap = float(np.max(np.abs(asm.K[interior] - data.K[interior])))
     ds = domain.spacing[0]
     gap_tol = 50.0 * ds**2 * (1.0 + float(np.max(np.abs(data.K[interior]))))
     checks["assembly_vs_oracle"] = bool(gap <= gap_tol)

@@ -350,7 +350,6 @@ class EstimateReport:
     lipschitz: float  # max frame gradient norm
     delta_weight: np.ndarray  # d(x, P)^2 for a fixed boundary node P
     delta_point: int
-    pogorelov: dict | None = None
 
 
 def _boundary_adjacent(domain):

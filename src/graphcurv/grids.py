@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DomainMismatch, OutOfRange
+from .errors import ConfigError, DomainMismatch, OutOfRange
 
 __all__ = [
     "GridDomain",
@@ -107,12 +107,8 @@ class GridDomain:
         for (lo, hi), m, per in zip(extent, shape, periodic):
             if m < 5:
                 raise OutOfRange("box grid needs at least 5 nodes per axis")
-            if per:
-                h = (hi - lo) / m
-                axes.append(lo + h * np.arange(m))
-            else:
-                h = (hi - lo) / (m - 1)
-                axes.append(lo + h * np.arange(m))
+            h = (hi - lo) / (m if per else m - 1)
+            axes.append(lo + h * np.arange(m))
             spacing.append(h)
         grids = np.meshgrid(*axes, indexing="ij")
         coords = np.stack([g.ravel() for g in grids], axis=-1)
@@ -474,13 +470,23 @@ def save_grid(path, domain, values, chart_id):
 def load_grid(path):
     """Read a grid file; returns (domain, values, chart_id).
 
-    The domain is rebuilt from the header and cross-checked against the
-    stored boundary mask; any inconsistency raises DomainMismatch.  The
-    values are parsed in one call; blank lines are skipped, and a line that
-    is not one number raises ValueError.
+    A header that is not one JSON object holding the keys ``save_grid``
+    writes (``periodic`` may be left out) raises ConfigError.  The domain is
+    rebuilt from the header and cross-checked against the stored boundary
+    mask; any inconsistency raises DomainMismatch.  The values are parsed in
+    one call; blank lines are skipped, and a line that is not one number
+    raises ValueError.
     """
     with open(path) as fh:
-        header = json.loads(fh.readline())
+        try:
+            header = json.loads(fh.readline())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}:{exc.lineno}: malformed grid header: {exc.msg}")
+        if not isinstance(header, dict):
+            raise ConfigError(f"{path}: malformed grid header: not a JSON object")
+        for key in ("layout", "shape", "extent", "spacing", "boundary", "chart"):
+            if key not in header:
+                raise ConfigError(f"{path}: malformed grid header: missing key {key!r}")
         with warnings.catch_warnings():
             # a file without values is reported below, as a count mismatch
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -488,20 +494,9 @@ def load_grid(path):
     if values.shape[1] != 1:
         raise ValueError(f"{values.shape[1]} values on a line, expected one")
     values = values[:, 0]
-    kind = header["layout"]
     shape = tuple(int(m) for m in header["shape"])
-    extent = tuple(tuple(ab) for ab in header["extent"])
-    if kind == "ball":
-        dom = GridDomain.ball(extent[0][1], shape[0] - 1, shape[1])
-    elif kind == "annulus":
-        dom = GridDomain.annulus(extent[0][0], extent[0][1], shape[0] - 1, shape[1])
-    elif kind == "box":
-        periodic = tuple(bool(p) for p in header.get("periodic", [0] * len(shape)))
-        dom = GridDomain.box(extent, shape, periodic)
-    elif kind == "interval":
-        dom = GridDomain.interval(extent[0][0], extent[0][1], shape[0] - 1)
-    else:
-        raise DomainMismatch(f"unknown grid layout {kind!r}")
+    periodic = tuple(bool(p) for p in header.get("periodic", [0] * len(shape)))
+    dom = _grid(header["layout"], tuple(tuple(ab) for ab in header["extent"]), shape, periodic)
     if not np.allclose(dom.spacing, header["spacing"]):
         raise DomainMismatch("grid spacing in header does not match layout")
     if _boundary_rle(dom.boundary) != header["boundary"]:
@@ -518,18 +513,24 @@ def _cells(domain):
     return [m if per else m - 1 for m, per in zip(domain.shape, domain.periodic)]
 
 
+def _grid(kind, extent, shape, periodic):
+    """The grid of ``kind`` over ``extent`` with ``shape`` nodes per axis;
+    only a box reads ``periodic``."""
+    if kind == "ball":
+        return GridDomain.ball(extent[0][1], shape[0] - 1, shape[1])
+    if kind == "annulus":
+        return GridDomain.annulus(*extent[0], shape[0] - 1, shape[1])
+    if kind == "interval":
+        return GridDomain.interval(*extent[0], shape[0] - 1)
+    if kind == "box":
+        return GridDomain.box(extent, shape, periodic)
+    raise DomainMismatch(f"unknown grid layout {kind!r}")
+
+
 def _with_cells(domain, cells):
     """A grid of ``domain``'s kind and extent with ``cells`` cells per axis."""
-    if domain.kind == "ball":
-        return GridDomain.ball(domain.extent[0][1], *cells)
-    if domain.kind == "annulus":
-        (r0, r1), _ = domain.extent
-        return GridDomain.annulus(r0, r1, *cells)
-    if domain.kind == "interval":
-        (lo, hi), = domain.extent
-        return GridDomain.interval(lo, hi, *cells)
     shape = [c if per else c + 1 for c, per in zip(cells, domain.periodic)]
-    return GridDomain.box(domain.extent, shape, domain.periodic)
+    return _grid(domain.kind, domain.extent, shape, domain.periodic)
 
 
 def refine_domain(domain, factor=2):
@@ -649,9 +650,8 @@ def export_csv(path, domain, columns):
     coord_names = {"interval": ["s"], "cartesian": ["x", "y"], "polar": ["s", "phi"]}[
         domain.layout
     ]
+    table = np.column_stack([domain.coords, *arrs])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(coord_names + names) + "\n")
-        for i in range(domain.num_nodes):
-            cells = ["%.17g" % c for c in domain.coords[i]]
-            cells += ["%.17g" % a[i] for a in arrs]
-            fh.write(",".join(cells) + "\n")
+        fh.write((row * len(table)) % tuple(table.ravel().tolist()))

@@ -90,7 +90,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import assemble_curvature, require_admissible, sym_inverse_parts
+from .assembly import assemble_curvature, require_admissible, sym_inverse_parts, warp_factors
 from .errors import SingularLinearSystem, SingularShapeOperator
 from .riemann import normal_curvature_endomorphism
 
@@ -163,10 +163,8 @@ def _operator_pattern(chart, domain):
         if domain.layout == "polar":
             s = domain.coords[:, 0]
             w, wp = chart.base_warp(s)
-            radial = s > 0
-            wf = np.where(radial, w, 1.0)
+            wf, ratio = warp_factors(w, wp, s)
             inv, inv2 = 1.0 / wf, 1.0 / wf**2
-            ratio = np.where(radial, wp, 0.0) / wf
             d2[(0, 1)] = _combine(lambda a, b: inv * (a - ratio * b), d2[(0, 1)], d1[1])
             d2[(1, 1)] = _combine(lambda a, b: inv2 * a + ratio * b, d2[(1, 1)], d1[0])
             d1[1] = _combine(lambda a: inv * a, d1[1])

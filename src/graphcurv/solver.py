@@ -13,11 +13,11 @@ Linear systems: every Newton step builds DK exactly at the current iterate
 and solves DK delta = -r through a ``linearize.HeldLU`` (GMRES
 preconditioned by a held ring average on polar grids or a held sparse LU;
 DK is factorized afresh only when GMRES misses its tolerance).
-``newton_solve`` takes the held preconditioner and hands it back on its
-result; ``continuation_solve`` keeps one on the state, so one
-preconditioner can serve the start step, later Newton steps, later tau-steps
-and the retries after failed correctors.  The line search, the
-admissibility and sandwich tests and ``tol`` see only the resulting step.
+``newton_solve`` takes the held preconditioner and updates it in place;
+``continuation_solve`` keeps one on the state, so one preconditioner can
+serve the start step, later Newton steps, later tau-steps and the retries
+after failed correctors.  The line search, the admissibility and sandwich
+tests and ``tol`` see only the resulting step.
 
 Determinism: everything here is sequential and seed-driven; the only random
 ingredient is ``rhs_perturbation`` / ``smooth_random_field``, which draw from
@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .assembly import assemble_curvature
+from .charts import _base_cartesian
 from .errors import (
     GraphCurvError,
     NoConvergence,
@@ -126,7 +127,6 @@ class NewtonResult:
     residual_norm: float
     margin: float
     history: list = field(default_factory=list)
-    lu: HeldLU | None = None
     rejected_trials: int = 0  # line-search trials assembled and rejected
 
 
@@ -148,16 +148,16 @@ def newton_solve(f_init, target, opts=None, lu=None):
     """Damped Newton for K(f) = target with zero Dirichlet data.
 
     Solves DK * delta = target - K(f) each iteration through the held
-    preconditioner ``lu`` (a fresh ``HeldLU`` when None; returned on the
-    result and updated in place) and takes the largest
-    step s in {1, 1/2, ..., 2^-max_halvings} whose iterate (a) keeps the
-    admissibility margin >= margin_fraction * (current margin), (b) drops the
-    residual to <= (1 - s/4) * current, and (c) stays inside the sandwich
-    when one is attached.  Raises NonAdmissibleInit, NoConvergence (iteration
-    cap or exhausted line search) or SingularLinearSystem, or the assembly's
-    errors; every error raised here carries ``steps`` (the accepted steps),
-    ``rejected_trials`` (line-search trials assembled and rejected) and
-    ``residual`` (the last accepted iterate's residual norm).
+    preconditioner ``lu`` (a fresh ``HeldLU`` when None; updated in place)
+    and takes the largest step s in {1, 1/2, ..., 2^-max_halvings} whose
+    iterate (a) keeps the admissibility margin >= margin_fraction * (current
+    margin), (b) drops the residual to <= (1 - s/4) * current, and (c) stays
+    inside the sandwich when one is attached.  Raises NonAdmissibleInit,
+    NoConvergence (iteration cap or exhausted line search) or
+    SingularLinearSystem, or the assembly's errors; every error raised here
+    carries ``steps`` (the accepted steps), ``rejected_trials`` (line-search
+    trials assembled and rejected) and ``residual`` (the last accepted
+    iterate's residual norm).
     """
     opts = opts or NewtonOptions()
     lu = HeldLU() if lu is None else lu
@@ -180,8 +180,7 @@ def newton_solve(f_init, target, opts=None, lu=None):
         rnorm = float(np.max(np.abs(r)))
         for it in range(opts.max_iter):
             if rnorm <= opts.tol:
-                return NewtonResult(f, True, it, rnorm, asm.margin, history, lu,
-                                    rejected)
+                return NewtonResult(f, True, it, rnorm, asm.margin, history, rejected)
             op = build_DK(chart, domain, f, assembly=asm)
             delta = op.solve(-r, held=lu)
             accepted = False
@@ -211,8 +210,7 @@ def newton_solve(f_init, target, opts=None, lu=None):
                     f"(residual {rnorm:.3e}, margin {asm.margin:.3e})"
                 )
         if rnorm <= opts.tol:
-            return NewtonResult(f, True, opts.max_iter, rnorm, asm.margin, history, lu,
-                                rejected)
+            return NewtonResult(f, True, opts.max_iter, rnorm, asm.margin, history, rejected)
         raise NoConvergence(
             f"no convergence in {opts.max_iter} iterations (residual {rnorm:.3e})"
         )
@@ -437,17 +435,9 @@ def smooth_random_field(domain, rng, modes=6):
     coordinates of the base (so it is smooth across a polar pole), with
     amplitudes, frequencies, and phases drawn from ``rng``.
     """
-    if domain.n == 1:
-        x = domain.coords[:, 0]
-        y = np.zeros_like(x)
-    elif domain.layout == "polar":
-        s = domain.coords[:, 0]
-        ph = domain.coords[:, 1]
-        x = s * np.cos(ph)
-        y = s * np.sin(ph)
-    else:
-        x = domain.coords[:, 0]
-        y = domain.coords[:, 1]
+    xy = _base_cartesian(domain.coords, domain.layout)
+    x = xy[:, 0]
+    y = xy[:, 1] if domain.n == 2 else np.zeros_like(x)
     span = max(np.ptp(x), np.ptp(y), 1e-30)
     out = np.zeros(domain.num_nodes)
     for _ in range(modes):

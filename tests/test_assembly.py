@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from graphcurv.assembly import (
     assemble_curvature,
-    admissibility,
     conformal_graph_curvature,
     order_compare,
     require_admissible,
@@ -67,8 +66,6 @@ def test_flat_slice_is_not_admissible(chart):
     assert abs(asm.margin) < 1e-14
     assert not asm.admissible
     assert np.max(np.abs(asm.K[dom.interior])) < 1e-14
-    ok, margin = admissibility(chart, dom, np.zeros(dom.num_nodes))
-    assert not ok and abs(margin) < 1e-14
 
 
 # ---- dual-route agreement ------------------------------------------------------

@@ -7,7 +7,6 @@ from graphcurv.charts import (
     HyperbolicChart,
     alpha_of_theta,
     equidistant_curvature,
-    parse_chart,
     theta_of_alpha,
 )
 from graphcurv.errors import OutOfChart
@@ -118,13 +117,6 @@ def test_metric_at_is_spd():
         g = chart.metric_at(chart.graph_coords(pts[:, :2], pts[:, 2], "polar"))
         eig = np.linalg.eigvalsh(g)
         assert np.min(eig) > 0
-
-
-def test_chart_id_roundtrip():
-    for chart in CHARTS:
-        again = parse_chart(chart.chart_id())
-        assert again.chart_id() == chart.chart_id()
-        assert type(again) is type(chart)
 
 
 def test_frame_coefficients_layouts():

@@ -411,6 +411,34 @@ def test_curvature_missing_grid_file(tmp_path):
     assert main(["curvature", "--config", str(cfg)]) == EXIT_CODES["IOError"] == 3
 
 
+def _grid_with_header(tmp_path, edit):
+    """A ball grid file whose JSON header is replaced by ``edit(header)``."""
+    dom = GridDomain.ball(1.0, 4, 16)
+    path = tmp_path / "field.grid"
+    save_grid(path, dom, np.zeros(dom.num_nodes), HyperbolicChart(n=2, offset=0.5).chart_id())
+    header, values = path.read_text().split("\n", 1)
+    path.write_text(json.dumps(edit(json.loads(header))) + "\n" + values)
+    return path
+
+
+def test_grid_header_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
+    path = _grid_with_header(tmp_path, lambda header: list(header.items()))
+    cfg = write_cfg(tmp_path, input={"values": str(path)})
+    assert main(["curvature", "--config", str(cfg)]) == EXIT_CODES["ConfigError"]
+    assert f"ConfigError: {path}: malformed grid header: not a JSON object" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("key", ["layout", "shape", "extent", "spacing", "boundary", "chart"])
+def test_grid_header_without_a_key_is_a_config_error(tmp_path, capsys, key):
+    path = _grid_with_header(tmp_path, lambda header: {k: v for k, v in header.items()
+                                                       if k != key})
+    cfg = write_cfg(tmp_path, input={"values": str(path)})
+    assert main(["curvature", "--config", str(cfg)]) == EXIT_CODES["ConfigError"]
+    assert f"ConfigError: {path}: malformed grid header: missing key {key!r}" in (
+        capsys.readouterr().err)
+
+
 # ---- validate ------------------------------------------------------------------
 
 

@@ -338,6 +338,24 @@ def test_export_csv_format(tmp_path):
     assert float(row[3]) == 2 * f[dom.node_index(2, 3)]
 
 
+@pytest.mark.parametrize("dom", [
+    GridDomain.ball(1.0, 4, 16),
+    GridDomain.box(((-1.0, 1.0), (0.0, 2.0)), (7, 9)),
+    GridDomain.interval(-1.0, 1.0, 12),
+], ids=lambda d: d.kind)
+def test_export_csv_writes_the_bytes_of_the_per_row_loop(tmp_path, dom):
+    rng = np.random.default_rng(5)
+    columns = {"f": -rng.random(dom.num_nodes) / 3.0, "K": rng.standard_normal(dom.num_nodes),
+               "zero": np.where(dom.boundary, -0.0, 0.0)}
+    path = tmp_path / "out.csv"
+    export_csv(path, dom, columns)
+    _, body = path.read_bytes().split(b"\n", 1)
+    want = "".join(",".join(["%.17g" % c for c in dom.coords[i]]
+                            + ["%.17g" % a[i] for a in columns.values()]) + "\n"
+                   for i in range(dom.num_nodes))
+    assert body == want.encode()
+
+
 # ---- refinement / restriction -------------------------------------------------
 
 
