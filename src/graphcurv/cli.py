@@ -281,6 +281,13 @@ class _Solve:
     spent: dict = field(default_factory=lambda: {"newton_total": 0, "rejected_trials": 0})
 
 
+def _perturbation(cfg, domain):
+    """(``rhs_perturbation``, seed) of ``solver.perturb`` on ``domain``."""
+    sol = cfg["solver"]
+    seed = int(sol["seed"] if sol["perturb"]["seed"] is None else sol["perturb"]["seed"])
+    return rhs_perturbation(domain, float(sol["perturb"]["magnitude"]), seed), seed
+
+
 def _setup_solve(cfg, domain, seeded, profiles):
     """Chart, barrier, targets and options of one solve on ``domain``.
 
@@ -334,9 +341,7 @@ def _setup_solve(cfg, domain, seeded, profiles):
         "seed": int(sol["seed"]),
         "perturb_magnitude": float(sol["perturb"]["magnitude"]),
     }
-    pseed = sol["perturb"]["seed"]
-    pseed = int(sol["seed"]) if pseed is None else int(pseed)
-    bump = rhs_perturbation(domain, float(sol["perturb"]["magnitude"]), pseed)
+    bump, pseed = _perturbation(cfg, domain)
     if bump is not None:
         meta["perturb_seed"] = pseed
     return _Solve(sol, target, target.perturbed(bump), bump, nopts, f_init, meta)
@@ -529,11 +534,15 @@ def cmd_validate(cfg):
     interior = domain.interior
 
     kval = target = None
-    if cfgmod.provided(cfg, "problem", "k") is not None:
-        kval = cfgmod.build_target_k(cfg, domain)
-        target = SolveTarget(chart, domain, kval).evaluate(f)
     checks = {}
     details = {}
+    if cfgmod.provided(cfg, "problem", "k") is not None:
+        kval = cfgmod.build_target_k(cfg, domain)
+        bump, seed = _perturbation(cfg, domain)  # the target solve solved
+        target = SolveTarget(chart, domain, kval).perturbed(bump).evaluate(f)
+        if bump is not None:
+            details.update(perturb_magnitude=float(cfg["solver"]["perturb"]["magnitude"]),
+                           perturb_seed=seed)
 
     checks["admissible"] = bool(asm.admissible)
     details["margin"] = asm.margin

@@ -10,8 +10,9 @@ cap over a polar ball domain by solving the radial two-point reduction of the
 graph-curvature equation on a refined 1-D grid, then restricting to the
 domain's radii, which the refined grid contains exactly.  The solve is damped
 Newton with the same admissibility-margin safeguard as the full solver; each
-step solves the exact tridiagonal Jacobian of the radial curvature with one
-banded LU, starting from the Euclidean cap of the excess curvature k - phi0.
+step solves the exact tridiagonal Jacobian of the radial curvature by Thomas
+elimination (``linearize._Tridiagonal``), starting from the Euclidean cap of
+the excess curvature k - phi0.
 
 ``pogorelov_monitor`` evaluates the interior-estimate test function
 
@@ -26,11 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .assembly import assemble_curvature, frame_quantities
-from .errors import NonAdmissible, OutOfRange, TransversalityFailure
-from .linearize import _warp_derivative_fields
+from .errors import NonAdmissible, OutOfRange, SingularLinearSystem, TransversalityFailure
+from .linearize import _Tridiagonal, _warp_derivative_fields
 from .shape_oracle import _inner, curvature_oracle
 
 __all__ = [
@@ -115,9 +115,8 @@ def _radial_jacobian(chart, ratio, f, h1, n, K, m1, m2):
     and dK = K (dm1/m1 + dm2/m2) / n - K dpsi/psi.  Row j reaches f[j-1],
     f[j], f[j+1] through the warp at t = f[j], through p and through f'';
     on the pole row p = 0 and f'' = 2 (f1 - f0) / h^2 enters m1 and m2
-    alike.  Returns the (3, m) bands in ``solve_banded((1, 1), ...)``
-    layout: superdiagonal in row 0 from column 1, diagonal in row 1,
-    subdiagonal in row 2 up to column m - 2.
+    alike.  Returns (lower, diag, upper) as ``_Tridiagonal`` reads them:
+    row j's coefficients of f[j-1], f[j] and f[j+1].
     """
     K, m1, m2 = K[:-1], m1[:-1], m2[:-1]
     p = _radial_slope(f, h1)[:-1]
@@ -131,28 +130,32 @@ def _radial_jacobian(chart, ratio, f, h1, n, K, m1, m2):
     lap = k1 / h1**2
     lap[0] += k2[0] / h1**2
     grad = k_p / (2.0 * h1)
-    bands = np.zeros((3, len(K)))
-    bands[0, 1:] = (lap + grad)[:-1]
-    bands[1] = k_t - 2.0 * lap
-    bands[2, :-1] = (lap - grad)[1:]
-    bands[0, 1] = 2.0 * lap[0]
-    return bands
+    upper = lap + grad
+    upper[0] = 2.0 * lap[0]
+    return lap - grad, k_t - 2.0 * lap, upper
 
 
-def sphere_cap_barrier(chart, domain, k, refine=32, tol=1e-10, max_iter=60,
-                       profiles=None):
+# Fine radius cells per domain cell.  The radial profile is resolved well
+# before a thousand cells; past that only the eps/h^2 noise floor and the
+# Jacobian's conditioning grow, so the fine grid stops at 1024 cells.
+_CAP_REFINE = 32
+_CAP_TOL = 1e-10
+_CAP_MAX_ITER = 60
+
+
+def sphere_cap_barrier(chart, domain, k, profiles=None):
     """Constant-curvature-k cap over a polar ball, as a grid function.
 
     Solves the radial two-point problem K(f) = k, f'(0) = 0, f(R) = 0 on a
-    ``refine``-times finer radius grid with damped Newton on the exact
-    tridiagonal Jacobian (one banded solve a step), then reads off the
+    ``_CAP_REFINE``-times finer radius grid with damped Newton on the exact
+    tridiagonal Jacobian (one tridiagonal solve a step), then reads off the
     domain's radii.  Raises OutOfRange when no cap with that curvature
     exists over the ball (Newton leaves the admissible cone or stalls).
 
     The fine grid has at most 1024 cells, so the refinements of one ball
     share it.  ``profiles``, a dict the caller owns, keeps each radial
     profile solved through it and hands it to later calls with the same
-    chart, k, radius, fine grid, dimension, tol and max_iter.
+    chart, k, radius, fine grid and dimension.
     """
     if domain.kind != "ball":
         raise OutOfRange("sphere-cap barriers are defined over ball domains")
@@ -160,16 +163,11 @@ def sphere_cap_barrier(chart, domain, k, refine=32, tol=1e-10, max_iter=60,
         raise OutOfRange("cap curvature must be positive")
     nr = domain.shape[0] - 1
     R = domain.extent[0][1]
-    # The radial profile is fully resolved well before a thousand cells; past
-    # that the only things that grow are the eps/h^2 noise floor and the
-    # conditioning of the Jacobian.  Keep m a multiple of nr so the read-off
-    # lands on domain radii exactly.
-    refine = max(1, min(refine, 1024 // nr))
-    m = refine * nr
-    key = (chart.chart_id(), k, R, m, domain.n, tol, max_iter)
+    m = max(1, min(_CAP_REFINE, 1024 // nr)) * nr  # read off at domain radii exactly
+    key = (chart.chart_id(), k, R, m, domain.n)
     f = None if profiles is None else profiles.get(key)
     if f is None:
-        f = _cap_profile(chart, k, R, m, domain.n, tol, max_iter)
+        f = _cap_profile(chart, k, R, m, domain.n, _CAP_TOL, _CAP_MAX_ITER)
         if profiles is not None:
             f.flags.writeable = False
             profiles[key] = f
@@ -183,7 +181,7 @@ def _cap_profile(chart, k, R, m, n, tol, max_iter):
     """Values at s = j R / m, j = 0..m, of the radial curvature-k cap.
 
     Damped Newton: each step solves the exact tridiagonal Jacobian
-    (``_radial_jacobian``) with one banded LU.  The seed is the Euclidean
+    (``_radial_jacobian``) by Thomas elimination.  The seed is the Euclidean
     cap of the curvature k - phi0 that the graph adds to the base slice's
     phi0 when 0 < phi0 < k, and of curvature k otherwise, with its sphere
     radius at least 1.05 R.  Second differences on the fine grid put an
@@ -217,10 +215,9 @@ def _cap_profile(chart, k, R, m, n, tol, max_iter):
     for _ in range(max_iter):
         if rnorm <= goal:
             break
-        bands = _radial_jacobian(chart, ratio, f, h1, n, *parts)
         try:
-            delta = solve_banded((1, 1), bands, -r)
-        except np.linalg.LinAlgError as exc:
+            delta = _Tridiagonal(*_radial_jacobian(chart, ratio, f, h1, n, *parts)).solve(-r)
+        except SingularLinearSystem as exc:
             raise OutOfRange(f"cap continuation lost ellipticity: {exc}") from exc
         step = np.concatenate([delta, [0.0]])
         accepted = False

@@ -471,11 +471,11 @@ def load_grid(path):
     """Read a grid file; returns (domain, values, chart_id).
 
     A header that is not one JSON object holding the keys ``save_grid``
-    writes (``periodic`` may be left out) raises ConfigError.  The domain is
-    rebuilt from the header and cross-checked against the stored boundary
-    mask; any inconsistency raises DomainMismatch.  The values are parsed in
-    one call; blank lines are skipped, and a line that is not one number
-    raises ValueError.
+    writes (``periodic`` may be left out) with values of their types raises
+    ConfigError.  The domain is rebuilt from the header and cross-checked
+    against the stored boundary mask; any inconsistency raises
+    DomainMismatch.  The values are parsed in one call; blank lines are
+    skipped, and a line that is not one number raises ValueError.
     """
     with open(path) as fh:
         try:
@@ -494,10 +494,18 @@ def load_grid(path):
     if values.shape[1] != 1:
         raise ValueError(f"{values.shape[1]} values on a line, expected one")
     values = values[:, 0]
-    shape = tuple(int(m) for m in header["shape"])
-    periodic = tuple(bool(p) for p in header.get("periodic", [0] * len(shape)))
-    dom = _grid(header["layout"], tuple(tuple(ab) for ab in header["extent"]), shape, periodic)
-    if not np.allclose(dom.spacing, header["spacing"]):
+
+    def field(key, convert, default=None):
+        try:
+            return convert(header.get(key, default))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: malformed grid header: {key!r}: {exc}") from None
+
+    shape = field("shape", lambda v: tuple(int(m) for m in v))
+    periodic = field("periodic", lambda v: tuple(bool(p) for p in v), [0] * len(shape))
+    extent = field("extent", lambda v: tuple((float(a), float(b)) for a, b in v))
+    dom = _grid(field("layout", str.__str__), extent, shape, periodic)  # str or TypeError
+    if not np.allclose(dom.spacing, field("spacing", lambda v: np.array(v, dtype=float))):
         raise DomainMismatch("grid spacing in header does not match layout")
     if _boundary_rle(dom.boundary) != header["boundary"]:
         raise DomainMismatch("boundary mask in header does not match layout")

@@ -28,16 +28,15 @@ zero Dirichlet values.
 Storage: every operator of one (chart, domain) is stored on one sparsity
 pattern, the union of the interior rows of the frame operators H[(a, b)]
 (a <= b) and P[a] and the diagonal, with boundary rows holding the diagonal
-alone.  Both are built from the grid's stencil slots (``grids.Stencils``),
-which ``GridDomain.derivative_ops`` builds once: the frame operators'
-weights per slot combine the derivative operators' slot by slot, and the
-pattern is the set of slots any of them uses, each stored entry naming the
-slot it reads.  Both are cached on the domain.  A build then only fills
-the values: it adds each frame operator's weights, times their
-coefficients, up per slot in term order and gathers the slots into the
-pattern once.  The stored pattern, and with it the fill of a
-factorization, therefore does not depend on f; entries that cancel stay
-as zeros.
+alone.  Both come from the grid's stencil slots (``grids.Stencils``), which
+``GridDomain.derivative_ops`` builds once: the frame operators' weights
+combine the derivative operators' slot by slot, the pattern is the set of
+slots any of them uses, and both are cached on the domain.  A build adds
+each frame operator's weights, times their coefficients, up per slot in
+term order, then the zeroth-order term and the boundary's identity on the
+middle slot, and gathers the slots into the pattern once.  The pattern,
+and with it the fill of a factorization, does not depend on f; entries
+that cancel stay as zeros.
 
 Factorization: a direct LU takes rows and columns in the domain's
 nested-dissection order (``GridDomain.dissection_order``) and SuperLU keeps
@@ -47,15 +46,14 @@ diagonal dominates.  On the 129x512 ball the factors hold about half the
 entries a COLAMD order gives (4.7 M against 9.7 M for L + U of DK at f = 0).
 
 Ring average: on polar grids (ball and annulus) the model problem's
-solution is rotationally symmetric, so DK is nearly circulant in phi.
-``_RingAverage`` averages an operator's entries over phi, ring by ring and
-stencil slot by slot, and solves the averaged system by FFT in phi and one
-tridiagonal solve in the radius per Fourier mode, with the ball's pole row
-kept exactly.  It is exact for a rotationally symmetric operator and
-stores O(rings x nphi) numbers where an LU stores tens of entries a node.
-For DK on the 129x512 ball (2-core VM, one BLAS thread) a build took about
-25 ms against about 0.3 s for the LU, and an application 1.5 ms against
-14 ms for the LU's triangular solves.
+solution is rotationally symmetric, so DK is nearly circulant in phi.  A
+build keeps each ring's slot sums averaged over phi (``ring_means``), and
+``_RingAverage`` solves their system by FFT in phi and one tridiagonal
+solve in the radius per Fourier mode, with the ball's pole row kept
+exactly.  It is exact for a rotationally symmetric operator.  For DK on
+the 129x512 ball (2-core VM, one BLAS thread) a build took about 3 ms
+against about 0.3 s for the LU, and an application 1.5 ms against 14 ms
+for the LU's triangular solves.
 
 Preconditioner reuse: a sparse LU of DK costs tens of triangular solves,
 and DK moves little between Newton steps and between neighbouring
@@ -117,7 +115,7 @@ def frame_operators(chart, domain):
 
 @dataclass(frozen=True)
 class _OperatorPattern:
-    """Union sparsity pattern of the operators ``_operator_matrix`` sums.
+    """Union sparsity pattern of the operators ``_operator`` sums.
 
     ``indptr``/``indices`` hold, on interior rows, every entry of the frame
     operators and the diagonal; boundary rows hold the diagonal alone.
@@ -131,7 +129,6 @@ class _OperatorPattern:
     indptr: np.ndarray
     indices: np.ndarray
     source: np.ndarray
-    diagonal: np.ndarray  # position of (i, i) for every row i
 
     @functools.cached_property
     def frame_operators(self):
@@ -182,11 +179,10 @@ def _combine(fn, *ops):
 
 
 def _union(st, domain, tables):
-    """(indptr, indices, source, diagonal) of the union pattern of the
-    ``Stencils`` operators ``tables``: per row, the slots where any of them
-    has an entry (interior rows) and the node itself, in column order.
-    ``source`` is slot * N + row of every stored entry, ``diagonal[r]`` the
-    position of (r, r)."""
+    """(indptr, indices, source) of the union pattern of the ``Stencils``
+    operators ``tables``: per row, the slots where any of them has an entry
+    (interior rows) and the node itself, in column order.  ``source`` is
+    slot * N + row of every stored entry."""
     S, N = st.cols.shape
     union = np.zeros((S, N), dtype=bool)
     for table in tables:
@@ -201,7 +197,7 @@ def _union(st, domain, tables):
     indices, source = cols[present], source[present]
     for arr in (indptr, indices):
         arr.flags.writeable = False  # shared by every matrix built on it
-    return indptr, indices, source, np.flatnonzero(source // N == S // 2)
+    return indptr, indices, source
 
 
 @dataclass
@@ -212,7 +208,8 @@ class EllipticOperator:
     that were contracted with the frame derivative operators to form
     ``matrix`` (boundary rows zero); ``kind`` names the construction and
     ``normal_curvature`` stores the measured ambient W for the comparison
-    operator.
+    operator.  On polar grids ``ring_means[i, a + 1, b + 1]`` is the mean
+    over phi of ring i's slot (a, b), from ring 1 on the ball; else None.
     """
 
     domain: object
@@ -222,6 +219,7 @@ class EllipticOperator:
     zeroth: np.ndarray  # (N,)
     kind: str = "DK"
     normal_curvature: np.ndarray | None = None
+    ring_means: np.ndarray | None = None  # (rings, 3, 3)
     _lu: object = field(default=None, repr=False, compare=False)
 
     def apply(self, v):
@@ -283,65 +281,74 @@ class _PermutedLU:
         return out
 
 
+class _Tridiagonal:
+    """Tridiagonal systems along axis 0, row i reading lower[i] x[i - 1] +
+    diag[i] x[i] + upper[i] x[i + 1] (a trailing axis holds independent
+    systems), factored once by Thomas elimination in the order of LAPACK's
+    gtsv when it swaps no rows.  A 1-D system runs on Python floats, a few
+    times faster than on numpy scalars.  Raises SingularLinearSystem when a
+    pivot is zero or not finite."""
+
+    def __init__(self, lower, diag, upper):
+        lower, diag, self.upper = _rows(lower), _rows(diag), _rows(upper)
+        p = diag[0]
+        mult, pivot = self.mult, self.pivot = [0.0], [p]
+        try:
+            with np.errstate(divide="ignore", invalid="ignore"):  # checked below
+                for low, d, up in zip(lower[1:], diag[1:], self.upper):
+                    m = low / p
+                    p = d - m * up
+                    mult.append(m)
+                    pivot.append(p)
+        except ZeroDivisionError:  # a float pivot is 0.0: raised below
+            pass
+        pivot = np.array(pivot)
+        if not np.all(np.isfinite(pivot) & (pivot != 0.0)):
+            raise SingularLinearSystem("tridiagonal system has a zero pivot")
+
+    def solve(self, rhs):
+        x = _rows(rhs)
+        for i in range(1, len(x)):
+            x[i] = x[i] - self.mult[i] * x[i - 1]
+        x[-1] = x[-1] / self.pivot[-1]
+        for i in range(len(x) - 2, -1, -1):
+            x[i] = (x[i] - self.upper[i] * x[i + 1]) / self.pivot[i]
+        return np.array(x)
+
+
+def _rows(a):
+    """``a`` as a list of its rows: floats for a 1-D array."""
+    return a.tolist() if a.ndim == 1 else list(a)
+
+
 class _RingAverage:
     """The ring average of a polar-grid operator, solved by FFT in phi.
 
-    Every stored entry of ``matrix`` at row (ring i, angle j) and column
-    (ring i + a, angle j + b), a and b in {-1, 0, 1}, is averaged over j per
-    (i, a, b).  The averaged operator is circulant in phi (T. Chan's optimal
+    The operator of its ``ring_means`` is circulant in phi (T. Chan's optimal
     circulant approximation, SIAM J. Sci. Stat. Comput. 9, 1988), so Fourier
     mode k of its rings obeys a tridiagonal system in the radius, ring i's
-    symbols sum_b avg(i, a, b) exp(i k b dphi) for a = -1, 0, 1
-    (Swarztrauber & Sweet, SIAM J. Numer. Anal. 10, 1973).  Those systems
-    are factored once, by Thomas sweeps vectorised over the nphi / 2 + 1
-    modes of ``rfft``.  Boundary identity rows stay identity rows.  On the
-    ball the pole row is kept exactly: the ring couplings to the pole
-    (ring 1's offsets a = -1, averaged like any other slot) and the pole row
-    border the ring system, which a rank-one Schur complement eliminates.
-
-    Raises SingularLinearSystem when a pivot of the averaged system is zero
-    or not finite.
+    symbols sum_b mean(i, a, b) exp(i k b dphi) for a = -1, 0, 1
+    (Swarztrauber & Sweet, SIAM J. Numer. Anal. 10, 1973), all factored once
+    (``_Tridiagonal``).  On the ball the pole row (CSR row 0) is kept
+    exactly: it and ring 1's couplings to the pole (slots a = -1) border the
+    ring system, which a rank-one Schur complement eliminates.  Raises
+    SingularLinearSystem when a pivot is zero or not finite.
     """
 
-    def __init__(self, matrix, domain):
-        rings, nphi = domain.shape
-        start = int(domain.pole is not None)  # the pole is ring 0 of the ball
-        node = np.arange(domain.num_nodes, dtype=np.int32)
-        ring, angle = (node - start) // nphi + start, (node - start) % nphi
-        skip = matrix.indptr[start]  # the pole row's entries are kept apart
-        rows = np.repeat(node, np.diff(matrix.indptr))[skip:]
-        cols = matrix.indices[skip:]
-        to_ring, from_ring = ring[cols], ring[rows]
-        b = angle[cols] - angle[rows]
-        b[b > 1] = -1  # across phi = 0
-        b[b < -1] = 1
-        b[to_ring == 0] = 0  # ring 1's couplings to the pole share one slot
-        avg = np.bincount(
-            (from_ring - start) * 9 + (to_ring - from_ring) * 3 + b + 4,
-            weights=matrix.data[skip:], minlength=(rings - start) * 9,
-        ).reshape(rings - start, 3, 3) / nphi
-        pole_coupling = avg[0, 0].sum()  # ring 1's offsets a = -1 (ball only)
-        avg[0, 0] = 0.0
-        turn = np.exp(1j * np.arange(nphi // 2 + 1) * domain.spacing[1])
-        symbols = avg @ np.array([turn.conj(), np.ones_like(turn), turn])
-        lower, diag, self.upper = np.moveaxis(symbols, 1, 0)
-        self.start, self.shape = start, (rings - start, nphi)
-        self.mult = np.zeros_like(diag)
-        pivot = diag.copy()
-        with np.errstate(divide="ignore", invalid="ignore"):  # checked below
-            for i in range(1, len(diag)):
-                self.mult[i] = lower[i] / pivot[i - 1]
-                pivot[i] -= self.mult[i] * self.upper[i - 1]
-        if not np.all(np.isfinite(pivot) & (pivot != 0.0)):
-            raise SingularLinearSystem("ring-averaged system has a zero pivot")
-        self.inv = 1.0 / pivot
+    def __init__(self, op):
+        rings, nphi = op.domain.shape
+        self.start = start = int(op.domain.pole is not None)  # the pole is ring 0
+        self.shape = (rings - start, nphi)
+        turn = np.exp(1j * np.arange(nphi // 2 + 1) * op.domain.spacing[1])
+        symbols = op.ring_means @ np.array([turn.conj(), np.ones_like(turn), turn])
+        self.tri = _Tridiagonal(*np.moveaxis(symbols, 1, 0))  # lower[0] is not read
         if start:
-            lo, hi = matrix.indptr[:2]
-            cols0, vals0 = matrix.indices[lo:hi], matrix.data[lo:hi]
-            on_ring = cols0 != 0
-            self.pole_row = np.bincount(angle[cols0[on_ring]], vals0[on_ring], minlength=nphi)
+            lo, hi = op.matrix.indptr[:2]
+            cols0, vals0 = op.matrix.indices[lo:hi], op.matrix.data[lo:hi]
+            on_ring = cols0 != 0  # ring 1 at angle j is node 1 + j
+            self.pole_row = np.bincount(cols0[on_ring] - 1, vals0[on_ring], minlength=nphi)
             border = np.zeros(self.shape)
-            border[0] = pole_coupling
+            border[0] = op.ring_means[0, 0].sum()  # ring 1's couplings to the pole
             self.border = self._rings(border)[:, 0]  # constant in phi
             self.schur = vals0[~on_ring].sum() - self.pole_row.sum() * self.border[0]
             if not (np.isfinite(self.schur) and self.schur != 0.0):
@@ -349,23 +356,17 @@ class _RingAverage:
 
     @classmethod
     def of(cls, op):
-        """The ring average of ``op``, or None off polar grids or when singular."""
-        if op.domain.layout != "polar":
+        """The ring average of ``op``, or None without ``ring_means`` or when singular."""
+        if op.ring_means is None:
             return None
         try:
-            return cls(op.matrix, op.domain)
+            return cls(op)
         except SingularLinearSystem:
             return None
 
     def _rings(self, x):
         """The averaged ring system's solution for (rings, nphi) values ``x``."""
-        X = np.fft.rfft(x, axis=1)
-        for i in range(1, len(X)):
-            X[i] -= self.mult[i] * X[i - 1]
-        X[-1] *= self.inv[-1]
-        for i in range(len(X) - 2, -1, -1):
-            X[i] = (X[i] - self.upper[i] * X[i + 1]) * self.inv[i]
-        return np.fft.irfft(X, self.shape[1], axis=1)
+        return np.fft.irfft(self.tri.solve(np.fft.rfft(x, axis=1)), self.shape[1], axis=1)
 
     def solve(self, rhs):
         y = self._rings(rhs[self.start:].reshape(self.shape))
@@ -468,12 +469,13 @@ class HeldLU:
         return w
 
 
-def _operator_matrix(chart, domain, c2, drift, zeroth):
-    """Contract per-node coefficients with frame operators; identity boundary.
+def _operator(chart, domain, c2, drift, zeroth, kind, normal_curvature=None):
+    """The ``EllipticOperator`` of per-node coefficients, identity rows on
+    the boundary.
 
-    The coefficient of H[(a, b)], a < b, is c2[a, b] + c2[b, a].  Every
-    matrix of one (chart, domain) is stored on the same pattern, whatever
-    its coefficients, with entries that happen to cancel kept as zeros.
+    The coefficient of H[(a, b)], a < b, is c2[a, b] + c2[b, a].  The slot
+    sums (module docstring, "Storage") are gathered onto the (chart,
+    domain)'s pattern and, on polar grids, averaged into ``ring_means``.
     """
     pat = _operator_pattern(chart, domain)
     n = domain.n
@@ -485,11 +487,15 @@ def _operator_matrix(chart, domain, c2, drift, zeroth):
     for table, coef in zip(pat.tables, coefs):
         for s, w in table.items():
             acc[s] += coef * w
-    data = acc.ravel()[pat.source]
-    data[pat.diagonal] += zeroth
-    data[pat.diagonal[domain.boundary]] = 1.0
+    acc[len(acc) // 2] += zeroth  # the middle slot: the node itself
+    acc[len(acc) // 2, domain.boundary] = 1.0
     N = domain.num_nodes
-    return sp.csr_matrix((data, pat.indices, pat.indptr), shape=(N, N))
+    matrix = sp.csr_matrix((acc.ravel()[pat.source], pat.indices, pat.indptr), shape=(N, N))
+    ring_means = None
+    if domain.layout == "polar":  # from ring 1 on the ball, whose ring 0 is the pole
+        rings = acc[:, int(domain.pole is not None):].reshape(9, -1, domain.shape[1])
+        ring_means = rings.mean(-1).T.reshape(-1, 3, 3)
+    return EllipticOperator(domain, matrix, c2, drift, zeroth, kind, normal_curvature, ring_means)
 
 
 def _warp_derivative_fields(chart, f, p, psi, n):
@@ -561,8 +567,7 @@ def build_DK(chart, domain, f, assembly=None):
         assembly = assemble_curvature(chart, domain, f)
     require_admissible(assembly, "linearization point")
     c2, drift, zeroth = _derivative_coefficients(chart, domain, assembly)
-    matrix = _operator_matrix(chart, domain, c2, drift, zeroth)
-    return EllipticOperator(domain, matrix, c2, drift, zeroth, kind="DK")
+    return _operator(chart, domain, c2, drift, zeroth, "DK")
 
 
 def measured_normal_curvature(chart, domain):
@@ -625,10 +630,7 @@ def build_JK(base, domain):
     c2[interior] = -(1.0 / a0) * np.eye(n)
     drift = np.zeros((N, n))
     zeroth = np.where(interior, h, 0.0)
-    matrix = _operator_matrix(chart, domain, c2, drift, zeroth)
-    return EllipticOperator(
-        domain, matrix, c2, drift, zeroth, kind="JK", normal_curvature=W
-    )
+    return _operator(chart, domain, c2, drift, zeroth, "JK", normal_curvature=W)
 
 
 def stability_check(chart, domain, f, assembly=None):

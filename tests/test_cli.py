@@ -439,6 +439,16 @@ def test_grid_header_without_a_key_is_a_config_error(tmp_path, capsys, key):
         capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("shape", 5), ("extent", "x"), ("spacing", "a"), ("periodic", 3), ("layout", ["ball"]),
+])
+def test_grid_header_value_of_a_wrong_type_is_a_config_error(tmp_path, capsys, key, value):
+    path = _grid_with_header(tmp_path, lambda header: {**header, key: value})
+    cfg = write_cfg(tmp_path, input={"values": str(path)})
+    assert main(["curvature", "--config", str(cfg)]) == EXIT_CODES["ConfigError"]
+    assert f"ConfigError: {path}: malformed grid header: {key!r}: " in capsys.readouterr().err
+
+
 # ---- validate ------------------------------------------------------------------
 
 
@@ -456,6 +466,30 @@ def test_validate_solution_roundtrip(tmp_path):
         summary = json.load(fh)
     assert summary["status"] == "passed"
     assert all(summary["checks"].values())
+
+
+def test_validate_checks_the_perturbed_target_that_solve_solved(tmp_path):
+    # with magnitude 1e-5 the unperturbed residual would be the perturbation
+    # itself, ten times validate's threshold of 1e-6
+    solver_block = {"perturb": {"magnitude": 1e-5}}
+    cfg = write_cfg(tmp_path, domain={"nr": 16, "nphi": 64}, solver=solver_block)
+    assert main(["solve", "--config", str(cfg), "--seed", "1"]) == 0
+    assert read_summary(tmp_path)["status"] == "converged"
+    vcfg = write_cfg(
+        tmp_path, name="validate.json", domain={"nr": 16, "nphi": 64}, solver=solver_block,
+        input={"solution": str(tmp_path / "out" / "solution.grid")},
+        output={"dir": str(tmp_path / "vout")},
+    )
+    assert main(["validate", "--config", str(vcfg), "--seed", "1"]) == 0
+    with open(tmp_path / "vout" / "summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["checks"]["residual"] and summary["details"]["residual_norm"] <= 1e-9
+    assert summary["details"]["perturb_magnitude"] == 1e-5
+    assert summary["details"]["perturb_seed"] == 1
+    # another seed is another target: the residual is the perturbation's size
+    assert main(["validate", "--config", str(vcfg), "--seed", "2"]) == EXIT_CODES["validation_failed"]
+    with open(tmp_path / "vout" / "summary.json") as fh:
+        assert not json.load(fh)["checks"]["residual"]
 
 
 def test_validate_rejects_corrupted_solution(tmp_path):

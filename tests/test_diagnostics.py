@@ -412,8 +412,8 @@ def test_radial_jacobian_matches_central_differences(chart, m):
     f = f + 0.01 * np.cos(0.5 * np.pi * s) * np.sin(3.0 * s)  # zero at the rim
     parts = diag._radial_curvature(chart, ratio, f, h1, 2)
     assert np.min(np.minimum(parts[1][:-1], parts[2][:-1])) > 0.0
-    bands = diag._radial_jacobian(chart, ratio, f, h1, 2, *parts)
-    exact = np.diag(bands[1]) + np.diag(bands[0, 1:], 1) + np.diag(bands[2, :-1], -1)
+    lower, middle, upper = diag._radial_jacobian(chart, ratio, f, h1, 2, *parts)
+    exact = np.diag(middle) + np.diag(upper[:-1], 1) + np.diag(lower[1:], -1)
     # 1e-7 at m = 64, shrunk with h^2 so that the bump moves f'' (and the
     # truncation error of the central difference) equally on every grid
     step = 1e-7 * (64 / m) ** 2

@@ -23,7 +23,7 @@ from graphcurv.grids import GridDomain
 from graphcurv.linearize import (
     HeldLU,
     _derivative_coefficients,
-    _operator_matrix,
+    _operator,
     build_DK,
 )
 
@@ -196,7 +196,7 @@ def test_flat_kernels_match_the_matrix_formulas_bitwise(domain_kind, chart_kind)
         coefs = ref_derivative_coefficients(chart, dom, asm)
         for got, want in zip((op.second_order, op.drift, op.zeroth), coefs):
             assert bitwise_equal(got, want)
-        want = _operator_matrix(chart, dom, *coefs)
+        want = _operator(chart, dom, *coefs, "DK").matrix
         for part in ("data", "indices", "indptr"):
             assert bitwise_equal(getattr(op.matrix, part), getattr(want, part))
 

@@ -16,7 +16,7 @@ from graphcurv.grids import GridDomain
 from graphcurv.linearize import (
     EllipticOperator,
     HeldLU,
-    _operator_matrix,
+    _operator,
     _PermutedLU,
     _refined,
     _RingAverage,
@@ -378,7 +378,7 @@ def test_ring_average_is_exact_on_rotationally_symmetric_operators(layout):
     dom = make()
     op = build_DK(HyperbolicChart(n=2, offset=D), dom, radial(dom.coords[:, 0]))
     x = np.random.default_rng(7).standard_normal(dom.num_nodes)
-    got = _RingAverage(op.matrix, dom).solve(op.matrix @ x)
+    got = _RingAverage(op).solve(op.matrix @ x)
     assert np.max(np.abs(got - x)) <= 1e-10 * np.max(np.abs(x))
 
 
@@ -392,8 +392,58 @@ def test_ring_average_solves_the_assembled_circulant_average(layout):
     assert np.max(np.abs(averaged - op.matrix.toarray())) > 1e-3  # not circulant itself
     b = np.random.default_rng(11).standard_normal(dom.num_nodes)
     want = spla.spsolve(sp.csc_matrix(averaged), b)
-    got = _RingAverage(op.matrix, dom).solve(b)
+    got = _RingAverage(op).solve(b)
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def csr_ring_means(dom, matrix):
+    """Per-ring slot means of ``matrix``'s stored entries, each placed by the
+    ring and angle of its row and column; ring 1's couplings to the ball's
+    pole all count on slot (-1, 0)."""
+    rings, nphi = dom.shape
+    start = int(dom.pole is not None)
+    node = np.arange(dom.num_nodes)
+    ring, angle = (node - start) // nphi + start, (node - start) % nphi
+    skip = matrix.indptr[start]  # the pole row's entries are kept apart
+    rows = np.repeat(node, np.diff(matrix.indptr))[skip:]
+    cols = matrix.indices[skip:]
+    to_ring, from_ring = ring[cols], ring[rows]
+    b = angle[cols] - angle[rows]
+    b[b > 1] = -1  # across phi = 0
+    b[b < -1] = 1
+    b[to_ring == 0] = 0
+    return np.bincount(
+        (from_ring - start) * 9 + (to_ring - from_ring) * 3 + b + 4,
+        weights=matrix.data[skip:], minlength=(rings - start) * 9,
+    ).reshape(rings - start, 3, 3) / nphi
+
+
+@pytest.mark.parametrize("layout", sorted(POLAR))
+def test_ring_means_average_the_stored_entries(layout):
+    make, radial = POLAR[layout]
+    dom = make()
+    chart = HyperbolicChart(n=2, offset=D)
+    s, phi = dom.coords[:, 0], dom.coords[:, 1]
+    for op in (build_DK(chart, dom, radial(s) * (1 + 0.2 * s * np.cos(3 * phi))),
+               build_JK(chart.base_hypersurface(), dom)):
+        want = csr_ring_means(dom, op.matrix)
+        assert op.ring_means.shape == want.shape
+        assert np.max(np.abs(op.ring_means - want)) <= 1e-15 * np.max(np.abs(op.matrix.data))
+
+
+def test_a_polar_operator_without_ring_means_goes_to_the_lu():
+    chart = HyperbolicChart(n=2, offset=D)
+    dom = ball()
+    dk = build_DK(chart, dom, safe_field(dom))
+    op = EllipticOperator(dom, dk.matrix, dk.second_order, dk.drift, dk.zeroth)
+    assert op.ring_means is None and _RingAverage.of(op) is None
+    assert build_DK(chart, box(), np.zeros(box().num_nodes)).ring_means is None
+    held = HeldLU()
+    rhs = np.sin(3 * dom.coords[:, 0]) + 0.2
+    w = op.solve(rhs, held=held)
+    assert held.ring_averages == 0 and held.factorizations == 1
+    assert held.krylov_iterations == 0 and held.lu is op._lu
+    assert np.array_equal(w, dk.solve(rhs))
 
 
 def test_first_solve_on_a_polar_grid_is_preconditioned_by_the_ring_average():
@@ -429,8 +479,7 @@ def anisotropic_operator(dom, eps=1e-3):
     c2[:, 0, 1] = c2[:, 1, 0] = (eps - 1.0) * c * s
     c2[dom.boundary] = 0.0
     drift, zeroth = np.zeros((dom.num_nodes, 2)), np.zeros(dom.num_nodes)
-    return EllipticOperator(dom, _operator_matrix(chart, dom, c2, drift, zeroth),
-                            c2, drift, zeroth, kind="anisotropic")
+    return _operator(chart, dom, c2, drift, zeroth, "anisotropic")
 
 
 def test_ring_average_of_a_strongly_phi_dependent_operator_falls_back_to_the_lu():
@@ -454,12 +503,13 @@ def test_a_singular_operator_on_a_polar_grid_is_still_reported():
     # to the LU, which reports the singular system
     chart = HyperbolicChart(n=2, offset=D)
     dom = ball(4, 16)
-    op = build_DK(chart, dom, np.zeros(dom.num_nodes))
-    mat = op.matrix.tolil()
-    mat[1 + dom.shape[1] + np.arange(dom.shape[1]), :] = 0.0  # ring 2
-    op.matrix = mat.tocsr()
+    dk = build_DK(chart, dom, np.zeros(dom.num_nodes))
+    c2, drift, zeroth = dk.second_order, dk.drift, dk.zeroth
+    for coef in (c2, drift, zeroth):
+        coef[1 + dom.shape[1] + np.arange(dom.shape[1])] = 0.0  # ring 2
+    op = _operator(chart, dom, c2, drift, zeroth, "DK")
     with pytest.raises(SingularLinearSystem):
-        _RingAverage(op.matrix, dom)
+        _RingAverage(op)
     assert _RingAverage.of(op) is None
     held = HeldLU()
     with pytest.raises(SingularLinearSystem):
