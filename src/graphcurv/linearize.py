@@ -58,20 +58,19 @@ for the LU's triangular solves.
 Preconditioner reuse: a sparse LU of DK costs tens of triangular solves,
 and DK moves little between Newton steps and between neighbouring
 continuation levels.  ``HeldLU`` keeps one preconditioner per domain and
-solves a later operator's system with GMRES preconditioned by it (restart
-20, at most 3 restart cycles, stop when the 2-norm residual falls to 1e-3
-of the right-hand side's: a loose inexact-Newton forcing term, Eisenstat &
-Walker, SIAM J. Sci. Comput. 17, 1996).  On a polar grid the first solve
-builds and holds the ring average of its operator; elsewhere the first
-solve factorizes.  When GMRES misses its tolerance, the operator is
-factorized directly, exactly as a plain ``solve`` does, and that
-factorization is held from then on.  A preconditioner is never applied to
-an operator over another domain.  A GMRES call of k iterations within one
-restart cycle applies the held preconditioner 1 + k times (each further
-cycle one more): scipy's GMRES preconditions b twice from x0 = 0, and the
-second application reuses the first one's result.  ``stability_check``
-refines its polar-grid solve on the ring average the same way and falls
-back to the LU when the refinement stalls.
+solves a later operator's system with GMRES right-preconditioned by it
+(restart 20, at most 3 restart cycles, stop when the true 2-norm residual
+falls to 1e-3 of the right-hand side's: a loose inexact-Newton forcing
+term, Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996).  On a polar grid
+the first solve builds and holds the ring average of its operator;
+elsewhere the first solve factorizes.  When GMRES misses its tolerance,
+the operator is factorized directly, exactly as a plain ``solve`` does,
+and that factorization is held from then on.  A preconditioner is never
+applied to an operator over another domain.  A GMRES cycle of k
+iterations applies the held preconditioner 1 + k times.
+``stability_check`` refines its polar-grid solve on the ring average the
+same way and falls back to the LU when the refinement stalls.  Only a
+factorization imports scipy.sparse.linalg (``spla``, loaded on first use).
 
 Coefficients: the DK coefficients, like the assembly they are built
 from, are computed one flat (N,) entry of each 2x2 (or 1x1) matrix at a
@@ -82,11 +81,11 @@ results are those of the (N, n, n) broadcast forms bit for bit.
 from __future__ import annotations
 
 import functools
+import importlib
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import assemble_curvature, require_admissible, sym_inverse_parts, warp_factors
 from .errors import SingularLinearSystem, SingularShapeOperator
@@ -101,6 +100,13 @@ __all__ = [
     "measured_normal_curvature",
     "stability_check",
 ]
+
+
+def __getattr__(name):
+    """``spla`` is scipy.sparse.linalg, imported with the first LU (PEP 562)."""
+    if name != "spla":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return importlib.import_module("scipy.sparse.linalg")
 
 
 def frame_operators(chart, domain):
@@ -236,7 +242,7 @@ class EllipticOperator:
         if self._lu is None:
             perm = self.domain.dissection_order()
             try:
-                lu = spla.splu(
+                lu = importlib.import_module(__name__).spla.splu(  # lazy, replaceable
                     self.matrix[perm][:, perm].tocsc(), permc_spec="NATURAL",
                     diag_pivot_thresh=0.0, options={"SymmetricMode": True},
                 )
@@ -379,9 +385,9 @@ class _RingAverage:
 class HeldLU:
     """One held preconditioner, reused for later solves on its domain.
 
-    ``solve(op, rhs)`` runs GMRES on ``op.matrix`` preconditioned by what is
-    held for ``op``'s domain.  The first solve on a polar domain (ball or
-    annulus) holds the ring average of its operator (``_RingAverage``);
+    ``solve(op, rhs)`` runs GMRES on ``op.matrix`` right-preconditioned by
+    what is held for ``op``'s domain.  The first solve on a polar domain
+    (ball or annulus) holds the ring average of its operator (``_RingAverage``);
     elsewhere nothing is held before the first factorization.  If GMRES
     misses its tolerance, or nothing usable is held, ``op`` is factorized,
     that LU is held in place of any ring average, and the system is solved
@@ -438,35 +444,49 @@ class HeldLU:
         return (self.ring if self.lu is None else self.lu).solve(rhs)
 
     def _krylov(self, matrix, rhs):
-        """Preconditioned GMRES solution, or None when it misses RTOL.
-
-        From x0 = 0 scipy's GMRES preconditions b twice, once for its norm
-        and once as the first residual; the last application is kept and
-        handed out again for an equal vector.  With ``dtype`` given, the
-        preconditioner is not probed on a zero vector either, so a call that
-        converges within one restart cycle of k iterations applies the held
-        preconditioner 1 + k times.
+        """Restarted GMRES on matrix P^-1 from x0 = 0 for the held P, or None
+        on a miss (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986; Saad,
+        Iterative Methods for Sparse Linear Systems, 2003, sec. 9.3.2).  A
+        cycle of k modified Gram-Schmidt Arnoldi steps ends when the Givens
+        residual estimate reaches RTOL of |rhs| (a breakdown makes it zero),
+        then adds P^-1 V y to x: k + 1 applications of P, k + 1 products.
+        x is returned once its true residual is within RTOL.  A zero ``rhs``
+        gives zeros without applying P; a zero or non-finite Givens pivot,
+        or a non-finite x, is a miss.
         """
-
-        def count(_):
-            self.krylov_iterations += 1
-
-        last = [None, None]  # the last (vector, preconditioned vector)
-
-        def precondition(v):
-            if last[0] is None or not np.array_equal(v, last[0]):
-                last[:] = v.copy(), self._apply(v)
-            return last[1].copy()  # GMRES may update its vectors in place
-
-        precond = spla.LinearOperator(matrix.shape, matvec=precondition, dtype=float)
-        w, info = spla.gmres(
-            matrix, rhs, rtol=self.RTOL, atol=0.0, restart=self.RESTART,
-            maxiter=self.MAXITER, M=precond, callback=count,
-            callback_type="pr_norm",
-        )
-        if info != 0 or not np.all(np.isfinite(w)):
-            return None
-        return w
+        x, r, beta, m = np.zeros_like(rhs), rhs, np.linalg.norm(rhs), self.RESTART
+        tol = self.RTOL * beta
+        if beta == 0.0:
+            return x
+        V, H = np.empty((m + 1, len(rhs))), np.zeros((m + 1, m))
+        with np.errstate(all="ignore"):  # non-finite values end in a miss
+            for _ in range(self.MAXITER):
+                V[0], g, rot = r / beta, np.zeros(m + 1), []
+                g[0] = beta
+                for j in range(m):
+                    w, col = matrix @ self._apply(V[j]), H[:, j]
+                    for i in range(j + 1):
+                        col[i] = w @ V[i]
+                        w -= col[i] * V[i]
+                    col[j + 1] = h = np.linalg.norm(w)
+                    for i, (c, s) in enumerate(rot):  # the earlier rotations
+                        col[i:i + 2] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+                    rho = np.hypot(col[j], h)
+                    if not 0.0 < rho < np.inf:
+                        return None
+                    c, s = col[j] / rho, h / rho
+                    col[j], col[j + 1] = rho, 0.0
+                    rot.append((c, s))
+                    g[j], g[j + 1] = c * g[j], -s * g[j]
+                    self.krylov_iterations += 1
+                    if abs(g[j + 1]) <= tol:
+                        break
+                    V[j + 1] = w / h
+                x += self._apply(np.linalg.solve(H[:j + 1, :j + 1], g[:j + 1]) @ V[:j + 1])
+                beta = np.linalg.norm(r := rhs - matrix @ x)
+                if beta <= tol:
+                    return x
+        return None
 
 
 def _operator(chart, domain, c2, drift, zeroth, kind, normal_curvature=None):

@@ -3,6 +3,9 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -466,6 +469,39 @@ def test_validate_solution_roundtrip(tmp_path):
         summary = json.load(fh)
     assert summary["status"] == "passed"
     assert all(summary["checks"].values())
+
+
+def test_polar_runs_load_no_scipy_linalg_and_a_box_loads_splu(tmp_path):
+    # a fresh interpreter: polar levels make no LU, so neither module loads
+    ball = {"domain": {"nr": 16, "nphi": 64}}
+    solve = write_cfg(tmp_path, **ball)
+    sweep = write_cfg(tmp_path, name="sweep.json", domain={"nr": 4, "nphi": 16},
+                      sweep={"levels": 2}, output={"dir": str(tmp_path / "sout")})
+    validate = write_cfg(tmp_path, name="validate.json", **ball,
+                         input={"solution": str(tmp_path / "out" / "solution.grid")},
+                         output={"dir": str(tmp_path / "vout")})
+    box = write_cfg(tmp_path, name="box.json",
+                    domain={"kind": "box", "shape": [13, 13], "extent": [[-1, 1], [-1, 1]]},
+                    problem={"barrier": {"kind": "offset"}},
+                    output={"dir": str(tmp_path / "bout")})
+    script = "\n".join([
+        "import sys",
+        "from graphcurv.cli import main",
+        "LINALG = ('scipy.linalg', 'scipy.sparse.linalg')",
+        *(f"assert main([{cmd!r}, '--config', {str(path)!r}]) == 0\n"
+          "print([m for m in LINALG if m in sys.modules])"
+          for cmd, path in [("solve", solve), ("sweep", sweep), ("validate", validate),
+                            ("solve", box)]),
+    ])
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    loaded = [line for line in run.stdout.splitlines() if line.startswith("[")]
+    assert loaded == ["[]", "[]", "[]", "['scipy.linalg', 'scipy.sparse.linalg']"]
+    with open(tmp_path / "bout" / "summary.json") as fh:
+        assert json.load(fh)["linear_solves"]["factorizations"] >= 1
 
 
 def test_validate_checks_the_perturbed_target_that_solve_solved(tmp_path):

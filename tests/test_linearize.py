@@ -1,5 +1,7 @@
 """Linearized curvature operators: coefficients, Gateaux check, comparison op."""
 
+import types
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -338,6 +340,75 @@ def test_held_lu_is_never_applied_on_another_domain():
     }
     assert held.domain is dom_b and held.lu is op_b._lu
     assert np.array_equal(w, build_DK(chart, dom_b, np.zeros(dom_b.num_nodes)).solve(rhs))
+
+
+def test_krylov_of_a_zero_right_hand_side_applies_nothing():
+    held = HeldLU()
+    held.ring = types.SimpleNamespace(solve=lambda v: v.copy())
+    w = held._krylov(2.0 * sp.identity(10, format="csr"), np.zeros(10))
+    assert np.array_equal(w, np.zeros(10))
+    assert held.krylov_iterations == held.trisolves == 0
+
+
+def test_krylov_breakdown_with_a_zero_subdiagonal_has_converged():
+    # (2 I) P^-1 e0 = 2 e0 exactly for P = I, so the first Arnoldi vector
+    # leaves nothing to orthogonalize: H[1, 0] = 0 and the estimate is 0
+    held = HeldLU()
+    held.ring = types.SimpleNamespace(solve=lambda v: v.copy())
+    rhs = np.zeros(10)
+    rhs[3] = 3.0
+    w = held._krylov(2.0 * sp.identity(10, format="csr"), rhs)
+    assert np.array_equal(w, 0.5 * rhs)
+    assert held.krylov_iterations == 1 and held.trisolves == 2
+
+
+@pytest.mark.parametrize("apply", ["zeros", "nan", "nan_update"])
+def test_krylov_miss_on_a_zero_or_non_finite_pivot_or_iterate_falls_back(apply):
+    # zeros: the first Givens pivot is zero; nan: it is not finite; nan_update:
+    # the Arnoldi steps are finite and only the update P^-1 V y is not
+    chart = HyperbolicChart(n=2, offset=D)
+    dom = ball()
+    op = build_DK(chart, dom, safe_field(dom))
+    ring = _RingAverage(op)
+
+    def solve(v):
+        if apply == "zeros":
+            return np.zeros_like(v)
+        if apply == "nan_update" and abs(np.linalg.norm(v) - 1.0) <= 1e-12:
+            return ring.solve(v)  # a unit Arnoldi vector
+        return np.full_like(v, np.nan)
+
+    held = HeldLU()
+    held.domain, held.ring = dom, types.SimpleNamespace(solve=solve)
+    rhs = np.where(dom.interior, np.sin(3 * dom.coords[:, 0]) + 0.2, 0.0)
+    w = held.solve(op, rhs)
+    assert (held.krylov_iterations > 0) == (apply == "nan_update")  # pivots end at once
+    assert held.fallbacks == 1 and held.factorizations == 1
+    assert held.lu is op._lu and held.ring is None
+    assert np.array_equal(w, op._lu.solve(rhs))
+
+
+@pytest.mark.parametrize("shape", [(8, 32), (16, 64)])
+def test_ring_average_preconditioned_gmres_ends_in_one_restart_cycle(shape):
+    # DK at a field preconditioned by the ring average of DK at 0.9 x field;
+    # scipy's left-preconditioned GMRES took a second cycle in 12 of these 16
+    chart = HyperbolicChart(n=2, offset=D)
+    dom = ball(*shape)
+    s, phi = dom.coords[:, 0], dom.coords[:, 1]
+    x, y = s * np.cos(phi), s * np.sin(phi)
+    wiggled = 0.3 * (x**2 + y**2 - 2.0) + 0.02 * np.sin(2 * x + 0.3) * np.cos(3 * y + 0.2)
+    for f in (wiggled, safe_field(dom)):
+        for r in (np.sin(3 * s) + 0.2, np.ones_like(s), smooth_direction(dom), x + 0.5 * y * y):
+            rhs = np.where(dom.interior, r, 0.0)
+            held = HeldLU()
+            build_DK(chart, dom, 0.9 * f).solve(rhs, held=held)
+            op = build_DK(chart, dom, f)
+            before = held.counters()
+            w = op.solve(rhs, held=held)
+            k = held.krylov_iterations - before["krylov_iterations"]
+            assert 0 < k < HeldLU.RESTART and held.fallbacks == 0
+            assert held.trisolves - before["trisolves"] == 1 + k
+            assert np.linalg.norm(op.apply(w) - rhs) <= HeldLU.RTOL * np.linalg.norm(rhs)
 
 
 # ---- ring average ----------------------------------------------------------------
