@@ -326,7 +326,6 @@ def _setup_solve(cfg, domain, seeded, profiles):
         tol=float(sol["tol"]),
         max_iter=int(sol["max_iter"]),
         max_halvings=int(sol["max_halvings"]),
-        margin_fraction=float(sol["margin_fraction"]),
     )
     f_init = _initial_iterate(cfg, chart, domain, barrier, seeded)
     meta = {
@@ -347,48 +346,47 @@ def _setup_solve(cfg, domain, seeded, profiles):
     return _Solve(sol, target, target.perturbed(bump), bump, nopts, f_init, meta)
 
 
-def _newton_meta(res):
-    """Summary fields of a Newton solve that converged at tau = 1."""
-    return dict(
-        tau=1.0,
-        newton_total=res.iterations,
-        rejected_trials=res.rejected_trials,
-        residual_norm=res.residual_norm,
-        margin=res.margin,
-    )
-
-
 def _progress(exc):
     """The accepted Newton steps and rejected line-search trials ``exc`` carries."""
     return {"newton_total": exc.steps, "rejected_trials": exc.rejected_trials}
 
 
-def _solve(run):
-    """Run the configured mode on ``run.lu``; returns (f, history), fills meta."""
+def _newton(run, f_init):
+    """Newton from ``f_init`` against the tau = 1 target; (f, history), fills meta."""
+    res = newton_solve(f_init, run.goal, run.nopts, run.lu)
+    run.meta.update(tau=1.0, newton_total=res.iterations,
+                    rejected_trials=res.rejected_trials,
+                    residual_norm=res.residual_norm, margin=res.margin)
+    return res.f, res.history
+
+
+def _solve(run, below=None):
+    """Solve one level on ``run.lu``; returns (f, history), fills meta.
+
+    With ``below`` = (coarser grid, its solution), Newton first starts from
+    the prolonged solution (``start`` "prolonged"); if that raises
+    NoConvergence or NonAdmissibleInit, ``run.spent`` keeps its progress
+    and the level is solved the configured way, on the same HeldLU.
+    """
+    if below is not None:
+        try:
+            out = _newton(run, prolong_values(below[0], run.target.domain, below[1]))
+        except (NoConvergence, NonAdmissibleInit) as exc:
+            run.spent = _progress(exc)
+        else:
+            run.meta["start"] = "prolonged"
+            return out
     sol = run.sol
+    run.meta["start"] = sol["mode"]
     if sol["mode"] == "newton":
         f_init = run.f_init
         if f_init is None:
             f_init = np.zeros(run.target.domain.num_nodes)
-        res = newton_solve(f_init, run.goal, run.nopts, run.lu)
-        run.meta.update(_newton_meta(res))
-        return res.f, res.history
+        return _newton(run, f_init)
     if sol["mode"] != "continuation":
         raise ConfigError(f"solver.mode must be continuation|newton, got {sol['mode']!r}")
-    copts = ContinuationOptions(
-        dtau_init=float(sol["dtau_init"]),
-        dtau_min=float(sol["dtau_min"]),
-        dtau_max=float(sol["dtau_max"]),
-        easy_iterations=int(sol["easy_iterations"]),
-        newton=run.nopts,
-    )
-    delta0 = sol["delta0"]
-    state = start_state(
-        run.target,
-        copts,
-        delta0=None if delta0 is None else float(delta0),
-        f_init=run.f_init,
-    )
+    copts = ContinuationOptions(dtau_min=float(sol["dtau_min"]), newton=run.nopts)
+    state = start_state(run.target, delta0=sol["delta0"], f_init=run.f_init)
     state.lu = run.lu
     state.perturbation = run.bump
     f = continuation_solve(state, copts)
@@ -400,25 +398,6 @@ def _solve(run):
         margin=state.margin,
     )
     return f, state.history
-
-
-def _nested_solve(run, coarse, f_coarse):
-    """Solve a finer level from the prolonged coarser solution.
-
-    Newton starts from ``prolong_values(coarse, domain, f_coarse)`` against
-    the tau = 1 target; if that raises NoConvergence or NonAdmissibleInit
-    the level is solved the configured way instead, on the same HeldLU,
-    and ``run.spent`` keeps the progress of the failed start.
-    """
-    f0 = prolong_values(coarse, run.target.domain, f_coarse)
-    try:
-        res = newton_solve(f0, run.goal, run.nopts, run.lu)
-    except (NoConvergence, NonAdmissibleInit) as exc:
-        run.spent = _progress(exc)
-        run.meta["start"] = run.sol["mode"]
-        return _solve(run)
-    run.meta.update(_newton_meta(res), start="prolonged")
-    return res.f, res.history
 
 
 def _totals(metas):
@@ -437,7 +416,7 @@ def _walk(cfg, command, grids):
 
     ``grids(cfg)`` lists the grids, each the factor-2 refinement of the one
     before.  The first is solved the configured way from ``solver.init``,
-    every finer one by ``_nested_solve`` from the solution below.  Each
+    every finer one by ``_solve`` from the solution below.  Each
     level builds its own targets (with the seeded perturbation on its grid)
     and its own HeldLU; the levels share one cache of radial cap profiles,
     since refinements of one ball solve the same radial problem.  Returns
@@ -455,11 +434,7 @@ def _walk(cfg, command, grids):
         for domain in grids(cfg):
             run = None  # lets the level below release its factors
             run = _setup_solve(cfg, domain, seeded=not levels, profiles=profiles)
-            if levels:
-                f, history = _nested_solve(run, *levels[-1][:2])
-            else:
-                run.meta["start"] = run.sol["mode"]
-                f, history = _solve(run)
+            f, history = _solve(run, levels[-1][:2] if levels else None)
             shift = (sum(meta["newton_total"] for _, _, meta, _ in levels)
                      + run.spent["newton_total"])
             for key, count in run.spent.items():
@@ -580,10 +555,7 @@ def cmd_validate(cfg):
     # a refusal is a failed check here, never an abort
     mon = cfg["monitor"]
     try:
-        po = pogorelov_monitor(
-            chart, domain, f, alpha=float(mon["alpha"]), eps_x=float(mon["eps_x"]),
-            shape=data,
-        )
+        po = pogorelov_monitor(chart, domain, f, alpha=float(mon["alpha"]), shape=data)
         checks["transversal"] = True
         details["pogorelov_sup"] = po["sup"]
         details["pogorelov_node"] = po["node"]

@@ -3,9 +3,11 @@
 Every key has a default except ``chart.kind``, the domain shape counts, and
 ``problem.k`` (the latter only where a solve actually happens).  Unknown keys
 anywhere in the tree are a hard error — a typo must never silently fall back
-to a default — and so is a block that is not an object (``null`` included),
-at any depth.  Command-line flags only choose the file and override the seed
-and the output directory.
+to a default — and so are a block that is not an object (``null`` included),
+at any depth, and a setting of another JSON type than its default (a bool
+takes ``true``/``false``, a float any number, an int or a count an integer).
+Command-line flags only choose the file and override the seed and the
+output directory.
 
 The target curvature ``problem.k`` is either a number or a small arithmetic
 expression in the base coordinates (``s``/``phi`` on polar grids, ``x``/``y``
@@ -75,11 +77,7 @@ DEFAULTS = {
         "tol": 1e-9,
         "max_iter": 100,
         "max_halvings": 10,
-        "margin_fraction": 0.1,
-        "dtau_init": 0.2,
         "dtau_min": 1e-4,
-        "dtau_max": 0.5,
-        "easy_iterations": 3,
         "delta0": None,  # None = 0.05 * (phi_hat - phi0)
         "seed": 0,
         "perturb": {"magnitude": 0.0, "seed": None},
@@ -107,9 +105,21 @@ DEFAULTS = {
     },
     "monitor": {
         "alpha": 1.0,
-        "eps_x": 1e-3,
     },
 }
+
+# JSON types of the settings whose default does not show one: the required
+# ones, those that default to null, and the cap curvature beside its "auto"
+# (problem.k, a number or an expression, is checked by build_target_k)
+_TYPES = {
+    "chart.kind": "", "domain.kind": "", "domain.nr": 0, "domain.nphi": 0,
+    "domain.cells": 0, "domain.shape": [0], "problem.barrier.k": 0.0,
+    "problem.barrier.path": "", "solver.delta0": 0.0, "solver.perturb.seed": 0,
+    "solver.init.path": "", "input.values": "", "input.solution": "", "input.barrier": "",
+}
+# what a default of each type admits; a bool is a number to Python, not here
+_ADMITS = {bool: ("true or false", bool), int: ("an integer", int),
+           float: ("a number", (int, float)), str: ("a string", str), list: ("a list", list)}
 
 # keys whose _REQUIRED default only bites for specific domain kinds
 _DOMAIN_REQUIRES = {
@@ -118,6 +128,18 @@ _DOMAIN_REQUIRES = {
     "box": ("shape",),
     "interval": ("cells",),
 }
+
+
+def _check_type(where, example, val):
+    """ConfigError naming ``where`` unless ``val`` has the JSON type of
+    ``example`` (each entry of a list that of its first entry)."""
+    if type(example) not in _ADMITS:
+        return
+    what, types = _ADMITS[type(example)]
+    if not isinstance(val, types) or isinstance(val, bool) != isinstance(example, bool):
+        raise ConfigError(f"{where} must be {what}, got {val!r}")
+    for i, item in enumerate(val if isinstance(val, list) else ()):
+        _check_type(f"{where}[{i}]", example[0], item)
 
 
 def _merge(defaults, given, path):
@@ -130,14 +152,15 @@ def _merge(defaults, given, path):
         # parsed configs never alias the DEFAULTS tree
         out[key] = dval if dval is _REQUIRED else copy.deepcopy(dval)
     for key, val in given.items():
-        if key not in defaults:
-            where = f"{path}.{key}" if path else key
-            raise ConfigError(f"unknown key {where!r}")
         sub = f"{path}.{key}" if path else key
-        if isinstance(defaults[key], dict):
-            out[key] = _merge(defaults[key], val, sub)
-        else:
-            out[key] = val
+        if key not in defaults:
+            raise ConfigError(f"unknown key {sub!r}")
+        dval = defaults[key]
+        if isinstance(dval, dict):
+            val = _merge(dval, val, sub)
+        elif (type(val), val) != (type(dval), dval):  # the default always passes
+            _check_type(sub, _TYPES.get(sub, dval), val)
+        out[key] = val
     return out
 
 
@@ -258,8 +281,8 @@ def build_target_k(cfg, domain):
             ns["y"] = coords[:, 1]
         try:
             out = eval(code, {"__builtins__": {}}, ns)  # noqa: S307 - see module docstring
-        except NameError as exc:
+            return np.broadcast_to(np.asarray(out, dtype=float), f.shape)
+        except (ArithmeticError, NameError, TypeError, ValueError) as exc:
             raise ConfigError(f"problem.k: {exc}") from exc
-        return np.broadcast_to(np.asarray(out, dtype=float), f.shape)
 
     return k_fn

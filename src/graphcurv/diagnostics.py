@@ -421,15 +421,18 @@ def _default_cutoff(domain):
     return np.maximum(0.0, 1.0 - u * u) ** 2
 
 
+_EPS_X = 1e-3  # transversality floor of <X, N>
+
+
 def pogorelov_monitor(chart, domain, f, alpha=1.0, cutoff=None, x_field=None,
-                      eps_x=1e-3, shape=None):
+                      shape=None):
     """sup of Phi = alpha log(phi_cut) - <X, N> + log |A| over the cutoff support.
 
     X defaults to the chart's unit vertical along the graph; the inner
     product comes from the embedding model through the curvature oracle.
     ``shape`` is ``curvature_oracle(chart, domain, f)`` when the caller
     already has it (computed here when None).  Raises TransversalityFailure
-    when <X, N> < eps_x somewhere on the support.  Returns {'sup': float,
+    when <X, N> < 1e-3 somewhere on the support.  Returns {'sup': float,
     'node': int, 'alpha': alpha, 'x_min': float, 'values': masked array of
     Phi}.
     """
@@ -449,9 +452,9 @@ def pogorelov_monitor(chart, domain, f, alpha=1.0, cutoff=None, x_field=None,
         x_field = np.asarray(x_field, dtype=float)
         xn = _inner(x_field, data.normal, chart.minkowski)
     xmin = float(np.min(xn[support]))
-    if xmin < eps_x:
+    if xmin < _EPS_X:
         raise TransversalityFailure(
-            f"<X, N> = {xmin:.3e} < {eps_x:g} on the cutoff support"
+            f"<X, N> = {xmin:.3e} < {_EPS_X:g} on the cutoff support"
         )
     vals = np.full(domain.num_nodes, -np.inf)
     vals[support] = (

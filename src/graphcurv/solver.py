@@ -116,7 +116,6 @@ class NewtonOptions:
     tol: float = 1e-9
     max_iter: int = 100
     max_halvings: int = 10
-    margin_fraction: float = 0.1
 
 
 @dataclass
@@ -144,14 +143,17 @@ def _inside_sandwich(f, sandwich, interior):
     return bool(ok)
 
 
+_MARGIN_FRACTION = 0.1  # a step keeps this share of the admissibility margin
+
+
 def newton_solve(f_init, target, opts=None, lu=None):
     """Damped Newton for K(f) = target with zero Dirichlet data.
 
     Solves DK * delta = target - K(f) each iteration through the held
     preconditioner ``lu`` (a fresh ``HeldLU`` when None; updated in place)
     and takes the largest step s in {1, 1/2, ..., 2^-max_halvings} whose
-    iterate (a) keeps the admissibility margin >= margin_fraction * (current
-    margin), (b) drops the residual to <= (1 - s/4) * current, and (c) stays
+    iterate (a) keeps the admissibility margin >= 0.1 * (current margin),
+    (b) drops the residual to <= (1 - s/4) * current, and (c) stays
     inside the sandwich when one is attached.  Raises NonAdmissibleInit,
     NoConvergence (iteration cap or exhausted line search) or
     SingularLinearSystem, or the assembly's errors; every error raised here
@@ -188,7 +190,7 @@ def newton_solve(f_init, target, opts=None, lu=None):
                 s = 2.0**-k
                 f_new = f + s * delta
                 asm_new = assemble_curvature(chart, domain, f_new)
-                if asm_new.margin < opts.margin_fraction * asm.margin:
+                if asm_new.margin < _MARGIN_FRACTION * asm.margin:
                     continue
                 if not _inside_sandwich(f_new, sandwich, interior):
                     continue
@@ -219,12 +221,14 @@ def newton_solve(f_init, target, opts=None, lu=None):
         raise
 
 
+_DTAU_INIT = 0.2  # the first tau-step tried
+_DTAU_MAX = 0.5  # the largest tau-step
+_EASY_ITERATIONS = 3  # a corrector of at most this many Newton steps doubles dtau
+
+
 @dataclass
 class ContinuationOptions:
-    dtau_init: float = 0.2
     dtau_min: float = 1e-4
-    dtau_max: float = 0.5
-    easy_iterations: int = 3
     newton: NewtonOptions = field(default_factory=NewtonOptions)
 
 
@@ -247,7 +251,7 @@ class ContinuationState:
     gamma0: float
     tau: float = 0.0
     f: np.ndarray | None = None
-    dtau: float = 0.2
+    dtau: float = _DTAU_INIT
     perturbation: np.ndarray | None = None
     seed_iterate: np.ndarray | None = None
     residual_norm: float = np.inf
@@ -273,7 +277,7 @@ class ContinuationState:
         )
 
 
-def start_state(target, opts=None, delta0=None, f_init=None):
+def start_state(target, *, delta0=None, f_init=None):
     """Continuation state at an achievable start level gamma(0).
 
     Without ``f_init`` the start iterate is one full Newton step off f = 0
@@ -283,9 +287,8 @@ def start_state(target, opts=None, delta0=None, f_init=None):
     floor, else 0.05 * (min target - phi0).  Over a totally geodesic base
     (flat or epsilon-family charts) f = 0 is degenerate, so an admissible
     ``f_init`` must be supplied; gamma(0) then defaults to the smallest
-    assembled curvature of that seed.
+    assembled curvature of that seed.  The first tau-step tried is 0.2.
     """
-    opts = opts or ContinuationOptions()
     phi0 = target.chart.base_hypersurface().phi0
     gap = target.gap()
     if gap <= 0:
@@ -310,25 +313,22 @@ def start_state(target, opts=None, delta0=None, f_init=None):
             target=target,
             gamma0=gamma0,
             seed_iterate=target.domain.check_values(f_init).copy(),
-            dtau=opts.dtau_init,
         )
     if delta0 is None:
         ceiling = target.phi_hat if target.phi_hat is not None else phi0 + gap
         delta0 = 0.05 * (ceiling - phi0)
     if not 0 < delta0 <= gap:
         raise OutOfRange(f"start increment delta0 = {delta0:.3e} not in (0, gap]")
-    return ContinuationState(
-        target=target, gamma0=phi0 + delta0, dtau=opts.dtau_init
-    )
+    return ContinuationState(target=target, gamma0=phi0 + delta0)
 
 
 def continuation_solve(state, opts=None):
     """Predictor-corrector walk of the target path; returns f at tau = 1.
 
     Corrector failures (NoConvergence, NonAdmissibleInit) halve dtau down to
-    dtau_min, below which StepsizeUnderflow reports the last good (tau, f);
-    correctors finishing in <= easy_iterations steps double dtau up to
-    dtau_max.  SingularLinearSystem propagates with tau context (the remedy
+    ``opts.dtau_min``, below which StepsizeUnderflow reports the last good
+    (tau, f); correctors finishing in <= 3 Newton steps double dtau up to
+    0.5.  SingularLinearSystem propagates with tau context (the remedy
     is ``perturb_rhs``).  ``state`` is updated in place.  Every error raised
     here carries ``steps`` (``state.newton_total``), ``rejected_trials``
     (``state.rejected_trials``) and the ``residual`` and ``tau`` of the last
@@ -414,8 +414,8 @@ def continuation_solve(state, opts=None):
             tau_prev, f_prev = state.tau, state.f
             state.tau, state.f = tau_try, res.f
             state.residual_norm, state.margin = res.residual_norm, res.margin
-            if res.iterations <= opts.easy_iterations:
-                state.dtau = min(2.0 * dtau, opts.dtau_max)
+            if res.iterations <= _EASY_ITERATIONS:
+                state.dtau = min(2.0 * dtau, _DTAU_MAX)
             else:
                 state.dtau = dtau
         return state.f

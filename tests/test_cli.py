@@ -763,6 +763,20 @@ def test_target_below_base_curvature_is_out_of_range(tmp_path):
     assert main(["solve", "--config", str(cfg)]) == EXIT_CODES["OutOfRange"] == 13
 
 
+@pytest.mark.parametrize("eps_gap, code", [(0.06, 13), (0.04, 0)])
+def test_eps_gap_demands_that_clearance_of_the_barrier_floor(tmp_path, capsys, eps_gap,
+                                                            code):
+    # the "auto" cap over k = 0.7 on 8x32 has phi_hat 0.7501: a clearance of 0.0501
+    cfg = write_cfg(tmp_path, problem={"eps_gap": eps_gap})
+    assert main(["solve", "--config", str(cfg)]) == code
+    if code == EXIT_CODES["OutOfRange"]:
+        assert "OutOfRange: barrier floor 0.750143 clears the target 0.7 by less " \
+               "than eps_gap 0.06" in capsys.readouterr().err
+    else:
+        summary = read_summary(tmp_path)
+        assert summary["status"] == "converged" and summary["phi_hat"] > 0.7 + eps_gap
+
+
 # ---- exit-code map -----------------------------------------------------------------
 
 

@@ -1,12 +1,17 @@
 """Config schema: defaults, typo rejection, builders, target expressions."""
 
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
+from graphcurv import config as cfgmod
 from graphcurv.charts import EpsilonChart, EuclideanChart, HyperbolicChart
+from graphcurv.cli import main
 from graphcurv.config import (
+    DEFAULTS,
     build_chart,
     build_domain,
     build_target_k,
@@ -197,3 +202,93 @@ def test_monitor_cutoff_is_an_unknown_key():
     # nothing reads a configured cutoff, so setting one must not pass silently
     with pytest.raises(ConfigError, match="unknown key 'monitor.cutoff'"):
         parse_config({**MINIMAL, "monitor": {"cutoff": None}})
+
+
+def _with(path, value):
+    """MINIMAL with the dotted ``path`` set to ``value``."""
+    raw = json.loads(json.dumps(MINIMAL))
+    *blocks, key = path.split(".")
+    node = raw
+    for block in blocks:
+        node = node.setdefault(block, {})
+    node[key] = value
+    return raw
+
+
+def _cli_solve(tmp_path, raw):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(raw))
+    return main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("path", ["solver.margin_fraction", "solver.dtau_init",
+                                  "solver.dtau_max", "solver.easy_iterations",
+                                  "monitor.eps_x"])
+def test_retired_solver_settings_are_unknown_keys(tmp_path, capsys, path):
+    default = {"solver.easy_iterations": 3}.get(path, 0.1)
+    with pytest.raises(ConfigError, match=f"^unknown key '{re.escape(path)}'$"):
+        parse_config(_with(path, default))
+    assert _cli_solve(tmp_path, _with(path, default)) == 2
+    assert f"unknown key '{path}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value", [
+    ("solver.tol", "tight"), ("solver.max_iter", "many"), ("domain.nr", "eight"),
+    ("solver.seed", "abc"), ("sweep.levels", "two"), ("problem.barrier.k", "high"),
+    ("chart.normalized", "false"),
+    # a bool is no number, a count no float, a periodic flag no integer
+    ("solver.tol", True), ("domain.shape", [6, 6.0]), ("domain.periodic", [0, 1]),
+])
+def test_setting_of_a_wrong_type_is_a_config_error_naming_it(tmp_path, capsys, path,
+                                                             value):
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}"):
+        parse_config(_with(path, value))
+    assert _cli_solve(tmp_path, _with(path, value)) == 2
+    assert f"ConfigError: {path}" in capsys.readouterr().err
+
+
+def test_settings_of_their_type_pass():
+    raw = _with("solver.tol", 1)  # an integer is a number
+    raw["chart"]["normalized"] = False
+    raw["solver"].update(delta0=None, seed=3, perturb={"seed": 5})
+    raw["problem"]["barrier"] = {"k": 1}
+    raw["domain"] = {"kind": "box", "shape": [6, 6], "periodic": [True, False],
+                     "extent": [[0, 1], [0.0, 2.5]]}
+    cfg = parse_config(raw)
+    assert cfg["solver"]["tol"] == 1 and cfg["problem"]["barrier"]["k"] == 1
+    assert parse_config(_with("problem.barrier.k", "auto"))["problem"]["barrier"]["k"] == "auto"
+
+
+@pytest.mark.parametrize("expr", ["1/0", "'a'", "sqrt"])
+def test_target_expression_that_raises_is_a_config_error(tmp_path, capsys, expr):
+    dom = build_domain(parse_config(MINIMAL))
+    k_fn = build_target_k(parse_config(_with("problem.k", expr)), dom)
+    with pytest.raises(ConfigError, match="^problem.k: "):
+        k_fn(dom.coords, np.zeros(dom.num_nodes))
+    assert _cli_solve(tmp_path, _with("problem.k", expr)) == 2
+    assert "ConfigError: problem.k: " in capsys.readouterr().err
+
+
+def _leaves(tree, path=""):
+    for key, val in tree.items():
+        sub = f"{path}.{key}" if path else key
+        if isinstance(val, dict):
+            yield from _leaves(val, sub)
+        else:
+            yield sub, val
+
+
+def test_readme_configuration_table_lists_every_setting_with_its_default():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([\w.]+)` \| ([^|]+) \|", section, re.M)
+    documented = {key: cell.strip() for key, cell in rows}
+    assert len(rows) == len(documented)  # no key listed twice
+    settings = dict(_leaves(DEFAULTS))
+    assert set(documented) == set(settings)
+    for key, default in settings.items():
+        cell = documented[key]
+        if default is cfgmod._REQUIRED:
+            assert cell == "required", key
+        else:
+            assert json.loads(cell.strip("`")) == default, key

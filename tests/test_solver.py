@@ -6,7 +6,7 @@ import pytest
 from graphcurv import linearize, solver
 from graphcurv.assembly import assemble_curvature
 from graphcurv.charts import EpsilonChart, EuclideanChart, HyperbolicChart
-from graphcurv.diagnostics import make_barrier_pair
+from graphcurv.diagnostics import make_barrier_pair, pogorelov_monitor
 from graphcurv.errors import (
     NoConvergence,
     NonAdmissibleInit,
@@ -332,6 +332,20 @@ def test_start_state_delta0_guard():
         start_state(target, delta0=-0.1)
     st = start_state(target, delta0=0.05)
     assert st.gamma0 == pytest.approx(np.tanh(D) + 0.05)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: NewtonOptions(margin_fraction=0.1),
+    lambda: ContinuationOptions(dtau_init=0.2),
+    lambda: ContinuationOptions(dtau_max=0.5),
+    lambda: ContinuationOptions(easy_iterations=3),
+    lambda: start_state(None, ContinuationOptions()),
+    lambda: pogorelov_monitor(None, None, None, eps_x=1e-3),
+], ids=["margin_fraction", "dtau_init", "dtau_max", "easy_iterations", "start_opts",
+        "eps_x"])
+def test_fixed_step_control_and_transversality_floor_are_no_options(call):
+    with pytest.raises(TypeError, match="argument"):
+        call()
 
 
 def test_start_state_rejects_inadmissible_seed():
