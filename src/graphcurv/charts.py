@@ -215,9 +215,6 @@ class Chart:
     def chart_id(self):
         raise NotImplementedError
 
-    def __repr__(self):  # pragma: no cover - cosmetic
-        return self.chart_id()
-
 
 def _diag_metric(entries):
     """Stack per-point diagonal entries into (..., m, m) matrices."""

@@ -123,19 +123,21 @@ def _write_history(cfg, rows):
     return path
 
 
-def _load_solution(path, chart, domain=None):
-    """(grid, values) of a grid file written for ``chart`` (and on ``domain``)."""
+def _load_solution(path, cfg, domain=None):
+    """(chart, grid, values) of any grid file a config names: the file must be
+    written for ``cfg``'s chart over the grid's dimension, on ``domain`` if given."""
     try:
         grid, values, cid = load_grid(path)
     except ValueError as exc:
         raise ConfigError(f"{path}: malformed grid data: {exc}")
-    if chart is not None and cid != chart.chart_id():
+    chart = cfgmod.build_chart(cfg, grid.n)
+    if cid != chart.chart_id():
         raise DomainMismatch(
             f"file {path} was written for chart {cid}, config says {chart.chart_id()}"
         )
     if domain is not None:
         grid.check_compatible(domain)
-    return grid, values
+    return chart, grid, values
 
 
 def _build_barrier(cfg, chart, domain, k_ceiling, profiles=None):
@@ -160,7 +162,7 @@ def _build_barrier(cfg, chart, domain, k_ceiling, profiles=None):
     if kind == "user":
         if not spec["path"]:
             raise ConfigError("barrier.kind 'user' needs barrier.path")
-        _, fhat = _load_solution(spec["path"], chart, domain)
+        fhat = _load_solution(spec["path"], cfg, domain)[2]
         return make_barrier_pair(chart, domain, kind="user", lower=fhat)
     raise ConfigError(f"problem.barrier.kind must be cap|offset|user|none, got {kind!r}")
 
@@ -198,7 +200,7 @@ def _initial_iterate(cfg, chart, domain, barrier, seeded):
     if kind == "file":
         if not spec["path"]:
             raise ConfigError("init.kind 'file' needs init.path")
-        return _load_solution(spec["path"], chart, domain)[1]
+        return _load_solution(spec["path"], cfg, domain)[2]
     raise ConfigError(
         f"init.kind must be auto|zeros|paraboloid|scaled_barrier|file, got {kind!r}"
     )
@@ -218,8 +220,7 @@ def _check_input(cfg, key):
     src = cfg["input"][key]
     if not src:
         raise ConfigError(f"missing required key input.{key}")
-    chart = cfgmod.build_chart(cfg)
-    domain, f = _load_solution(src, chart)
+    chart, domain, f = _load_solution(src, cfg)
     asm = assemble_curvature(chart, domain, f)
     data = curvature_oracle(chart, domain, f)
     interior = domain.interior
@@ -271,8 +272,7 @@ class _Solve:
 
     sol: dict  # the config's solver block
     target: SolveTarget  # problem.k with the barrier sandwich: the path's goal
-    goal: SolveTarget  # the tau = 1 target: target plus the seeded perturbation
-    bump: np.ndarray | None  # that perturbation (None for magnitude 0)
+    bump: np.ndarray | None  # the seeded perturbation at tau = 1 (None for magnitude 0)
     nopts: NewtonOptions
     f_init: np.ndarray | None
     meta: dict
@@ -282,10 +282,9 @@ class _Solve:
 
 
 def _perturbation(cfg, domain):
-    """(``rhs_perturbation``, seed) of ``solver.perturb`` on ``domain``."""
+    """``rhs_perturbation`` of ``solver.perturb`` on ``domain``, seeded by ``solver.seed``."""
     sol = cfg["solver"]
-    seed = int(sol["seed"] if sol["perturb"]["seed"] is None else sol["perturb"]["seed"])
-    return rhs_perturbation(domain, float(sol["perturb"]["magnitude"]), seed), seed
+    return rhs_perturbation(domain, float(sol["perturb"]["magnitude"]), int(sol["seed"]))
 
 
 def _setup_solve(cfg, domain, seeded, profiles):
@@ -295,7 +294,7 @@ def _setup_solve(cfg, domain, seeded, profiles):
     default start (kind 'auto').  ``profiles`` is the walk's cache of
     radial cap profiles.
     """
-    chart = cfgmod.build_chart(cfg)
+    chart = cfgmod.build_chart(cfg, domain.n)
     kval = cfgmod.build_target_k(cfg, domain)
     kmin, kmax = _target_bounds(kval, domain)
     phi0 = chart.base_hypersurface().phi0
@@ -340,10 +339,10 @@ def _setup_solve(cfg, domain, seeded, profiles):
         "seed": int(sol["seed"]),
         "perturb_magnitude": float(sol["perturb"]["magnitude"]),
     }
-    bump, pseed = _perturbation(cfg, domain)
+    bump = _perturbation(cfg, domain)
     if bump is not None:
-        meta["perturb_seed"] = pseed
-    return _Solve(sol, target, target.perturbed(bump), bump, nopts, f_init, meta)
+        meta["perturb_seed"] = meta["seed"]
+    return _Solve(sol, target, bump, nopts, f_init, meta)
 
 
 def _progress(exc):
@@ -353,7 +352,7 @@ def _progress(exc):
 
 def _newton(run, f_init):
     """Newton from ``f_init`` against the tau = 1 target; (f, history), fills meta."""
-    res = newton_solve(f_init, run.goal, run.nopts, run.lu)
+    res = newton_solve(f_init, run.target.perturbed(run.bump), run.nopts, run.lu)
     run.meta.update(tau=1.0, newton_total=res.iterations,
                     rejected_trials=res.rejected_trials,
                     residual_norm=res.residual_norm, margin=res.margin)
@@ -513,23 +512,19 @@ def cmd_validate(cfg):
     details = {}
     if cfgmod.provided(cfg, "problem", "k") is not None:
         kval = cfgmod.build_target_k(cfg, domain)
-        bump, seed = _perturbation(cfg, domain)  # the target solve solved
+        bump = _perturbation(cfg, domain)  # the target solve solved
         target = SolveTarget(chart, domain, kval).perturbed(bump).evaluate(f)
         if bump is not None:
             details.update(perturb_magnitude=float(cfg["solver"]["perturb"]["magnitude"]),
-                           perturb_seed=seed)
+                           perturb_seed=int(cfg["solver"]["seed"]))
 
     checks["admissible"] = bool(asm.admissible)
     details["margin"] = asm.margin
 
-    if cfg["input"]["barrier"]:
-        _, fhat = _load_solution(cfg["input"]["barrier"], chart, domain)
-        barrier = make_barrier_pair(chart, domain, kind="user", lower=fhat)
-    else:
-        # sized by the target at f = 0, as solve sizes it
-        kmax = (float(np.max(asm.K[interior])) if kval is None
-                else _target_bounds(kval, domain)[1])
-        barrier = _build_barrier(cfg, chart, domain, kmax)
+    # sized by the target at f = 0, as solve sizes it
+    kmax = (float(np.max(asm.K[interior])) if kval is None
+            else _target_bounds(kval, domain)[1])
+    barrier = _build_barrier(cfg, chart, domain, kmax)
     if barrier is not None:
         rep = validate_sandwich(f, barrier, target=target)
         checks["sandwich"] = bool(rep["passed"])
@@ -597,8 +592,6 @@ def _sweep_grids(cfg):
     A ``user`` barrier file holds one grid, so it allows a single level.
     """
     levels = int(cfg["sweep"]["levels"])
-    if levels < 1:
-        raise ConfigError("sweep.levels must be >= 1")
     if levels > 1 and cfg["problem"]["barrier"]["kind"] == "user":
         raise ConfigError(
             "barrier.kind 'user' needs sweep.levels = 1: a user barrier is "

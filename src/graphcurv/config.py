@@ -4,10 +4,11 @@ Every key has a default except ``chart.kind``, the domain shape counts, and
 ``problem.k`` (the latter only where a solve actually happens).  Unknown keys
 anywhere in the tree are a hard error — a typo must never silently fall back
 to a default — and so are a block that is not an object (``null`` included),
-at any depth, and a setting of another JSON type than its default (a bool
-takes ``true``/``false``, a float any number, an int or a count an integer).
-Command-line flags only choose the file and override the seed and the
-output directory.
+at any depth, a setting of another JSON type than its default (a bool
+takes ``true``/``false``, a float any number, an int or a count an integer),
+and a setting below its least value (``_LEAST``).  Command-line flags only
+choose the file and override the seed and the output directory.  No setting
+repeats another input: the chart's dimension is the grid's (``build_chart``).
 
 The target curvature ``problem.k`` is either a number or a small arithmetic
 expression in the base coordinates (``s``/``phi`` on polar grids, ``x``/``y``
@@ -43,7 +44,6 @@ _REQUIRED = object()  # sentinel: no default, must be supplied (when used)
 DEFAULTS = {
     "chart": {
         "kind": _REQUIRED,  # euclidean | hyperbolic | epsilon
-        "n": 2,
         "offset": 0.5,  # hyperbolic: distance of the base slice
         "eps": 0.1,  # epsilon family parameter
         "normalized": True,  # epsilon: unit-speed base warp normalization
@@ -80,7 +80,7 @@ DEFAULTS = {
         "dtau_min": 1e-4,
         "delta0": None,  # None = 0.05 * (phi_hat - phi0)
         "seed": 0,
-        "perturb": {"magnitude": 0.0, "seed": None},
+        "perturb": {"magnitude": 0.0},
         "init": {
             "kind": "auto",  # auto | zeros | paraboloid | scaled_barrier | file
             "scale": 0.9,  # scaled_barrier factor / paraboloid coefficient
@@ -98,7 +98,6 @@ DEFAULTS = {
     "input": {
         "values": None,  # grid file of f for cmd_curvature
         "solution": None,  # grid file for cmd_validate
-        "barrier": None,  # optional barrier grid file for cmd_validate
     },
     "sweep": {
         "levels": 3,  # number of refinement levels (each halves h)
@@ -114,9 +113,13 @@ DEFAULTS = {
 _TYPES = {
     "chart.kind": "", "domain.kind": "", "domain.nr": 0, "domain.nphi": 0,
     "domain.cells": 0, "domain.shape": [0], "problem.barrier.k": 0.0,
-    "problem.barrier.path": "", "solver.delta0": 0.0, "solver.perturb.seed": 0,
-    "solver.init.path": "", "input.values": "", "input.solution": "", "input.barrier": "",
+    "problem.barrier.path": "", "solver.delta0": 0.0, "solver.init.path": "",
+    "input.values": "", "input.solution": "",
 }
+# least value of each setting that has one, and whether that value is allowed
+_LEAST = {"solver.tol": (0, False), "solver.dtau_min": (0, False),
+          "solver.max_iter": (1, True), "solver.max_halvings": (0, True),
+          "sweep.levels": (1, True)}
 # what a default of each type admits; a bool is a number to Python, not here
 _ADMITS = {bool: ("true or false", bool), int: ("an integer", int),
            float: ("a number", (int, float)), str: ("a string", str), list: ("a list", list)}
@@ -160,6 +163,10 @@ def _merge(defaults, given, path):
             val = _merge(dval, val, sub)
         elif (type(val), val) != (type(dval), dval):  # the default always passes
             _check_type(sub, _TYPES.get(sub, dval), val)
+            least, allowed = _LEAST.get(sub, (None, True))
+            if least is not None and not (val >= least if allowed else val > least):
+                raise ConfigError(f"{sub} must be {'>=' if allowed else '>'} {least}, "
+                                  f"got {val!r}")
         out[key] = val
     return out
 
@@ -207,9 +214,9 @@ def provided(cfg, block, key):
     return None if val is _REQUIRED else val
 
 
-def build_chart(cfg):
+def build_chart(cfg, n=2):
+    """The configured chart over an ``n``-dimensional base: the grid's ``n``."""
     kind = require(cfg, "chart", "kind")
-    n = int(cfg["chart"]["n"])
     if kind == "euclidean":
         return EuclideanChart(n=n)
     if kind == "hyperbolic":

@@ -240,8 +240,6 @@ def _cap_profile(chart, k, R, m, n, tol, max_iter):
             accepted = True
             break
         if not accepted:
-            if rnorm <= goal:
-                break
             raise OutOfRange(
                 f"no curvature-{k:g} cap over this ball (residual {rnorm:.3e})"
             )

@@ -99,6 +99,10 @@ class GridDomain:
 
     @staticmethod
     def box(extent, shape, periodic=(False, False)):
+        if not len(extent) == len(shape) == len(periodic) == 2 or any(
+                len(ab) != 2 for ab in extent):
+            raise OutOfRange("box grid needs 2 axes, each with [lo, hi] in extent, "
+                             "a node count in shape and a flag in periodic")
         extent = tuple((float(a), float(b)) for a, b in extent)
         shape = tuple(int(m) for m in shape)
         periodic = tuple(bool(p) for p in periodic)
@@ -140,8 +144,8 @@ class GridDomain:
     @staticmethod
     def ball(radius, nr, nphi):
         """Polar disk grid: pole node + nr rings of nphi nodes, rim on boundary."""
-        if nphi % 8 != 0:
-            raise OutOfRange("ball grid needs nphi divisible by 8")
+        if nphi < 8 or nphi % 8 != 0:
+            raise OutOfRange("ball grid needs nphi a positive multiple of 8")
         if nr < 3:
             raise OutOfRange("ball grid needs at least 3 rings")
         ds = radius / nr

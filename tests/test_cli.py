@@ -311,6 +311,35 @@ def test_user_barrier_keeps_solve_on_its_own_grid(tmp_path):
     assert summary["residual_norm"] <= 1e-9 and summary["tau"] == 1.0
 
 
+def test_interval_solve_writes_the_chart_of_its_dimension(tmp_path):
+    interval = {"kind": "interval", "cells": 32, "lo": -1.0, "hi": 1.0}
+    rc, summary = solve_summary(tmp_path, "interval", domain=interval,
+                                problem={"k": 0.7, "barrier": {"kind": "none"}})
+    assert rc == 0 and summary["chart"] == "hyperbolic:n=1:D=0.5"
+    sol = tmp_path / "interval" / "solution.grid"
+    assert load_grid(sol)[2] == "hyperbolic:n=1:D=0.5"
+    vcfg = write_cfg(tmp_path, name="validate.json", domain=interval,
+                     problem={"k": 0.7, "barrier": {"kind": "none"}},
+                     input={"solution": str(sol)}, output={"dir": str(tmp_path / "vout")})
+    assert main(["validate", "--config", str(vcfg)]) == 0
+    with open(tmp_path / "vout" / "summary.json") as fh:
+        assert json.load(fh)["status"] == "passed"
+
+
+@pytest.mark.parametrize("domain, limit", [
+    ({"kind": "box", "shape": [6, 6], "extent": [[0, 1]]}, "2 axes"),
+    ({"kind": "box", "shape": [6, 6], "periodic": [False]}, "2 axes"),
+    ({"kind": "box", "shape": []}, "2 axes"),
+    ({"kind": "box", "shape": [6, 6, 6]}, "2 axes"),
+    ({"kind": "ball", "nr": 4, "nphi": 0}, "multiple of 8"),
+], ids=["short-extent", "short-periodic", "no-axis", "three-axes", "ball-nphi-0"])
+def test_grid_shape_that_cannot_be_built_is_out_of_range(tmp_path, capsys, domain, limit):
+    cfg = write_cfg(tmp_path, domain=domain, problem={"barrier": {"kind": "offset"}})
+    assert main(["solve", "--config", str(cfg)]) == EXIT_CODES["OutOfRange"]
+    err_text = capsys.readouterr().err
+    assert err_text.startswith("OutOfRange: ") and limit in err_text
+
+
 # ---- failed runs --------------------------------------------------------------
 
 
@@ -526,6 +555,22 @@ def test_validate_checks_the_perturbed_target_that_solve_solved(tmp_path):
     assert main(["validate", "--config", str(vcfg), "--seed", "2"]) == EXIT_CODES["validation_failed"]
     with open(tmp_path / "vout" / "summary.json") as fh:
         assert not json.load(fh)["checks"]["residual"]
+
+
+def test_validate_reads_a_user_barrier_from_problem_barrier(tmp_path):
+    small = {"kind": "ball", "nr": 8, "nphi": 32}
+    assert solve_summary(tmp_path, "barrier", domain=small, problem={"k": 0.75})[0] == 0
+    assert solve_summary(tmp_path, "solved", domain=small, problem={"k": 0.7})[0] == 0
+    barrier = {"kind": "user", "path": str(tmp_path / "barrier" / "solution.grid")}
+    vcfg = write_cfg(tmp_path, name="validate.json", domain=small,
+                     problem={"k": 0.7, "barrier": barrier},
+                     input={"solution": str(tmp_path / "solved" / "solution.grid")},
+                     output={"dir": str(tmp_path / "vout")})
+    assert main(["validate", "--config", str(vcfg)]) == 0
+    with open(tmp_path / "vout" / "summary.json") as fh:
+        summary = json.load(fh)
+    assert summary["status"] == "passed" and summary["checks"]["sandwich"]
+    assert summary["details"]["sandwich"]["tag"] == "user"
 
 
 def test_validate_rejects_corrupted_solution(tmp_path):

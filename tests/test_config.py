@@ -36,7 +36,6 @@ def test_defaults_fill_in():
     assert cfg["solver"]["mode"] == "continuation"
     assert cfg["output"]["solution"] == "solution.grid"
     assert cfg["problem"]["barrier"]["kind"] == "cap"
-    assert cfg["chart"]["n"] == 2
     # givens survive merging
     assert cfg["chart"]["offset"] == 0.5
     assert cfg["domain"]["nr"] == 4
@@ -232,6 +231,32 @@ def test_retired_solver_settings_are_unknown_keys(tmp_path, capsys, path):
     assert f"unknown key '{path}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path, value", [("chart.n", 2), ("solver.perturb.seed", 5),
+                                         ("input.barrier", "barrier.grid")])
+def test_settings_another_input_gives_are_unknown_keys(tmp_path, capsys, path, value):
+    # the grid's dimension, solver.seed and problem.barrier give these
+    with pytest.raises(ConfigError, match=f"^unknown key '{re.escape(path)}'$"):
+        parse_config(_with(path, value))
+    assert _cli_solve(tmp_path, _with(path, value)) == 2
+    assert f"unknown key '{path}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, value, smallest", [
+    ("solver.tol", -1.0, 1e-300), ("solver.tol", 0, 1e-300),
+    ("solver.max_iter", -1, 1), ("solver.max_iter", 0, 1),
+    ("solver.max_halvings", -1, 0),
+    ("solver.dtau_min", 0.0, 1e-300), ("solver.dtau_min", -1e-4, 1e-300),
+    ("sweep.levels", 0, 1),
+])
+def test_setting_below_its_least_is_a_config_error_naming_it(tmp_path, capsys, path,
+                                                             value, smallest):
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)} must be >=? "):
+        parse_config(_with(path, value))
+    assert _cli_solve(tmp_path, _with(path, value)) == 2
+    assert f"ConfigError: {path} must be" in capsys.readouterr().err
+    parse_config(_with(path, smallest))  # at (or just above an excluded) least value
+
+
 @pytest.mark.parametrize("path, value", [
     ("solver.tol", "tight"), ("solver.max_iter", "many"), ("domain.nr", "eight"),
     ("solver.seed", "abc"), ("sweep.levels", "two"), ("problem.barrier.k", "high"),
@@ -250,7 +275,7 @@ def test_setting_of_a_wrong_type_is_a_config_error_naming_it(tmp_path, capsys, p
 def test_settings_of_their_type_pass():
     raw = _with("solver.tol", 1)  # an integer is a number
     raw["chart"]["normalized"] = False
-    raw["solver"].update(delta0=None, seed=3, perturb={"seed": 5})
+    raw["solver"].update(delta0=None, seed=3)
     raw["problem"]["barrier"] = {"k": 1}
     raw["domain"] = {"kind": "box", "shape": [6, 6], "periodic": [True, False],
                      "extent": [[0, 1], [0.0, 2.5]]}
