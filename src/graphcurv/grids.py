@@ -81,8 +81,8 @@ class GridDomain:
 
     @staticmethod
     def interval(lo, hi, cells):
-        if cells < 4:
-            raise OutOfRange("interval grid needs at least 4 cells")
+        if cells < 4 or not lo < hi:
+            raise OutOfRange("interval grid needs at least 4 cells and lo < hi")
         h = (hi - lo) / cells
         coords = (lo + h * np.arange(cells + 1))[:, None]
         boundary = np.zeros(cells + 1, dtype=bool)
@@ -109,8 +109,8 @@ class GridDomain:
         axes = []
         spacing = []
         for (lo, hi), m, per in zip(extent, shape, periodic):
-            if m < 5:
-                raise OutOfRange("box grid needs at least 5 nodes per axis")
+            if m < 5 or not lo < hi:
+                raise OutOfRange("box grid needs at least 5 nodes and lo < hi on every axis")
             h = (hi - lo) / (m if per else m - 1)
             axes.append(lo + h * np.arange(m))
             spacing.append(h)
@@ -134,8 +134,8 @@ class GridDomain:
 
     @staticmethod
     def annulus(r0, r1, nr, nphi):
-        if r0 <= 0:
-            raise OutOfRange("annulus inner radius must be positive")
+        if not 0 < r0 < r1:
+            raise OutOfRange("annulus grid needs radii 0 < r0 < r1")
         dom = GridDomain.box(((r0, r1), (0.0, TWO_PI)), (nr + 1, nphi),
                              periodic=(False, True))
         dom.kind = "annulus"
@@ -146,8 +146,8 @@ class GridDomain:
         """Polar disk grid: pole node + nr rings of nphi nodes, rim on boundary."""
         if nphi < 8 or nphi % 8 != 0:
             raise OutOfRange("ball grid needs nphi a positive multiple of 8")
-        if nr < 3:
-            raise OutOfRange("ball grid needs at least 3 rings")
+        if nr < 3 or not radius > 0:
+            raise OutOfRange("ball grid needs at least 3 rings and radius > 0")
         ds = radius / nr
         dphi = TWO_PI / nphi
         num = 1 + nr * nphi

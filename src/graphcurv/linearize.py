@@ -30,10 +30,11 @@ pattern, the union of the interior rows of the frame operators H[(a, b)]
 (a <= b) and P[a] and the diagonal, with boundary rows holding the diagonal
 alone.  Both come from the grid's stencil slots (``grids.Stencils``), which
 ``GridDomain.derivative_ops`` builds once: the frame operators' weights
-combine the derivative operators' slot by slot, the pattern is the set of
-slots any of them uses, and both are cached on the domain.  A build adds
-each frame operator's weights, times their coefficients, up per slot in
-term order, then the zeroth-order term and the boundary's identity on the
+combine the derivative operators' slot by slot, and the pattern is the set
+of slots any of them uses; only its index arrays are cached on the domain.
+A build forms the combined weights again one slot at a time, adds each
+frame operator's weights, times their coefficients, up per slot in term
+order, then the zeroth-order term and the boundary's identity on the
 middle slot, and gathers the slots into the pattern once.  The pattern,
 and with it the fill of a factorization, does not depend on f; entries
 that cancel stay as zeros.
@@ -113,88 +114,105 @@ def frame_operators(chart, domain):
     """Sparse maps v -> frame gradient / Hessian components of v.
 
     Returns (P, H) with P[a] and H[(a, b)] (a <= b) CSR matrices of shape
-    (N, N); interior rows reproduce ``assembly.frame_quantities`` exactly.
-    Built on the first call from the slot tables cached on the domain.
+    (N, N), made on the first call and cached on the domain.  Interior rows
+    reproduce ``assembly.frame_quantities`` to rounding, not exactly: on
+    polar grids the warp factors scale the weights here but the differences
+    there (on H[(1, 1)] of a smooth field with |H| <= 0.9, hyperbolic chart:
+    4.5e-12 on a 17x64 ball, growing as 1/h^2 to 1.4e-9 on 65x256).
     """
-    return _operator_pattern(chart, domain).frame_operators
+    return _frame(chart, domain).operators
 
 
 @dataclass(frozen=True)
 class _OperatorPattern:
-    """Union sparsity pattern of the operators ``_operator`` sums.
+    """Union sparsity pattern of the operators ``_operator`` sums, as index
+    arrays only: ``indptr``/``indices`` hold, on interior rows, every entry
+    of the frame operators and the diagonal, boundary rows the diagonal
+    alone; ``source`` is slot * N + row of the slot every entry reads."""
 
-    ``indptr``/``indices`` hold, on interior rows, every entry of the frame
-    operators and the diagonal; boundary rows hold the diagonal alone.
-    ``tables`` are the frame operators as ``Stencils`` operators, in the
-    term order H[(a, b)], then P[a]; ``source`` is slot * N + row of the
-    slot every stored entry reads.
-    """
-
-    derivs: object  # the domain's DerivOps
-    tables: tuple
     indptr: np.ndarray
     indices: np.ndarray
     source: np.ndarray
 
+
+@dataclass(frozen=True)
+class _Frame:
+    """Cached per (chart, domain): the derivative operators, ``warp``, the
+    polar grid's (wf, ratio) of ``warp_factors`` (else None), and the boundary
+    mask.  No combined table is kept: ``tables`` forms them on each call."""
+
+    derivs: object  # the domain's DerivOps
+    warp: tuple | None
+    boundary: np.ndarray
+
+    def tables(self):
+        """The frame operators as ``Stencils`` operators in term order,
+        H[(a, b)] then P[a]: the derivative operators, but on polar grids
+        P[1], H[(0, 1)] and H[(1, 1)] combine them slot by slot with the
+        operations of the sparse products and sums of ``diag(1/w) @ D``."""
+        _, d1, d2 = self.derivs.stencils
+        d1, d2 = list(d1), dict(d2)  # the cached tables stay as they are
+        if self.warp is not None:
+            wf, ratio = self.warp
+            inv, inv2 = 1.0 / wf, 1.0 / wf**2
+            d2[(0, 1)] = _Combined(lambda a, b: inv * (a - ratio * b), d2[(0, 1)], d1[1])
+            d2[(1, 1)] = _Combined(lambda a, b: inv2 * a + ratio * b, d2[(1, 1)], d1[0])
+            d1[1] = _Combined(lambda a: inv * a, d1[1])
+        return [*d2.values(), *d1]
+
     @functools.cached_property
-    def frame_operators(self):
-        """(P, H) as CSR; a table that is a derivative operator's is its CSR."""
+    def operators(self):
+        """(P, H) as CSR: a derivative operator's own, or without the zero
+        slots of a combined table, as sparse products and sums drop them."""
         st, d1, d2 = self.derivs.stencils
         mats = [
-            csr if table is derivative else st.csr(table)
+            csr if table is derivative else st.csr(dict(table.items()))
             for table, derivative, csr in zip(
-                self.tables, [*d2.values(), *d1], [*self.derivs.d2.values(), *self.derivs.d1]
+                self.tables(), [*d2.values(), *d1], [*self.derivs.d2.values(), *self.derivs.d1]
             )
         ]
         return tuple(mats[len(d2):]), dict(zip(d2, mats))
 
+    @functools.cached_property
+    def pattern(self):
+        return _union(self.derivs.stencils[0], ~self.boundary, self.tables())
 
-def _operator_pattern(chart, domain):
-    """The frame operators' slot tables and their union pattern, cached.
 
-    Off polar grids the frame operators are the derivative operators.  On
-    polar ones P[1], H[(0, 1)] and H[(1, 1)] combine the derivative
-    operators slot by slot, with the operations of the sparse products and
-    sums of ``diag(1/w) @ D``; a slot whose value is zero holds no entry, as
-    the sparse products and sums drop exact zeros.
-    """
+class _Combined:
+    """``fn`` of the ``Stencils`` operators ``ops`` slot by slot (0.0 for a
+    slot one lacks), formed anew each time ``items`` is iterated."""
 
+    def __init__(self, fn, *ops):
+        self.fn, self.ops = fn, ops
+
+    def items(self):
+        return ((s, self.fn(*(op.get(s, 0.0) for op in self.ops)))
+                for s in sorted(set().union(*self.ops)))
+
+
+def _frame(chart, domain):
     def build():
-        derivs = domain.derivative_ops()
-        st, d1, d2 = derivs.stencils
-        d1, d2 = list(d1), dict(d2)  # the cached tables stay as they are
-        if domain.layout == "polar":
-            s = domain.coords[:, 0]
-            w, wp = chart.base_warp(s)
-            wf, ratio = warp_factors(w, wp, s)
-            inv, inv2 = 1.0 / wf, 1.0 / wf**2
-            d2[(0, 1)] = _combine(lambda a, b: inv * (a - ratio * b), d2[(0, 1)], d1[1])
-            d2[(1, 1)] = _combine(lambda a, b: inv2 * a + ratio * b, d2[(1, 1)], d1[0])
-            d1[1] = _combine(lambda a: inv * a, d1[1])
-        tables = (*d2.values(), *d1)
-        return _OperatorPattern(derivs, tables, *_union(st, domain, tables))
+        s = domain.coords[:, 0]
+        warp = warp_factors(*chart.base_warp(s), s) if domain.layout == "polar" else None
+        return _Frame(domain.derivative_ops(), warp, domain.boundary)
 
     return domain.cached(("frame", chart.chart_id()), build)
 
 
-def _combine(fn, *ops):
-    """The ``Stencils`` operator of ``fn`` applied slot by slot (0.0 for a
-    slot an operator lacks)."""
-    slots = sorted(set().union(*ops))
-    return {s: fn(*(op.get(s, 0.0) for op in ops)) for s in slots}
+def _operator_pattern(chart, domain):
+    return _frame(chart, domain).pattern
 
 
-def _union(st, domain, tables):
-    """(indptr, indices, source) of the union pattern of the ``Stencils``
-    operators ``tables``: per row, the slots where any of them has an entry
-    (interior rows) and the node itself, in column order.  ``source`` is
-    slot * N + row of every stored entry."""
+def _union(st, interior, tables):
+    """The ``_OperatorPattern`` of the ``Stencils`` operators ``tables``: per
+    row, the slots where any of them has an entry (``interior`` rows) and
+    the node itself, in column order."""
     S, N = st.cols.shape
     union = np.zeros((S, N), dtype=bool)
     for table in tables:
         for s, w in table.items():
             union[s] |= w != 0
-    union &= domain.interior
+    union &= interior
     union[S // 2] = True
     flat = np.arange(S * N, dtype=np.int32).reshape(S, N)  # int32, as indptr
     present, cols, source = st.entries(range(S), union, st.cols, flat)  # (N, S)
@@ -203,7 +221,7 @@ def _union(st, domain, tables):
     indices, source = cols[present], source[present]
     for arr in (indptr, indices):
         arr.flags.writeable = False  # shared by every matrix built on it
-    return indptr, indices, source
+    return _OperatorPattern(indptr, indices, source)
 
 
 @dataclass
@@ -497,14 +515,15 @@ def _operator(chart, domain, c2, drift, zeroth, kind, normal_curvature=None):
     sums (module docstring, "Storage") are gathered onto the (chart,
     domain)'s pattern and, on polar grids, averaged into ``ring_means``.
     """
-    pat = _operator_pattern(chart, domain)
+    frame = _frame(chart, domain)
+    pat = frame.pattern
     n = domain.n
     coefs = [
         c2[:, a, a] if a == b else c2[:, a, b] + c2[:, b, a]
         for a in range(n) for b in range(a, n)
     ] + [drift[:, a] for a in range(n)]
-    acc = np.zeros(pat.derivs.stencils[0].cols.shape)  # (slots, nodes)
-    for table, coef in zip(pat.tables, coefs):
+    acc = np.zeros(frame.derivs.stencils[0].cols.shape)  # (slots, nodes)
+    for table, coef in zip(frame.tables(), coefs):
         for s, w in table.items():
             acc[s] += coef * w
     acc[len(acc) // 2] += zeroth  # the middle slot: the node itself

@@ -12,7 +12,8 @@ with secant prediction and automatic step halving/doubling.
 Linear systems: every Newton step builds DK exactly at the current iterate
 and solves DK delta = -r through a ``linearize.HeldLU`` (GMRES
 preconditioned by a held ring average on polar grids or a held sparse LU;
-DK is factorized afresh only when GMRES misses its tolerance).
+DK is factorized afresh only when GMRES misses its tolerance).  DK is
+dropped once its step is solved, so at most one DK is alive at a time.
 ``newton_solve`` takes the held preconditioner and updates it in place;
 ``continuation_solve`` keeps one on the state, so one preconditioner can
 serve the start step, later Newton steps, later tau-steps and the retries
@@ -183,8 +184,7 @@ def newton_solve(f_init, target, opts=None, lu=None):
         for it in range(opts.max_iter):
             if rnorm <= opts.tol:
                 return NewtonResult(f, True, it, rnorm, asm.margin, history, rejected)
-            op = build_DK(chart, domain, f, assembly=asm)
-            delta = op.solve(-r, held=lu)
+            delta = build_DK(chart, domain, f, assembly=asm).solve(-r, held=lu)
             accepted = False
             for k in range(opts.max_halvings + 1):
                 s = 2.0**-k
@@ -364,9 +364,9 @@ def continuation_solve(state, opts=None):
                         "base slice is not admissible (totally geodesic base?); "
                         "supply a seed iterate via start_state(f_init=...)"
                     )
-                op0 = build_DK(state.target.chart, domain, f0, assembly=asm0)
                 r0 = _residual(asm0, tgt0.evaluate(f0), domain.interior)
-                f_start = f0 + op0.solve(-r0, held=state.lu)
+                f_start = f0 + build_DK(
+                    state.target.chart, domain, f0, assembly=asm0).solve(-r0, held=state.lu)
                 try:
                     res = correct(0.0, f_start)
                 except (NoConvergence, NonAdmissibleInit):

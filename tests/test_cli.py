@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,6 +312,24 @@ def test_user_barrier_keeps_solve_on_its_own_grid(tmp_path):
     assert summary["residual_norm"] <= 1e-9 and summary["tau"] == 1.0
 
 
+# traced heap peak of the solve below, in bytes per node, with one copy of
+# each operator array; caching the 13 combined polar frame tables beside the
+# derivative operators adds about 90 bytes per node, past the 5 % allowed
+SOLVE_PEAK_PER_NODE = 1064.4
+
+
+def test_solve_heap_peak_per_node_stays_at_its_measured_value(tmp_path):
+    cfg = write_cfg(tmp_path, domain={"kind": "ball", "nr": 64, "nphi": 256},
+                    problem={"k": 0.9, "barrier": {"kind": "cap", "k": 0.95}})
+    tracemalloc.start()
+    try:
+        assert main(["solve", "--config", str(cfg)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (1 + 64 * 256) <= 1.05 * SOLVE_PEAK_PER_NODE
+
+
 def test_interval_solve_writes_the_chart_of_its_dimension(tmp_path):
     interval = {"kind": "interval", "cells": 32, "lo": -1.0, "hi": 1.0}
     rc, summary = solve_summary(tmp_path, "interval", domain=interval,
@@ -334,6 +353,21 @@ def test_interval_solve_writes_the_chart_of_its_dimension(tmp_path):
     ({"kind": "ball", "nr": 4, "nphi": 0}, "multiple of 8"),
 ], ids=["short-extent", "short-periodic", "no-axis", "three-axes", "ball-nphi-0"])
 def test_grid_shape_that_cannot_be_built_is_out_of_range(tmp_path, capsys, domain, limit):
+    cfg = write_cfg(tmp_path, domain=domain, problem={"barrier": {"kind": "offset"}})
+    assert main(["solve", "--config", str(cfg)]) == EXIT_CODES["OutOfRange"]
+    err_text = capsys.readouterr().err
+    assert err_text.startswith("OutOfRange: ") and limit in err_text
+
+
+@pytest.mark.parametrize("domain, limit", [
+    ({"kind": "annulus", "r0": 0.9, "r1": 0.5, "nr": 8, "nphi": 32}, "0 < r0 < r1"),
+    ({"kind": "annulus", "r0": 0.0, "r1": 1.0, "nr": 8, "nphi": 32}, "0 < r0 < r1"),
+    ({"kind": "interval", "lo": 1.0, "hi": 0.0, "cells": 32}, "lo < hi"),
+    ({"kind": "box", "shape": [9, 9], "extent": [[1.0, 1.0], [0.0, 1.0]]}, "lo < hi"),
+    ({"kind": "ball", "radius": -1.0, "nr": 8, "nphi": 32}, "radius > 0"),
+], ids=["reversed-annulus", "annulus-at-the-pole", "reversed-interval", "flat-box",
+        "negative-ball"])
+def test_grid_extent_that_is_empty_or_reversed_is_out_of_range(tmp_path, capsys, domain, limit):
     cfg = write_cfg(tmp_path, domain=domain, problem={"barrier": {"kind": "offset"}})
     assert main(["solve", "--config", str(cfg)]) == EXIT_CODES["OutOfRange"]
     err_text = capsys.readouterr().err

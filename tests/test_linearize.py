@@ -18,7 +18,9 @@ from graphcurv.grids import GridDomain
 from graphcurv.linearize import (
     EllipticOperator,
     HeldLU,
+    _frame,
     _operator,
+    _operator_pattern,
     _PermutedLU,
     _refined,
     _RingAverage,
@@ -673,6 +675,37 @@ def test_operator_pattern_is_fixed_per_domain(layout):
         bnd = np.flatnonzero(dom.boundary)
         assert np.array_equal(got[bnd], np.eye(dom.num_nodes)[bnd])
         assert np.all(np.diff(op.matrix.indptr)[bnd] == 1)
+
+
+def owned_bytes(obj, skip):
+    """Bytes of the numpy arrays reachable from ``obj``'s attributes and
+    containers, ``skip`` not entered."""
+    if obj is skip:
+        return 0
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    elif hasattr(obj, "__dict__"):
+        obj = list(vars(obj).values())
+    if isinstance(obj, (list, tuple)):
+        return sum(owned_bytes(item, skip) for item in obj)
+    return 0
+
+
+def test_cached_pattern_holds_index_arrays_only():
+    # the frame operators' weights are formed from the derivative operators
+    # by every build, so no per-slot (N,) table is kept beside them
+    chart = HyperbolicChart(n=2, offset=D)
+    dom = ball(64, 256)
+    op = build_DK(chart, dom, safe_field(dom))
+    N, nnz = dom.num_nodes, op.matrix.nnz
+    derivs = dom.derivative_ops()
+    pattern = _operator_pattern(chart, dom)
+    assert len(pattern.indices) == nnz
+    assert owned_bytes(pattern, derivs) <= 4 * (2 * nnz + N + 1)
+    # the frame data adds the two warp factors and the domain's boundary mask
+    assert owned_bytes(_frame(chart, dom), derivs) <= 4 * (2 * nnz + N + 1) + 17 * N
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))

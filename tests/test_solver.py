@@ -1,5 +1,8 @@
 """Newton corrector and curvature-path continuation."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -241,6 +244,31 @@ def test_continuation_reuses_factorizations(monkeypatch):
     assert len(factorized) == state.lu.factorizations
     assert 1 <= state.lu.factorizations < state.newton_total
     assert state.lu.krylov_iterations > 0
+
+
+def test_newton_holds_one_DK_at_a_time(monkeypatch):
+    # every DK is dropped once its step is solved (the held preconditioner
+    # keeps an LU or a ring average, not the operator), so no earlier DK is
+    # alive when the next one is built
+    alive, at_call = set(), []
+    real = solver.build_DK
+
+    def counted(*args, **kwargs):
+        at_call.append(len(alive))
+        op = real(*args, **kwargs)
+        alive.add(id(op))
+        weakref.finalize(op, alive.discard, id(op))
+        return op
+
+    monkeypatch.setattr(solver, "build_DK", counted)
+    gc.disable()  # no cycle collection: DKs must die by reference counting
+    try:
+        state = start_state(hyper_target(GridDomain.ball(1.0, 16, 64), 0.9, with_barrier=True))
+        continuation_solve(state)
+    finally:
+        gc.enable()
+    assert state.tau == 1.0
+    assert len(at_call) > 5 and at_call == [0] * len(at_call)
 
 
 def test_continuation_needs_positive_gap():
