@@ -51,10 +51,10 @@ __all__ = [
 
 
 def _raw_partials(domain, f):
-    ops = domain.derivative_ops()
-    d1 = tuple(op @ f for op in ops.d1)
-    d2 = {ab: op @ f for ab, op in ops.d2.items()}
-    return d1, d2
+    st, d1, d2 = domain.derivative_ops().stencils
+    grid = st.padded(f)
+    return (tuple(st.apply(op, f, grid) for op in d1),
+            {ab: st.apply(op, f, grid) for ab, op in d2.items()})
 
 
 def _sym_stack(parts, n):

@@ -9,14 +9,14 @@ Supported node layouts:
   ``nr`` rings of ``nphi`` nodes; the rim ring lies exactly on the boundary
   circle, so Dirichlet data needs no interpolation.
 
-Derivative operators are sparse matrices over flat node vectors.  They return
-*coordinate* partials; rows at the ball pole instead hold derivatives in the
-local Cartesian chart (xi1, xi2) aligned with the rays phi = 0 and phi = pi/2
-(that chart is what both the curvature assembly and the embedding oracle want
-at the pole, where polar frames degenerate).  Rows where no centered stencil
-fits (rim/endpoint nodes) are zero; consumers only read interior rows.  The
-operators are built by index arithmetic on every node's 3**n neighbour slots
-(``Stencils``), their CSR arrays read off slot by slot in column order.
+Derivative operators act on flat node vectors.  They return *coordinate*
+partials; rows at the ball pole instead hold derivatives in the local
+Cartesian chart (xi1, xi2) aligned with the rays phi = 0 and phi = pi/2 (that
+chart is what both the curvature assembly and the embedding oracle want at
+the pole, where polar frames degenerate).  Rows where no centered stencil
+fits (rim/endpoint nodes) are zero; consumers only read interior rows.  An
+operator is its weights on every node's 3**n neighbour slots (``Stencils``),
+applied by shifted views of the input on the index grid, or as CSR.
 
 All stencils are second-order centered; the node conventions above are chosen
 so one-sided differencing is never needed.
@@ -29,13 +29,13 @@ injection (``restrict_values``) and cubic interpolation (``prolong_values``);
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, DomainMismatch, OutOfRange
 
@@ -56,12 +56,21 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class DerivOps:
-    """Coordinate-partial operators: d1[a] and d2[(a, b)] with a <= b, and
-    ``stencils``, the ``derivative_stencils`` they are read from."""
+    """Coordinate-partial operators d1[a] and d2[(a, b)], a <= b: as slot
+    weights in ``stencils``, ``derivative_stencils``' (Stencils, d1, d2),
+    and as the CSR matrices ``d1`` and ``d2``, made on first access."""
 
-    d1: tuple
-    d2: dict
-    stencils: tuple  # (Stencils, d1, d2) as slot weights; not to be modified
+    stencils: tuple  # not to be modified
+
+    @functools.cached_property
+    def d1(self):
+        st, d1, _ = self.stencils
+        return tuple(map(st.csr, d1))
+
+    @functools.cached_property
+    def d2(self):
+        st, _, d2 = self.stencils
+        return {ab: st.csr(op) for ab, op in d2.items()}
 
 
 @dataclass(eq=False)
@@ -234,12 +243,7 @@ class GridDomain:
         return hit
 
     def derivative_ops(self):
-        def build():
-            st, d1, d2 = stencils = derivative_stencils(self)
-            return DerivOps(tuple(map(st.csr, d1)), {ab: st.csr(op) for ab, op in d2.items()},
-                            stencils)
-
-        return self.cached("derivative_ops", build)
+        return self.cached("derivative_ops", lambda: DerivOps(derivative_stencils(self)))
 
     def dissection_order(self):
         """Nested-dissection elimination order of the nodes (computed once).
@@ -335,42 +339,35 @@ class Stencils:
 
     Slot s of node r is the node at index offset s in {-1, 0, 1}**n
     (row-major; the middle slot is r itself), every axis wrapping around:
-    on a non-periodic axis a wrapped slot is never used.  ``cols[s, r]`` is
-    its column.  On the ball, ring index 0 is the pole, so on ring 1 the
-    three offsets -1 all name the pole, and the pole's own slots are its
-    neighbours in the local Cartesian chart (xi1, xi2): slot (a, b) is the
-    ring-1 node in the direction of a xi1 + b xi2.  An operator is a dict
-    {slot: (N,) weights}, zero where the slot is not in a node's stencil,
-    so operators combine slot by slot.  The slots ascend in column on every
-    node but those on an edge of the index grid and the pole (``fix``),
-    which ``entries`` puts in column order.
+    on a non-periodic axis a wrapped slot is never used.  On the ball, ring
+    index 0 is the pole, so on ring 1 the three offsets -1 all name the
+    pole, as do the rim's unused offsets +1, and the pole's own slots are
+    its neighbours in the local Cartesian chart (xi1, xi2): slot (a, b) is
+    the ring-1 node in the direction of a xi1 + b xi2 (``pole_cols``).  An
+    operator is a dict {slot: (N,) weights}, zero where the slot is not in a
+    node's stencil, so operators combine slot by slot.  ``apply`` sums a row
+    in slot order, a CSR product in column order; the two differ, at the
+    rounding level, only on an edge of the index grid and at the pole.
     """
 
     def __init__(self, shape, periodic, pole=False):
+        self.shape = shape
+        self.pole = pole
         # on the ball, ring i >= 1 at angle j is node i * nphi + j - start
         self.start = shape[1] - 1 if pole else 0
-        steps = [((np.arange(m) + np.arange(-1, 2)[:, None]) % m).astype(np.int32) for m in shape]
-        cols = steps[0]
-        if len(shape) == 2:
-            cols = (steps[0] * shape[1] - self.start)[:, None, :, None] + steps[1][:, None]
-            cols = cols.reshape(9, -1)[:, self.start:]
-        edge = np.ones(shape, dtype=bool)
-        edge[(slice(1, -1),) * len(shape)] = False
-        self.fix = np.flatnonzero(edge)
         # index-grid slices of the nodes where an axis's differences fit, and
         # of all nodes
         self.fits = [slice(None) if per else slice(1, m - 1) for m, per in zip(shape, periodic)]
         self.whole = [slice(None)] * len(shape)
+        # per slot, where apply's rows (from ring 1 on the ball) read ``padded``
+        first = [int(pole)] + [0] * (len(shape) - 1)
+        self.views = [tuple(slice(a + o, o + m) for a, o, m in zip(first, offset, shape))
+                      for offset in itertools.product(range(3), repeat=len(shape))]
         if pole:
             nphi = shape[1]
             eighth = np.array([5, 4, 3, 6, 0, 2, 7, 0, 1])  # slot -> angle / (pi / 4)
-            cols[:, 0] = np.where(np.arange(9) == 4, 0, 1 + nphi // 8 * eighth)
-            # offsets -1 from ring 1 reach the pole, as do the rim's unused +1
-            cols[:3, 1:1 + nphi] = cols[6:, -nphi:] = 0
-            self.fix = np.concatenate([[0], self.fix[self.fix >= nphi] - self.start])
+            self.pole_cols = np.where(np.arange(9) == 4, 0, 1 + nphi // 8 * eighth)
             self.whole[0] = slice(1, None)
-        self.shape = shape
-        self.cols = cols
 
     def stencil(self, weights):
         """(S,) weights of the weights[a] ((3,) arrays) along each axis a of
@@ -393,22 +390,59 @@ class Stencils:
             out[:, 0] = pole[slots]
         return dict(zip(slots, out))
 
-    def entries(self, slots, *tables):
-        """(N, k) arrays of the ``slots`` of each table (an operator, or an
-        (S, N) array), every node's slots in ascending column order."""
-        order = np.argsort(self.cols[np.ix_(slots, self.fix)].T, axis=1, kind="stable")
-        out = [np.stack([t[s] for s in slots], axis=1) for t in tables]
-        for arr in out:
-            arr[self.fix] = np.take_along_axis(arr[self.fix], order, 1)
+    def padded(self, v):
+        """(N,) or (N, k) values ``v`` on the index grid, wrapped one node
+        past both ends of every axis; on the ball, index row 0 holds the
+        pole's value, so the slots that name the pole read it."""
+        grid = np.empty(tuple(m + 2 for m in self.shape) + v.shape[1:])
+        inner = grid[(slice(1, -1),) * len(self.shape)]
+        if self.pole:
+            inner[0] = v[0]
+            inner, v = inner[1:], v[1:]
+        inner[...] = v.reshape(inner.shape)
+        for ax, m in enumerate(self.shape):  # the wrapped ends of earlier axes too
+            lead = (slice(None),) * ax
+            grid[lead + (0,)] = grid[lead + (m,)]
+            grid[lead + (m + 1,)] = grid[lead + (1,)]
+        return grid
+
+    def apply(self, op, v, padded=None):
+        """op @ v for (N,) or (N, k) values ``v``: per row, weight times value
+        summed over the slots of ``op`` in ascending order, the first term
+        assigned rather than added to 0; the ball pole's row is a dot over
+        ``pole_cols``.  ``padded`` is ``padded(v)`` when the caller has it."""
+        grid = self.padded(v) if padded is None else padded
+        rows = slice(int(self.pole), None)
+        out = np.empty(v.shape)
+        body = out[rows].reshape(grid[self.views[0]].shape)
+        shape = body.shape[:len(self.shape)] + (1,) * (v.ndim - 1)
+        first, *rest = slots = sorted(op)
+        np.multiply(op[first][rows].reshape(shape), grid[self.views[first]], out=body)
+        for s in rest:
+            body += op[s][rows].reshape(shape) * grid[self.views[s]]
+        if self.pole:
+            terms = [op[s][0] * v[self.pole_cols[s]] for s in slots]
+            out[0] = sum(terms[1:], terms[0])
         return out
 
     def csr(self, op):
-        """The CSR matrix of ``op``: its nonzero weights."""
-        weights, cols = self.entries(sorted(op), op, self.cols)
+        """The CSR matrix of ``op``: its nonzero weights, each row's in
+        column order, a slot's column being the node ``apply`` reads there."""
+        import scipy.sparse as sp  # only a CSR needs scipy
+
+        slots = sorted(op)
+        weights = np.stack([op[s] for s in slots], axis=1)
         num, k = weights.shape
+        nodes = self.padded(np.arange(num, dtype=float))
+        cols = np.empty((num, k), dtype=np.int32)
+        for i, s in enumerate(slots):
+            cols[int(self.pole):, i] = nodes[self.views[s]].ravel()
+        if self.pole:
+            cols[0] = self.pole_cols[slots]
         indptr = np.arange(0, num * k + 1, k, dtype=np.int32)
         out = sp.csr_matrix((weights.ravel(), cols.ravel(), indptr), shape=(num, num))
         out.eliminate_zeros()
+        out.sort_indices()
         return out
 
 

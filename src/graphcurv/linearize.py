@@ -25,19 +25,14 @@ operators obey DK = -(a0/n) JK, which the tests check matrix-to-matrix.
 All operators carry identity rows at boundary nodes, so ``solve`` enforces
 zero Dirichlet values.
 
-Storage: every operator of one (chart, domain) is stored on one sparsity
-pattern, the union of the interior rows of the frame operators H[(a, b)]
-(a <= b) and P[a] and the diagonal, with boundary rows holding the diagonal
-alone.  Both come from the grid's stencil slots (``grids.Stencils``), which
-``GridDomain.derivative_ops`` builds once: the frame operators' weights
-combine the derivative operators' slot by slot, and the pattern is the set
-of slots any of them uses; only its index arrays are cached on the domain.
-A build forms the combined weights again one slot at a time, adds each
-frame operator's weights, times their coefficients, up per slot in term
-order, then the zeroth-order term and the boundary's identity on the
-middle slot, and gathers the slots into the pattern once.  The pattern,
-and with it the fill of a factorization, does not depend on f; entries
-that cancel stay as zeros.
+Storage: an operator is its weights on the grid's stencil slots
+(``grids.Stencils``), one (N,) array per slot, and ``op @ v`` applies them
+through shifted views of v laid out on the index grid.  A build forms the
+frame operators H[(a, b)] (a <= b) and P[a] one slot at a time from the
+derivative operators' weights, which ``GridDomain.derivative_ops`` builds
+once, adds each frame operator's weights, times their coefficients, up per
+slot in term order, then the zeroth-order term, and makes every boundary
+row the identity on the middle slot.  Its CSR ``matrix`` is made on demand.
 
 Factorization: a direct LU takes rows and columns in the domain's
 nested-dissection order (``GridDomain.dissection_order``) and SuperLU keeps
@@ -70,8 +65,9 @@ and that factorization is held from then on.  A preconditioner is never
 applied to an operator over another domain.  A GMRES cycle of k
 iterations applies the held preconditioner 1 + k times.
 ``stability_check`` refines its polar-grid solve on the ring average the
-same way and falls back to the LU when the refinement stalls.  Only a
-factorization imports scipy.sparse.linalg (``spla``, loaded on first use).
+same way and falls back to the LU when the refinement stalls.  Only a CSR
+matrix imports scipy.sparse, and only a factorization scipy.sparse.linalg
+(``spla``, loaded on first use), so a run with no LU loads no scipy module.
 
 Coefficients: the DK coefficients, like the assembly they are built
 from, are computed one flat (N,) entry of each 2x2 (or 1x1) matrix at a
@@ -86,7 +82,6 @@ import importlib
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import assemble_curvature, require_admissible, sym_inverse_parts, warp_factors
 from .errors import SingularLinearSystem, SingularShapeOperator
@@ -124,26 +119,13 @@ def frame_operators(chart, domain):
 
 
 @dataclass(frozen=True)
-class _OperatorPattern:
-    """Union sparsity pattern of the operators ``_operator`` sums, as index
-    arrays only: ``indptr``/``indices`` hold, on interior rows, every entry
-    of the frame operators and the diagonal, boundary rows the diagonal
-    alone; ``source`` is slot * N + row of the slot every entry reads."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    source: np.ndarray
-
-
-@dataclass(frozen=True)
 class _Frame:
-    """Cached per (chart, domain): the derivative operators, ``warp``, the
-    polar grid's (wf, ratio) of ``warp_factors`` (else None), and the boundary
-    mask.  No combined table is kept: ``tables`` forms them on each call."""
+    """Cached per (chart, domain): the derivative operators and ``warp``,
+    the polar grid's (wf, ratio) of ``warp_factors`` (else None).  No
+    combined table is kept: ``tables`` forms them on each call."""
 
     derivs: object  # the domain's DerivOps
     warp: tuple | None
-    boundary: np.ndarray
 
     def tables(self):
         """The frame operators as ``Stencils`` operators in term order,
@@ -162,8 +144,7 @@ class _Frame:
 
     @functools.cached_property
     def operators(self):
-        """(P, H) as CSR: a derivative operator's own, or without the zero
-        slots of a combined table, as sparse products and sums drop them."""
+        """(P, H) as CSR, a derivative operator's own where the table is one."""
         st, d1, d2 = self.derivs.stencils
         mats = [
             csr if table is derivative else st.csr(dict(table.items()))
@@ -172,10 +153,6 @@ class _Frame:
             )
         ]
         return tuple(mats[len(d2):]), dict(zip(d2, mats))
-
-    @functools.cached_property
-    def pattern(self):
-        return _union(self.derivs.stencils[0], ~self.boundary, self.tables())
 
 
 class _Combined:
@@ -194,50 +171,29 @@ def _frame(chart, domain):
     def build():
         s = domain.coords[:, 0]
         warp = warp_factors(*chart.base_warp(s), s) if domain.layout == "polar" else None
-        return _Frame(domain.derivative_ops(), warp, domain.boundary)
+        return _Frame(domain.derivative_ops(), warp)
 
     return domain.cached(("frame", chart.chart_id()), build)
-
-
-def _operator_pattern(chart, domain):
-    return _frame(chart, domain).pattern
-
-
-def _union(st, interior, tables):
-    """The ``_OperatorPattern`` of the ``Stencils`` operators ``tables``: per
-    row, the slots where any of them has an entry (``interior`` rows) and
-    the node itself, in column order."""
-    S, N = st.cols.shape
-    union = np.zeros((S, N), dtype=bool)
-    for table in tables:
-        for s, w in table.items():
-            union[s] |= w != 0
-    union &= interior
-    union[S // 2] = True
-    flat = np.arange(S * N, dtype=np.int32).reshape(S, N)  # int32, as indptr
-    present, cols, source = st.entries(range(S), union, st.cols, flat)  # (N, S)
-    indptr = np.zeros(N + 1, dtype=np.int32)
-    np.cumsum(present.sum(axis=1, dtype=np.int32), out=indptr[1:])
-    indices, source = cols[present], source[present]
-    for arr in (indptr, indices):
-        arr.flags.writeable = False  # shared by every matrix built on it
-    return _OperatorPattern(indptr, indices, source)
 
 
 @dataclass
 class EllipticOperator:
     """Discrete second-order operator with identity rows on the boundary.
 
-    ``second_order`` / ``drift`` / ``zeroth`` hold the per-node coefficients
-    that were contracted with the frame derivative operators to form
-    ``matrix`` (boundary rows zero); ``kind`` names the construction and
-    ``normal_curvature`` stores the measured ambient W for the comparison
-    operator.  On polar grids ``ring_means[i, a + 1, b + 1]`` is the mean
-    over phi of ring i's slot (a, b), from ring 1 on the ball; else None.
+    ``op @ v`` (``apply``) reads ``weights``, {slot: (N,) weights} on the
+    ``grids.Stencils`` ``stencils``; ``matrix``, its CSR matrix, is made on
+    first access.  ``second_order`` / ``drift`` / ``zeroth`` hold the
+    per-node coefficients that were contracted with the frame derivative
+    operators to form ``weights`` (boundary rows zero); ``kind`` names the
+    construction and ``normal_curvature`` stores the measured ambient W for
+    the comparison operator.  On polar grids ``ring_means[i, a + 1, b + 1]``
+    is the mean over phi of ring i's slot (a, b), from ring 1 on the ball;
+    else None.
     """
 
     domain: object
-    matrix: sp.csr_matrix
+    stencils: object  # the domain's grids.Stencils
+    weights: dict
     second_order: np.ndarray  # (N, n, n)
     drift: np.ndarray  # (N, n)
     zeroth: np.ndarray  # (N,)
@@ -247,8 +203,13 @@ class EllipticOperator:
     _lu: object = field(default=None, repr=False, compare=False)
 
     def apply(self, v):
-        v = self.domain.check_values(v)
-        return self.matrix @ v
+        return self.stencils.apply(self.weights, self.domain.check_values(v))
+
+    __matmul__ = apply
+
+    @functools.cached_property
+    def matrix(self):
+        return self.stencils.csr(self.weights)
 
     def factor(self):
         """Sparse LU factors of ``matrix``, computed once and cached.
@@ -259,6 +220,8 @@ class EllipticOperator:
         """
         if self._lu is None:
             perm = self.domain.dissection_order()
+            if not np.all(np.diff(self.matrix.indptr)):  # SuperLU can crash on one
+                raise SingularLinearSystem("sparse factorization failed: an empty row")
             try:
                 lu = importlib.import_module(__name__).spla.splu(  # lazy, replaceable
                     self.matrix[perm][:, perm].tocsc(), permc_spec="NATURAL",
@@ -353,7 +316,7 @@ class _RingAverage:
     mode k of its rings obeys a tridiagonal system in the radius, ring i's
     symbols sum_b mean(i, a, b) exp(i k b dphi) for a = -1, 0, 1
     (Swarztrauber & Sweet, SIAM J. Numer. Anal. 10, 1973), all factored once
-    (``_Tridiagonal``).  On the ball the pole row (CSR row 0) is kept
+    (``_Tridiagonal``).  On the ball the pole row (its slots) is kept
     exactly: it and ring 1's couplings to the pole (slots a = -1) border the
     ring system, which a rank-one Schur complement eliminates.  Raises
     SingularLinearSystem when a pivot is zero or not finite.
@@ -367,8 +330,8 @@ class _RingAverage:
         symbols = op.ring_means @ np.array([turn.conj(), np.ones_like(turn), turn])
         self.tri = _Tridiagonal(*np.moveaxis(symbols, 1, 0))  # lower[0] is not read
         if start:
-            lo, hi = op.matrix.indptr[:2]
-            cols0, vals0 = op.matrix.indices[lo:hi], op.matrix.data[lo:hi]
+            cols0 = op.stencils.pole_cols  # of the pole row's slots
+            vals0 = np.array([op.weights[s][0] for s in range(len(cols0))])
             on_ring = cols0 != 0  # ring 1 at angle j is node 1 + j
             self.pole_row = np.bincount(cols0[on_ring] - 1, vals0[on_ring], minlength=nphi)
             border = np.zeros(self.shape)
@@ -403,7 +366,7 @@ class _RingAverage:
 class HeldLU:
     """One held preconditioner, reused for later solves on its domain.
 
-    ``solve(op, rhs)`` runs GMRES on ``op.matrix`` right-preconditioned by
+    ``solve(op, rhs)`` runs GMRES on ``op`` right-preconditioned by
     what is held for ``op``'s domain.  The first solve on a polar domain
     (ball or annulus) holds the ring average of its operator (``_RingAverage``);
     elsewhere nothing is held before the first factorization.  If GMRES
@@ -443,12 +406,12 @@ class HeldLU:
         }
 
     def solve(self, op, rhs):
-        """w with op.matrix @ w = rhs (rhs already carries the boundary data)."""
+        """w with op @ w = rhs (rhs already carries the boundary data)."""
         if self.domain is not op.domain:
             self.domain, self.lu, self.ring = op.domain, None, _RingAverage.of(op)
             self.ring_averages += self.ring is not None
         if self.lu is not None or self.ring is not None:
-            w = self._krylov(op.matrix, rhs)
+            w = self._krylov(op, rhs)
             if w is not None:
                 return w
             self.fallbacks += 1
@@ -461,8 +424,8 @@ class HeldLU:
         self.trisolves += 1
         return (self.ring if self.lu is None else self.lu).solve(rhs)
 
-    def _krylov(self, matrix, rhs):
-        """Restarted GMRES on matrix P^-1 from x0 = 0 for the held P, or None
+    def _krylov(self, op, rhs):
+        """Restarted GMRES on op P^-1 from x0 = 0 for the held P, or None
         on a miss (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986; Saad,
         Iterative Methods for Sparse Linear Systems, 2003, sec. 9.3.2).  A
         cycle of k modified Gram-Schmidt Arnoldi steps ends when the Givens
@@ -476,13 +439,13 @@ class HeldLU:
         tol = self.RTOL * beta
         if beta == 0.0:
             return x
-        V, H = np.empty((m + 1, len(rhs))), np.zeros((m + 1, m))
+        H = np.zeros((m + 1, m))
         with np.errstate(all="ignore"):  # non-finite values end in a miss
             for _ in range(self.MAXITER):
-                V[0], g, rot = r / beta, np.zeros(m + 1), []
+                V, g, rot = [r / beta], np.zeros(m + 1), []
                 g[0] = beta
                 for j in range(m):
-                    w, col = matrix @ self._apply(V[j]), H[:, j]
+                    w, col = op @ self._apply(V[j]), H[:, j]
                     for i in range(j + 1):
                         col[i] = w @ V[i]
                         w -= col[i] * V[i]
@@ -499,9 +462,9 @@ class HeldLU:
                     self.krylov_iterations += 1
                     if abs(g[j + 1]) <= tol:
                         break
-                    V[j + 1] = w / h
+                    V.append(w / h)
                 x += self._apply(np.linalg.solve(H[:j + 1, :j + 1], g[:j + 1]) @ V[:j + 1])
-                beta = np.linalg.norm(r := rhs - matrix @ x)
+                beta = np.linalg.norm(r := rhs - op @ x)
                 if beta <= tol:
                     return x
         return None
@@ -512,29 +475,28 @@ def _operator(chart, domain, c2, drift, zeroth, kind, normal_curvature=None):
     the boundary.
 
     The coefficient of H[(a, b)], a < b, is c2[a, b] + c2[b, a].  The slot
-    sums (module docstring, "Storage") are gathered onto the (chart,
-    domain)'s pattern and, on polar grids, averaged into ``ring_means``.
+    sums (module docstring, "Storage") are the operator's weights and, on
+    polar grids, are averaged into ``ring_means``.
     """
     frame = _frame(chart, domain)
-    pat = frame.pattern
     n = domain.n
     coefs = [
         c2[:, a, a] if a == b else c2[:, a, b] + c2[:, b, a]
         for a in range(n) for b in range(a, n)
     ] + [drift[:, a] for a in range(n)]
-    acc = np.zeros(frame.derivs.stencils[0].cols.shape)  # (slots, nodes)
+    acc = np.zeros((3**n, domain.num_nodes))  # (slots, nodes)
     for table, coef in zip(frame.tables(), coefs):
         for s, w in table.items():
             acc[s] += coef * w
     acc[len(acc) // 2] += zeroth  # the middle slot: the node itself
+    acc[:, domain.boundary] = 0.0
     acc[len(acc) // 2, domain.boundary] = 1.0
-    N = domain.num_nodes
-    matrix = sp.csr_matrix((acc.ravel()[pat.source], pat.indices, pat.indptr), shape=(N, N))
     ring_means = None
     if domain.layout == "polar":  # from ring 1 on the ball, whose ring 0 is the pole
         rings = acc[:, int(domain.pole is not None):].reshape(9, -1, domain.shape[1])
         ring_means = rings.mean(-1).T.reshape(-1, 3, 3)
-    return EllipticOperator(domain, matrix, c2, drift, zeroth, kind, normal_curvature, ring_means)
+    return EllipticOperator(domain, frame.derivs.stencils[0], dict(enumerate(acc)), c2, drift,
+                            zeroth, kind, normal_curvature, ring_means)
 
 
 def _warp_derivative_fields(chart, f, p, psi, n):
@@ -601,7 +563,7 @@ def _derivative_coefficients(chart, domain, assembly):
 
 
 def build_DK(chart, domain, f, assembly=None):
-    """Sparse derivative of the curvature map f -> K(f) at an admissible f."""
+    """Derivative of the curvature map f -> K(f) at an admissible f."""
     if assembly is None:
         assembly = assemble_curvature(chart, domain, f)
     require_admissible(assembly, "linearization point")
@@ -687,9 +649,9 @@ def stability_check(chart, domain, f, assembly=None):
     peak, so once DK is built the probe releases what it does not read:
     ``domain`` is left without cached operators (``drop_caches``; they
     rebuild on the next call that needs them) and DK without its coefficient
-    arrays.  The LU then holds the matrix, its dissection-order copy and the
-    right-hand side, and the witness is the one the cached operators give,
-    bit for bit.
+    arrays and, once its CSR matrix is made, its slot weights.  The LU then
+    holds the matrix, its dissection-order copy and the right-hand side, and
+    the witness is the one the cached operators give, bit for bit.
     """
     op = build_DK(chart, domain, f, assembly=assembly)
     domain.drop_caches()
@@ -697,6 +659,8 @@ def stability_check(chart, domain, f, assembly=None):
     rhs = np.where(domain.interior, 1.0, 0.0)
     w = _refined(op, rhs)
     if w is None:
+        op.matrix = op.stencils.csr(op.weights)  # all the LU reads
+        op.weights = None
         w = op.solve(rhs)
     stable = bool(np.all(w[domain.interior] < 0.0))
     return {"stable": stable, "witness": w}
@@ -707,9 +671,9 @@ _REFINE_STEPS = 4
 
 
 def _refined(op, rhs):
-    """w with op.matrix @ w = rhs by iterative refinement, or None.
+    """w with op @ w = rhs by iterative refinement, or None.
 
-    w <- w + P^-1 (rhs - op.matrix @ w) from w = 0, with P the ring average
+    w <- w + P^-1 (rhs - op @ w) from w = 0, with P the ring average
     of ``op``, until a correction is at most ``_REFINE_TOL`` of w in the max
     norm: an error-oriented stop (Deuflhard, Newton Methods for Nonlinear
     Problems, 2004, sec. 2.1), since the residual stalls at the operator's
@@ -722,7 +686,7 @@ def _refined(op, rhs):
         return None
     w, last = np.zeros_like(rhs), np.inf
     for _ in range(_REFINE_STEPS):
-        delta = ring.solve(rhs - op.matrix @ w)
+        delta = ring.solve(rhs - op @ w)
         size = np.max(np.abs(delta))
         if not (np.isfinite(size) and size <= 0.5 * last):
             return None

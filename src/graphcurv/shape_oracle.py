@@ -8,7 +8,7 @@ the ambient covariant derivative is plain componentwise differentiation, so
     g_ab = <X_a, X_b>,      A_ab = <X_ab, nu>,
 
 with X_a, X_ab coordinate partials of the position map taken by the same
-sparse stencils the rest of the library uses, and nu the unit normal fixed by
+stencils the rest of the library uses, and nu the unit normal fixed by
 <nu, V_t> > 0 against the chart vertical V_t.  (On the hyperboloid the
 curvature correction of the Gauss formula is proportional to the position
 vector and dies against nu.)  Principal curvatures solve det(A - lambda g) = 0
@@ -93,7 +93,8 @@ def curvature_oracle(chart, domain, f):
     layout = domain.layout
     mink = chart.minkowski
     X = chart.embed(coords, f, layout)
-    ops = domain.derivative_ops()
+    st, d1, d2 = domain.derivative_ops().stencils
+    grid = st.padded(X)  # with a trailing axis of X's m components
     n = domain.n
     num, m = X.shape
     # X and its first partials, stored component-major: every component
@@ -101,7 +102,7 @@ def curvature_oracle(chart, domain, f):
     rows = np.empty((n + 1, m, num)).transpose(2, 0, 1)
     rows[:, 0] = X
     for a in range(n):
-        rows[:, a + 1] = ops.d1[a] @ X
+        rows[:, a + 1] = st.apply(d1[a], X, grid)
     Xa = rows[:, 1:]
     g = {(a, b): _inner(Xa[:, a], Xa[:, b], mink) for a in range(n) for b in range(a, n)}
 
@@ -121,7 +122,7 @@ def curvature_oracle(chart, domain, f):
     nu = nu * flip[:, None]
     align = align * flip
 
-    A = {ab: _inner(op @ X, nu, mink) for ab, op in ops.d2.items()}
+    A = {ab: _inner(st.apply(op, X, grid), nu, mink) for ab, op in d2.items()}
 
     if n == 1:
         gg = g[0, 0]

@@ -313,9 +313,10 @@ def test_user_barrier_keeps_solve_on_its_own_grid(tmp_path):
 
 
 # traced heap peak of the solve below, in bytes per node, with one copy of
-# each operator array; caching the 13 combined polar frame tables beside the
-# derivative operators adds about 90 bytes per node, past the 5 % allowed
-SOLVE_PEAK_PER_NODE = 1064.4
+# each operator array and no CSR matrix; caching the 13 combined polar frame
+# tables beside the derivative operators adds about 90 bytes per node, past
+# the 5 % allowed
+SOLVE_PEAK_PER_NODE = 612.1
 
 
 def test_solve_heap_peak_per_node_stays_at_its_measured_value(tmp_path):
@@ -535,7 +536,8 @@ def test_validate_solution_roundtrip(tmp_path):
 
 
 def test_polar_runs_load_no_scipy_linalg_and_a_box_loads_splu(tmp_path):
-    # a fresh interpreter: polar levels make no LU, so neither module loads
+    # a fresh interpreter: importing the CLI loads no scipy module, and polar
+    # levels make no CSR matrix and no LU, so scipy.sparse does not load
     ball = {"domain": {"nr": 16, "nphi": 64}}
     solve = write_cfg(tmp_path, **ball)
     sweep = write_cfg(tmp_path, name="sweep.json", domain={"nr": 4, "nphi": 16},
@@ -550,9 +552,10 @@ def test_polar_runs_load_no_scipy_linalg_and_a_box_loads_splu(tmp_path):
     script = "\n".join([
         "import sys",
         "from graphcurv.cli import main",
-        "LINALG = ('scipy.linalg', 'scipy.sparse.linalg')",
+        "print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])",
+        "SCIPY = ('scipy.sparse', 'scipy.linalg', 'scipy.sparse.linalg')",
         *(f"assert main([{cmd!r}, '--config', {str(path)!r}]) == 0\n"
-          "print([m for m in LINALG if m in sys.modules])"
+          "print([m for m in SCIPY if m in sys.modules])"
           for cmd, path in [("solve", solve), ("sweep", sweep), ("validate", validate),
                             ("solve", box)]),
     ])
@@ -562,7 +565,8 @@ def test_polar_runs_load_no_scipy_linalg_and_a_box_loads_splu(tmp_path):
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     loaded = [line for line in run.stdout.splitlines() if line.startswith("[")]
-    assert loaded == ["[]", "[]", "[]", "['scipy.linalg', 'scipy.sparse.linalg']"]
+    assert loaded == ["[]", "[]", "[]", "[]",
+                      "['scipy.sparse', 'scipy.linalg', 'scipy.sparse.linalg']"]
     with open(tmp_path / "bout" / "summary.json") as fh:
         assert json.load(fh)["linear_solves"]["factorizations"] >= 1
 

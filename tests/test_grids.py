@@ -180,8 +180,7 @@ def test_ball_mixed_derivative_exact_on_separable_field():
 
 @pytest.mark.parametrize("nr, nphi", [(4, 16), (16, 64), (64, 256)])
 def test_ball_mixed_pole_row_matches_lil_rewrite(nr, nphi):
-    # the mixed operator's pole row used to be rewritten through LIL; DK's
-    # union pattern and its fill depend on the exact CSR arrays, so the
+    # the mixed operator's pole row used to be rewritten through LIL; the
     # current construction must reproduce that route to the bit
     dom = GridDomain.ball(1.0, nr, nphi)
     ops = dom.derivative_ops()

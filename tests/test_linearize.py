@@ -18,9 +18,7 @@ from graphcurv.grids import GridDomain
 from graphcurv.linearize import (
     EllipticOperator,
     HeldLU,
-    _frame,
     _operator,
-    _operator_pattern,
     _PermutedLU,
     _refined,
     _RingAverage,
@@ -307,7 +305,7 @@ def test_held_lu_of_a_distant_operator_falls_back_to_direct():
     chart = HyperbolicChart(n=2, offset=D)
     dom = box(65)
     op = build_DK(chart, dom, box_field(dom))
-    diag = EllipticOperator(dom, sp.diags(op.matrix.diagonal()).tocsr(),
+    diag = EllipticOperator(dom, op.stencils, {4: op.weights[4]},  # the middle slot
                             op.second_order, op.drift, op.zeroth, kind="diag")
     rhs = np.random.default_rng(3).standard_normal(dom.num_nodes)
     held = HeldLU()
@@ -317,7 +315,7 @@ def test_held_lu_of_a_distant_operator_falls_back_to_direct():
     assert held.factorizations == 2
     assert held.krylov_iterations == HeldLU.RESTART * HeldLU.MAXITER
     assert held.lu is op._lu
-    direct = EllipticOperator(dom, op.matrix, op.second_order, op.drift,
+    direct = EllipticOperator(dom, op.stencils, op.weights, op.second_order, op.drift,
                               op.zeroth).solve(rhs)
     assert np.max(np.abs(w - direct)) <= 1e-13 * np.max(np.abs(direct))
 
@@ -508,7 +506,7 @@ def test_a_polar_operator_without_ring_means_goes_to_the_lu():
     chart = HyperbolicChart(n=2, offset=D)
     dom = ball()
     dk = build_DK(chart, dom, safe_field(dom))
-    op = EllipticOperator(dom, dk.matrix, dk.second_order, dk.drift, dk.zeroth)
+    op = EllipticOperator(dom, dk.stencils, dk.weights, dk.second_order, dk.drift, dk.zeroth)
     assert op.ring_means is None and _RingAverage.of(op) is None
     assert build_DK(chart, box(), np.zeros(box().num_nodes)).ring_means is None
     held = HeldLU()
@@ -567,7 +565,7 @@ def test_ring_average_of_a_strongly_phi_dependent_operator_falls_back_to_the_lu(
     assert held.krylov_iterations == HeldLU.RESTART * HeldLU.MAXITER
     assert held.lu is op._lu and held.ring is None
     assert held.counters()["fill"] == op._lu.nnz
-    direct = EllipticOperator(dom, op.matrix, c2, drift, zeroth).solve(rhs)
+    direct = EllipticOperator(dom, op.stencils, op.weights, c2, drift, zeroth).solve(rhs)
     assert np.max(np.abs(w - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
@@ -617,7 +615,7 @@ def test_stability_check_on_a_polar_grid_refines_without_a_factorization(monkeyp
     assert np.all(w[dom.boundary] == 0.0)
 
 
-# ---- fixed sparsity pattern and dissection ordering ----------------------------
+# ---- operator rows and dissection ordering ------------------------------------
 
 
 LAYOUTS = {
@@ -661,12 +659,8 @@ def summed_operator_matrix(chart, op):
 def test_operator_pattern_is_fixed_per_domain(layout):
     dom = LAYOUTS[layout]()
     chart = HyperbolicChart(n=dom.n, offset=D)
-    fields = [np.zeros(dom.num_nodes), convex_field(dom), convex_field(dom, 0.02)]
-    ops = [build_DK(chart, dom, f) for f in fields]
-    for op in ops[1:]:
-        assert np.array_equal(op.matrix.indptr, ops[0].matrix.indptr)
-        assert np.array_equal(op.matrix.indices, ops[0].matrix.indices)
-    for op in ops:
+    for f in [np.zeros(dom.num_nodes), convex_field(dom), convex_field(dom, 0.02)]:
+        op = build_DK(chart, dom, f)
         got = op.matrix.toarray()
         want = summed_operator_matrix(chart, op)
         row_scale = np.max(np.abs(want), axis=1)
@@ -675,37 +669,6 @@ def test_operator_pattern_is_fixed_per_domain(layout):
         bnd = np.flatnonzero(dom.boundary)
         assert np.array_equal(got[bnd], np.eye(dom.num_nodes)[bnd])
         assert np.all(np.diff(op.matrix.indptr)[bnd] == 1)
-
-
-def owned_bytes(obj, skip):
-    """Bytes of the numpy arrays reachable from ``obj``'s attributes and
-    containers, ``skip`` not entered."""
-    if obj is skip:
-        return 0
-    if isinstance(obj, np.ndarray):
-        return obj.nbytes
-    if isinstance(obj, dict):
-        obj = list(obj.values())
-    elif hasattr(obj, "__dict__"):
-        obj = list(vars(obj).values())
-    if isinstance(obj, (list, tuple)):
-        return sum(owned_bytes(item, skip) for item in obj)
-    return 0
-
-
-def test_cached_pattern_holds_index_arrays_only():
-    # the frame operators' weights are formed from the derivative operators
-    # by every build, so no per-slot (N,) table is kept beside them
-    chart = HyperbolicChart(n=2, offset=D)
-    dom = ball(64, 256)
-    op = build_DK(chart, dom, safe_field(dom))
-    N, nnz = dom.num_nodes, op.matrix.nnz
-    derivs = dom.derivative_ops()
-    pattern = _operator_pattern(chart, dom)
-    assert len(pattern.indices) == nnz
-    assert owned_bytes(pattern, derivs) <= 4 * (2 * nnz + N + 1)
-    # the frame data adds the two warp factors and the domain's boundary mask
-    assert owned_bytes(_frame(chart, dom), derivs) <= 4 * (2 * nnz + N + 1) + 17 * N
 
 
 @pytest.mark.parametrize("layout", sorted(LAYOUTS))

@@ -119,17 +119,20 @@ def test_euclid_cross_is_orthogonal_to_its_rows(m):
 def ref_curvature_oracle(chart, domain, f):
     """The oracle's interior fields from (N, n, n, m) stacks of partials and
     einsums, with the normal from LU determinants of minors (orientation
-    fixed against the vertical as the oracle fixes it)."""
+    fixed against the vertical as the oracle fixes it).  The partials are
+    the oracle's own slot products: near the pole a change of their summation
+    order moves K by more than the bound below, which checks what is formed
+    from them."""
     mink = chart.minkowski
     X = chart.embed(domain.coords, f, domain.layout)
-    ops = domain.derivative_ops()
+    st, d1, d2 = domain.derivative_ops().stencils
     n = domain.n
     num, m = X.shape
     eta = np.where(np.arange(m) == 0, -1.0, 1.0) if mink else np.ones(m)
-    Xa = np.stack([ops.d1[a] @ X for a in range(n)], axis=1)
+    Xa = np.stack([st.apply(d1[a], X) for a in range(n)], axis=1)
     Xab = np.zeros((num, n, n, m))
-    for (a, b), op in ops.d2.items():
-        Xab[:, a, b] = Xab[:, b, a] = op @ X
+    for (a, b), op in d2.items():
+        Xab[:, a, b] = Xab[:, b, a] = st.apply(op, X)
     g = np.einsum("xam,xbm,m->xab", Xa, Xa, eta)
     rows = np.concatenate([X[:, None, :], Xa], axis=1) if mink else Xa
     cols = np.arange(m)

@@ -1,15 +1,16 @@
 """Grid operators built from stencil tables against the sparse-algebra builds.
 
-The derivative operators, frame operators, DK union pattern and
-nested-dissection order of a grid are built by index arithmetic on stencil
-slots, and a DK is filled by adding coefficients times slot weights up per
-slot.  The reference copies below are the constructions they replaced:
-COO -> CSR conversions, Kronecker products, ``sp.diags(x) @ A`` products, a
-pattern of sorted entry keys filled by one scatter-add per frame operator,
-and a recursive dissection.  Every output must match them exactly: the CSR
-arrays of the derivative operators, each frame operator's entries (which
-entries exist included, as the sparse products drop exact zeros), the
-union pattern with its diagonal, the matrices built on it, and the order.
+The derivative operators, frame operators and nested-dissection order of a
+grid are built by index arithmetic on stencil slots, and a DK is filled by
+adding coefficients times slot weights up per slot.  The reference copies
+below are the constructions they replaced: COO -> CSR conversions,
+Kronecker products, ``sp.diags(x) @ A`` products, a pattern of sorted entry
+keys filled by one scatter-add per frame operator, and a recursive
+dissection.  Every output must match them exactly: the CSR arrays of the
+derivative operators, each frame operator's entries (which entries exist
+included, as the sparse products drop exact zeros), the DK matrices without
+their zero entries, and the order.  The slot products every solve runs
+must equal the CSR products on every row whose slots are in column order.
 """
 
 import numpy as np
@@ -22,7 +23,6 @@ from graphcurv import grids
 from graphcurv.grids import GridDomain, _boundary_rle
 from graphcurv.linearize import (
     _operator,
-    _operator_pattern,
     build_DK,
     build_JK,
     frame_operators,
@@ -212,7 +212,8 @@ def ref_operator_pattern(chart, dom):
 
 def ref_operator_matrix(dom, pattern, c2, drift, zeroth):
     """The DK-shaped matrix of these coefficients, one scatter-add of each
-    frame operator's entries into their positions in ``pattern``."""
+    frame operator's entries into their positions in ``pattern``, without
+    the entries that come out zero."""
     ops, indptr, indices, positions, diagonal = pattern
     n = dom.n
     coefs = [
@@ -226,7 +227,9 @@ def ref_operator_matrix(dom, pattern, c2, drift, zeroth):
     data[diagonal] += zeroth
     data[diagonal[dom.boundary]] = 1.0
     N = dom.num_nodes
-    return sp.csr_matrix((data, indices, indptr), shape=(N, N))
+    out = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(N, N))
+    out.eliminate_zeros()
+    return out
 
 
 def ref_dissect(block, out):
@@ -387,10 +390,7 @@ def test_frame_operators_and_pattern_match_the_sparse_algebra(domain_kind, chart
     for got, want in list(zip(P, refP)) + [(H[k], refH[k]) for k in refH]:
         assert same_entries(got, want)
     ref = ref_operator_pattern(chart, dom)
-    pat = _operator_pattern(chart, dom)
-    assert bitwise_equal(pat.indptr, ref[1])
-    assert bitwise_equal(pat.indices, ref[2])
-    # every matrix built on the pattern is the scatter-add fill, byte for
+    # every DK matrix is the scatter-add fill without its zeros, byte for
     # byte; random coefficients with signed zeros also cover the cases no
     # field is admissible on
     rng = np.random.default_rng(7)
@@ -405,6 +405,39 @@ def test_frame_operators_and_pattern_match_the_sparse_algebra(domain_kind, chart
         want = ref_operator_matrix(dom, ref, *coefficients)
         for part in ("data", "indices", "indptr"):
             assert bitwise_equal(getattr(got, part), getattr(want, part)), part
+
+
+@pytest.mark.parametrize("chart_kind", sorted(CHARTS))
+@pytest.mark.parametrize("domain_kind", sorted(DOMAINS))
+def test_slot_products_match_the_csr_products(domain_kind, chart_kind):
+    # equal on every row whose slots ascend in column; on the others (the
+    # pole and the edges of the index grid) the sums run in another order,
+    # so they agree to 8 ulps of the row's absolute sum
+    dom = DOMAINS[domain_kind]()
+    chart = CHARTS[chart_kind](dom.n)
+    ops = dom.derivative_ops()
+    st, d1, d2 = ops.stencils
+    rng = np.random.default_rng(3)
+    N, n = dom.num_nodes, dom.n
+    coefs = [rng.standard_normal(shape) for shape in ((N, n, n), (N, n), (N,))]
+    built = [_operator(chart, dom, *coefs, "DK"), *built_operators(chart, dom)]
+    cases = list(zip(d1, ops.d1)) + [(d2[k], ops.d2[k]) for k in d2]
+    cases += [(op.weights, op.matrix) for op in built]
+    edge = np.ones(dom.shape, dtype=bool)
+    edge[(slice(1, -1),) * n] = False
+    if dom.kind == "ball":  # index row 0 is the pole alone
+        fix = np.concatenate([[0], 1 + np.flatnonzero(edge[1:])])
+    else:
+        fix = np.flatnonzero(edge)
+    in_order = np.ones(N, dtype=bool)
+    in_order[fix] = False
+    for v in (rng.standard_normal(N), rng.standard_normal((N, 3))):  # the oracle's (N, 3)
+        for weights, matrix in cases:
+            got, want = st.apply(weights, v), matrix @ v
+            assert got.shape == want.shape
+            assert np.array_equal(got[in_order], want[in_order])
+            bound = 8 * np.spacing(abs(matrix) @ np.abs(v))
+            assert np.all(np.abs(got - want)[fix] <= bound[fix])
 
 
 @pytest.mark.parametrize("domain", [
@@ -439,7 +472,6 @@ def test_build_time_adds_up_once_per_build(monkeypatch):
     frame_operators(chart, dom)
     assert dom.build_s == 3
     dom.derivative_ops()
-    _operator_pattern(chart, dom)
     assert dom.build_s == 3  # cache hits cost nothing
     dom.dissection_order()  # ticks 5 and 6
     assert dom.build_s == 4
