@@ -24,6 +24,11 @@ Two independent constructions of (psi, Psi) are provided:
   this the construction of record there; elsewhere it is a cross-check
   (the two methods agree to rounding).
 
+On a polar grid the frame is the coordinate frame scaled by the warp
+W(s), which ``_frame`` computes once per (chart, grid).  Its ``fold``, the
+transpose of ``_polar_frame``, takes the linearization's coefficients of
+the frame derivatives onto the grid's derivative operators.
+
 ``conformal_graph_curvature`` evaluates hyperbolic-chart curvature a third
 way, through the conformal-angle representation, for use as an independent
 consistency check.
@@ -83,14 +88,52 @@ def _polar_frame(d1, d2, wf, ratio):
     return p, hess
 
 
+@dataclass
+class _Frame:
+    """The frame of a (chart, grid), built once per pair (``_frame``)."""
+
+    derivs: object  # the domain's DerivOps
+    warp: tuple | None  # the polar grid's (wf, ratio) of ``warp_factors``, else None
+    operators: tuple | None = None  # ``linearize.frame_operators``' (P, H), once made
+
+    def fold(self, c2, drift):
+        """(derivative operator, coefficient) pairs, d2 then d1, that sum,
+        coefficient times operator, to sum_ab c2[:, a, b] H[(a, b)] + sum_a
+        drift[:, a] P[a] for the frame operators H and P; each coefficient
+        is formed when its pair is reached."""
+        _, d1, d2 = self.derivs.stencils
+        if self.warp is None:
+            for (a, b), op in d2.items():
+                yield op, c2[:, a, a] if a == b else c2[:, a, b] + c2[:, b, a]
+            for a, op in enumerate(d1):
+                yield op, drift[:, a]
+            return
+        wf, ratio = self.warp
+        mixed = c2[:, 0, 1] + c2[:, 1, 0]
+        yield d2[(0, 0)], c2[:, 0, 0]
+        yield d2[(0, 1)], mixed / wf
+        yield d2[(1, 1)], c2[:, 1, 1] / wf**2
+        yield d1[0], drift[:, 0] + ratio * c2[:, 1, 1]
+        yield d1[1], (drift[:, 1] - ratio * mixed) / wf
+
+
+def _frame(chart, domain):
+    def build():
+        s = domain.coords[:, 0]
+        warp = warp_factors(*chart.base_warp(s), s) if domain.layout == "polar" else None
+        return _Frame(domain.derivative_ops(), warp)
+
+    return domain.cached(("frame", chart.chart_id()), build)
+
+
 def frame_quantities(chart, domain, f):
     """h-orthonormal frame gradient p (N, n) and Hessian H (N, n, n) of f."""
     f = domain.check_values(f)
     d1, d2 = _raw_partials(domain, f)
-    if domain.layout != "polar":
+    warp = _frame(chart, domain).warp
+    if warp is None:
         return np.stack(d1, axis=-1), _sym_stack(d2, domain.n)
-    s = domain.coords[:, 0]
-    return _polar_frame(d1, d2, *warp_factors(*chart.base_warp(s), s))
+    return _polar_frame(d1, d2, *warp)
 
 
 # ---- eigenvalue helpers -----------------------------------------------------

@@ -677,6 +677,7 @@ def main(argv=None):
     try:
         cfg = cfgmod.load_config(args.config)
         if args.seed is not None:
+            cfgmod.check_least("solver.seed", args.seed)
             cfg["solver"]["seed"] = args.seed
         if args.out is not None:
             cfg["output"]["dir"] = args.out

@@ -32,6 +32,7 @@ __all__ = [
     "DEFAULTS",
     "load_config",
     "parse_config",
+    "check_least",
     "require",
     "provided",
     "build_chart",
@@ -119,6 +120,7 @@ _TYPES = {
 # least value of each setting that has one, and whether that value is allowed
 _LEAST = {"solver.tol": (0, False), "solver.dtau_min": (0, False),
           "solver.max_iter": (1, True), "solver.max_halvings": (0, True),
+          "solver.seed": (0, True), "monitor.alpha": (1, True),
           "sweep.levels": (1, True)}
 # what a default of each type admits; a bool is a number to Python, not here
 _ADMITS = {bool: ("true or false", bool), int: ("an integer", int),
@@ -163,12 +165,16 @@ def _merge(defaults, given, path):
             val = _merge(dval, val, sub)
         elif (type(val), val) != (type(dval), dval):  # the default always passes
             _check_type(sub, _TYPES.get(sub, dval), val)
-            least, allowed = _LEAST.get(sub, (None, True))
-            if least is not None and not (val >= least if allowed else val > least):
-                raise ConfigError(f"{sub} must be {'>=' if allowed else '>'} {least}, "
-                                  f"got {val!r}")
+            check_least(sub, val)
         out[key] = val
     return out
+
+
+def check_least(path, val):
+    """ConfigError naming the setting ``path`` if ``val`` is below its least value."""
+    least, allowed = _LEAST.get(path, (None, True))
+    if least is not None and not (val >= least if allowed else val > least):
+        raise ConfigError(f"{path} must be {'>=' if allowed else '>'} {least}, got {val!r}")
 
 
 def parse_config(obj):

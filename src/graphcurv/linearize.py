@@ -27,12 +27,12 @@ zero Dirichlet values.
 
 Storage: an operator is its weights on the grid's stencil slots
 (``grids.Stencils``), one (N,) array per slot, and ``op @ v`` applies them
-through shifted views of v laid out on the index grid.  A build forms the
-frame operators H[(a, b)] (a <= b) and P[a] one slot at a time from the
-derivative operators' weights, which ``GridDomain.derivative_ops`` builds
-once, adds each frame operator's weights, times their coefficients, up per
-slot in term order, then the zeroth-order term, and makes every boundary
-row the identity on the middle slot.  Its CSR ``matrix`` is made on demand.
+through shifted views of v laid out on the index grid.  A build adds the
+derivative operators' weights (``GridDomain.derivative_ops``, built once),
+times their coefficients (``assembly._Frame.fold``: those of the frame
+operators with the polar warp folded in), up per slot in term order, then
+the zeroth-order term, and makes every boundary row the identity on the
+middle slot.  Its CSR ``matrix`` is made on demand.
 
 Factorization: a direct LU takes rows and columns in the domain's
 nested-dissection order (``GridDomain.dissection_order``) and SuperLU keeps
@@ -42,14 +42,14 @@ diagonal dominates.  On the 129x512 ball the factors hold about half the
 entries a COLAMD order gives (4.7 M against 9.7 M for L + U of DK at f = 0).
 
 Ring average: on polar grids (ball and annulus) the model problem's
-solution is rotationally symmetric, so DK is nearly circulant in phi.  A
-build keeps each ring's slot sums averaged over phi (``ring_means``), and
-``_RingAverage`` solves their system by FFT in phi and one tridiagonal
-solve in the radius per Fourier mode, with the ball's pole row kept
-exactly.  It is exact for a rotationally symmetric operator.  For DK on
-the 129x512 ball (2-core VM, one BLAS thread) a build took about 3 ms
-against about 0.3 s for the LU, and an application 1.5 ms against 14 ms
-for the LU's triangular solves.
+solution is rotationally symmetric, so DK is nearly circulant in phi.
+``_RingAverage`` averages each ring's slot weights over phi and solves the
+system of these means by FFT in phi and one tridiagonal solve in the
+radius per Fourier mode, with the ball's pole row kept exactly.  It is
+exact for a rotationally symmetric operator.  For DK on the 129x512 ball
+(2-core VM, one BLAS thread) a build took about 3 ms against about 0.3 s
+for the LU, and an application 1.5 ms against 14 ms for the LU's
+triangular solves.
 
 Preconditioner reuse: a sparse LU of DK costs tens of triangular solves,
 and DK moves little between Newton steps and between neighbouring
@@ -83,7 +83,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import assemble_curvature, require_admissible, sym_inverse_parts, warp_factors
+from .assembly import _frame, assemble_curvature, require_admissible, sym_inverse_parts
 from .errors import SingularLinearSystem, SingularShapeOperator
 from .riemann import normal_curvature_endomorphism
 
@@ -109,71 +109,32 @@ def frame_operators(chart, domain):
     """Sparse maps v -> frame gradient / Hessian components of v.
 
     Returns (P, H) with P[a] and H[(a, b)] (a <= b) CSR matrices of shape
-    (N, N), made on the first call and cached on the domain.  Interior rows
-    reproduce ``assembly.frame_quantities`` to rounding, not exactly: on
-    polar grids the warp factors scale the weights here but the differences
-    there (on H[(1, 1)] of a smooth field with |H| <= 0.9, hyperbolic chart:
-    4.5e-12 on a 17x64 ball, growing as 1/h^2 to 1.4e-9 on 65x256).
+    (N, N), made on the first call and kept on the domain's frame: the
+    derivative operators, but on polar grids P[1], H[(0, 1)] and H[(1, 1)]
+    combine their weights slot by slot with the operations of the sparse
+    products and sums of ``diag(1/w) @ D``.  Interior rows reproduce
+    ``assembly.frame_quantities`` to rounding, not exactly: on polar grids
+    the warp factors scale the weights here but the differences there (on
+    H[(1, 1)] of a smooth field with |H| <= 0.9, hyperbolic chart: 4.5e-12
+    on a 17x64 ball, growing as 1/h^2 to 1.4e-9 on 65x256).
     """
-    return _frame(chart, domain).operators
-
-
-@dataclass(frozen=True)
-class _Frame:
-    """Cached per (chart, domain): the derivative operators and ``warp``,
-    the polar grid's (wf, ratio) of ``warp_factors`` (else None).  No
-    combined table is kept: ``tables`` forms them on each call."""
-
-    derivs: object  # the domain's DerivOps
-    warp: tuple | None
-
-    def tables(self):
-        """The frame operators as ``Stencils`` operators in term order,
-        H[(a, b)] then P[a]: the derivative operators, but on polar grids
-        P[1], H[(0, 1)] and H[(1, 1)] combine them slot by slot with the
-        operations of the sparse products and sums of ``diag(1/w) @ D``."""
-        _, d1, d2 = self.derivs.stencils
-        d1, d2 = list(d1), dict(d2)  # the cached tables stay as they are
-        if self.warp is not None:
-            wf, ratio = self.warp
+    frame = _frame(chart, domain)
+    if frame.operators is None:
+        P, H = list(frame.derivs.d1), dict(frame.derivs.d2)
+        if frame.warp is not None:
+            st, d1, d2 = frame.derivs.stencils
+            wf, ratio = frame.warp
             inv, inv2 = 1.0 / wf, 1.0 / wf**2
-            d2[(0, 1)] = _Combined(lambda a, b: inv * (a - ratio * b), d2[(0, 1)], d1[1])
-            d2[(1, 1)] = _Combined(lambda a, b: inv2 * a + ratio * b, d2[(1, 1)], d1[0])
-            d1[1] = _Combined(lambda a: inv * a, d1[1])
-        return [*d2.values(), *d1]
 
-    @functools.cached_property
-    def operators(self):
-        """(P, H) as CSR, a derivative operator's own where the table is one."""
-        st, d1, d2 = self.derivs.stencils
-        mats = [
-            csr if table is derivative else st.csr(dict(table.items()))
-            for table, derivative, csr in zip(
-                self.tables(), [*d2.values(), *d1], [*self.derivs.d2.values(), *self.derivs.d1]
-            )
-        ]
-        return tuple(mats[len(d2):]), dict(zip(d2, mats))
+            def combined(fn, *ops):
+                return st.csr({s: fn(*(op.get(s, 0.0) for op in ops))
+                               for s in set().union(*ops)})
 
-
-class _Combined:
-    """``fn`` of the ``Stencils`` operators ``ops`` slot by slot (0.0 for a
-    slot one lacks), formed anew each time ``items`` is iterated."""
-
-    def __init__(self, fn, *ops):
-        self.fn, self.ops = fn, ops
-
-    def items(self):
-        return ((s, self.fn(*(op.get(s, 0.0) for op in self.ops)))
-                for s in sorted(set().union(*self.ops)))
-
-
-def _frame(chart, domain):
-    def build():
-        s = domain.coords[:, 0]
-        warp = warp_factors(*chart.base_warp(s), s) if domain.layout == "polar" else None
-        return _Frame(domain.derivative_ops(), warp)
-
-    return domain.cached(("frame", chart.chart_id()), build)
+            H[(0, 1)] = combined(lambda a, b: inv * (a - ratio * b), d2[(0, 1)], d1[1])
+            H[(1, 1)] = combined(lambda a, b: inv2 * a + ratio * b, d2[(1, 1)], d1[0])
+            P[1] = combined(lambda a: inv * a, d1[1])
+        frame.operators = tuple(P), H
+    return frame.operators
 
 
 @dataclass
@@ -183,12 +144,10 @@ class EllipticOperator:
     ``op @ v`` (``apply``) reads ``weights``, {slot: (N,) weights} on the
     ``grids.Stencils`` ``stencils``; ``matrix``, its CSR matrix, is made on
     first access.  ``second_order`` / ``drift`` / ``zeroth`` hold the
-    per-node coefficients that were contracted with the frame derivative
-    operators to form ``weights`` (boundary rows zero); ``kind`` names the
-    construction and ``normal_curvature`` stores the measured ambient W for
-    the comparison operator.  On polar grids ``ring_means[i, a + 1, b + 1]``
-    is the mean over phi of ring i's slot (a, b), from ring 1 on the ball;
-    else None.
+    per-node coefficients of the frame derivatives (boundary rows zero),
+    which the build folds onto the derivative operators to form
+    ``weights``; ``kind`` names the construction and ``normal_curvature``
+    stores the measured ambient W for the comparison operator.
     """
 
     domain: object
@@ -199,7 +158,6 @@ class EllipticOperator:
     zeroth: np.ndarray  # (N,)
     kind: str = "DK"
     normal_curvature: np.ndarray | None = None
-    ring_means: np.ndarray | None = None  # (rings, 3, 3)
     _lu: object = field(default=None, repr=False, compare=False)
 
     def apply(self, v):
@@ -311,23 +269,27 @@ def _rows(a):
 class _RingAverage:
     """The ring average of a polar-grid operator, solved by FFT in phi.
 
-    The operator of its ``ring_means`` is circulant in phi (T. Chan's optimal
-    circulant approximation, SIAM J. Sci. Stat. Comput. 9, 1988), so Fourier
-    mode k of its rings obeys a tridiagonal system in the radius, ring i's
-    symbols sum_b mean(i, a, b) exp(i k b dphi) for a = -1, 0, 1
-    (Swarztrauber & Sweet, SIAM J. Numer. Anal. 10, 1973), all factored once
-    (``_Tridiagonal``).  On the ball the pole row (its slots) is kept
-    exactly: it and ring 1's couplings to the pole (slots a = -1) border the
-    ring system, which a rank-one Schur complement eliminates.  Raises
-    SingularLinearSystem when a pivot is zero or not finite.
+    ``means[i, a + 1, b + 1]`` is the mean over phi of ring i's weights on
+    slot (a, b), from ring 1 on the ball.  Their operator is circulant in
+    phi (T. Chan's optimal circulant approximation, SIAM J. Sci. Stat.
+    Comput. 9, 1988), so Fourier mode k of its rings obeys a tridiagonal
+    system in the radius, ring i's symbols sum_b mean(i, a, b) exp(i k b
+    dphi) for a = -1, 0, 1 (Swarztrauber & Sweet, SIAM J. Numer. Anal. 10,
+    1973), all factored once (``_Tridiagonal``).  On the ball the pole row
+    (its slots) is kept exactly: it and ring 1's couplings to the pole
+    (slots a = -1) border the ring system, which a rank-one Schur complement
+    eliminates.  Raises SingularLinearSystem when a pivot is zero or not
+    finite.
     """
 
     def __init__(self, op):
         rings, nphi = op.domain.shape
         self.start = start = int(op.domain.pole is not None)  # the pole is ring 0
         self.shape = (rings - start, nphi)
+        self.means = np.array([op.weights[s][start:].reshape(-1, nphi).mean(-1)
+                               for s in range(9)]).T.reshape(-1, 3, 3)
         turn = np.exp(1j * np.arange(nphi // 2 + 1) * op.domain.spacing[1])
-        symbols = op.ring_means @ np.array([turn.conj(), np.ones_like(turn), turn])
+        symbols = self.means @ np.array([turn.conj(), np.ones_like(turn), turn])
         self.tri = _Tridiagonal(*np.moveaxis(symbols, 1, 0))  # lower[0] is not read
         if start:
             cols0 = op.stencils.pole_cols  # of the pole row's slots
@@ -335,7 +297,7 @@ class _RingAverage:
             on_ring = cols0 != 0  # ring 1 at angle j is node 1 + j
             self.pole_row = np.bincount(cols0[on_ring] - 1, vals0[on_ring], minlength=nphi)
             border = np.zeros(self.shape)
-            border[0] = op.ring_means[0, 0].sum()  # ring 1's couplings to the pole
+            border[0] = self.means[0, 0].sum()  # ring 1's couplings to the pole
             self.border = self._rings(border)[:, 0]  # constant in phi
             self.schur = vals0[~on_ring].sum() - self.pole_row.sum() * self.border[0]
             if not (np.isfinite(self.schur) and self.schur != 0.0):
@@ -343,8 +305,8 @@ class _RingAverage:
 
     @classmethod
     def of(cls, op):
-        """The ring average of ``op``, or None without ``ring_means`` or when singular."""
-        if op.ring_means is None:
+        """The ring average of ``op``, or None off polar grids or when singular."""
+        if op.domain.layout != "polar":
             return None
         try:
             return cls(op)
@@ -472,31 +434,17 @@ class HeldLU:
 
 def _operator(chart, domain, c2, drift, zeroth, kind, normal_curvature=None):
     """The ``EllipticOperator`` of per-node coefficients, identity rows on
-    the boundary.
-
-    The coefficient of H[(a, b)], a < b, is c2[a, b] + c2[b, a].  The slot
-    sums (module docstring, "Storage") are the operator's weights and, on
-    polar grids, are averaged into ``ring_means``.
-    """
+    the boundary: the slot sums of module docstring, "Storage"."""
     frame = _frame(chart, domain)
-    n = domain.n
-    coefs = [
-        c2[:, a, a] if a == b else c2[:, a, b] + c2[:, b, a]
-        for a in range(n) for b in range(a, n)
-    ] + [drift[:, a] for a in range(n)]
-    acc = np.zeros((3**n, domain.num_nodes))  # (slots, nodes)
-    for table, coef in zip(frame.tables(), coefs):
+    acc = np.zeros((3**domain.n, domain.num_nodes))  # (slots, nodes)
+    for table, coef in frame.fold(c2, drift):
         for s, w in table.items():
             acc[s] += coef * w
     acc[len(acc) // 2] += zeroth  # the middle slot: the node itself
     acc[:, domain.boundary] = 0.0
     acc[len(acc) // 2, domain.boundary] = 1.0
-    ring_means = None
-    if domain.layout == "polar":  # from ring 1 on the ball, whose ring 0 is the pole
-        rings = acc[:, int(domain.pole is not None):].reshape(9, -1, domain.shape[1])
-        ring_means = rings.mean(-1).T.reshape(-1, 3, 3)
     return EllipticOperator(domain, frame.derivs.stencils[0], dict(enumerate(acc)), c2, drift,
-                            zeroth, kind, normal_curvature, ring_means)
+                            zeroth, kind, normal_curvature)
 
 
 def _warp_derivative_fields(chart, f, p, psi, n):

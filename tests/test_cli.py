@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from graphcurv import cli, diagnostics, linearize, solver
+from graphcurv import assembly, cli, diagnostics, linearize, solver
 from graphcurv import config as cfgmod
 from graphcurv import errors as err
 from graphcurv.assembly import assemble_curvature
@@ -159,6 +159,21 @@ def solve_summary(tmp_path, name, **overrides):
     rc = main(["solve", "--config", str(cfg)])
     with open(out / "summary.json") as fh:
         return rc, json.load(fh)
+
+
+def test_solve_computes_the_polar_warp_once_per_grid(tmp_path, monkeypatch):
+    # each level's assemblies and operators read its grid's cached warp; the
+    # cap profile (1025 radii, as many as the 17x64 grid has nodes) reads
+    # base_warp on radii of its own, so calls are told apart by their radii
+    radii = []
+    real = assembly.warp_factors
+    monkeypatch.setattr(assembly, "warp_factors",
+                        lambda w, wp, s: radii.append(s.copy()) or real(w, wp, s))
+    rc, _ = solve_summary(tmp_path, "warp", domain={"kind": "ball", "nr": 32, "nphi": 128})
+    assert rc == 0
+    grids = [GridDomain.ball(1.0, 16, 64), GridDomain.ball(1.0, 32, 128)]
+    assert [sum(np.array_equal(s, g.coords[:, 0]) for s in radii) for g in grids] == [1, 1]
+    assert len(radii) == 2
 
 
 def test_solve_nests_from_the_coarsest_grid(tmp_path):

@@ -247,6 +247,8 @@ def test_settings_another_input_gives_are_unknown_keys(tmp_path, capsys, path, v
     ("solver.max_halvings", -1, 0),
     ("solver.dtau_min", 0.0, 1e-300), ("solver.dtau_min", -1e-4, 1e-300),
     ("sweep.levels", 0, 1),
+    ("solver.seed", -1, 0), ("solver.seed", -5, 0),
+    ("monitor.alpha", 0.5, 1.0), ("monitor.alpha", -1, 1),
 ])
 def test_setting_below_its_least_is_a_config_error_naming_it(tmp_path, capsys, path,
                                                              value, smallest):
@@ -255,6 +257,16 @@ def test_setting_below_its_least_is_a_config_error_naming_it(tmp_path, capsys, p
     assert _cli_solve(tmp_path, _with(path, value)) == 2
     assert f"ConfigError: {path} must be" in capsys.readouterr().err
     parse_config(_with(path, smallest))  # at (or just above an excluded) least value
+
+
+def test_a_seed_flag_below_0_is_a_config_error(tmp_path, capsys):
+    # numpy's generators take no negative seed; the flag is refused like the setting
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(MINIMAL))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(path), "--out", str(out), "--seed", "-1"]) == 2
+    assert "ConfigError: solver.seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()  # refused before anything is written
 
 
 @pytest.mark.parametrize("path, value", [

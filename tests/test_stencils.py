@@ -2,10 +2,11 @@
 
 The derivative operators, frame operators and nested-dissection order of a
 grid are built by index arithmetic on stencil slots, and a DK is filled by
-adding coefficients times slot weights up per slot.  The reference copies
+adding coefficients times slot weights up per slot, the polar warp folded
+into the coefficients of the derivative operators.  The reference copies
 below are the constructions they replaced: COO -> CSR conversions,
 Kronecker products, ``sp.diags(x) @ A`` products, a pattern of sorted entry
-keys filled by one scatter-add per frame operator, and a recursive
+keys filled by one scatter-add per derivative operator, and a recursive
 dissection.  Every output must match them exactly: the CSR arrays of the
 derivative operators, each frame operator's entries (which entries exist
 included, as the sparse products drop exact zeros), the DK matrices without
@@ -185,13 +186,13 @@ def ref_frame_operators(chart, dom):
     return (d1[0], p1.tocsr()), {(0, 0): d2[(0, 0)], (0, 1): h01.tocsr(), (1, 1): h11.tocsr()}
 
 
-def ref_operator_pattern(chart, dom):
-    """(frame operators, indptr, indices, term positions, diagonal) by
-    sorting entry keys; the operators in term order, H[(a, b)] then P[a]."""
-    P, H = ref_frame_operators(chart, dom)
+def ref_operator_pattern(dom):
+    """(derivative operators, indptr, indices, term positions, diagonal) by
+    sorting entry keys; the operators in term order, d2[(a, b)] then d1[a]."""
+    d1, d2 = ref_derivative_ops(dom)
     n = dom.n
     N = dom.num_nodes
-    ops = [H[(a, b)] for a in range(n) for b in range(a, n)] + list(P)
+    ops = [d2[(a, b)] for a in range(n) for b in range(a, n)] + list(d1)
     inner = dom.interior
     rows, keys = [], []
     for op in ops:
@@ -210,16 +211,33 @@ def ref_operator_pattern(chart, dom):
     return ops, indptr, indices, positions, np.searchsorted(union, diag)
 
 
-def ref_operator_matrix(dom, pattern, c2, drift, zeroth):
-    """The DK-shaped matrix of these coefficients, one scatter-add of each
-    frame operator's entries into their positions in ``pattern``, without
-    the entries that come out zero."""
-    ops, indptr, indices, positions, diagonal = pattern
+def ref_term_coefficients(chart, dom, c2, drift):
+    """The coefficients of the derivative operators in DK, in term order:
+    those of the frame operators, on polar grids with the warp of
+    ``ref_frame_operators`` folded in (sum_k c_k diag(1/w) @ D_k as the
+    sum of diag(c_k / w) @ D_k)."""
     n = dom.n
-    coefs = [
-        c2[:, a, a] if a == b else c2[:, a, b] + c2[:, b, a]
-        for a in range(n) for b in range(a, n)
-    ] + [drift[:, a] for a in range(n)]
+    if dom.layout != "polar":
+        return [
+            c2[:, a, a] if a == b else c2[:, a, b] + c2[:, b, a]
+            for a in range(n) for b in range(a, n)
+        ] + [drift[:, a] for a in range(n)]
+    s = dom.coords[:, 0]
+    w, wp = chart.base_warp(s)
+    radial = s > 0
+    wf = np.where(radial, w, 1.0)
+    ratio = np.where(radial, wp, 0.0) / wf
+    mixed = c2[:, 0, 1] + c2[:, 1, 0]
+    return [c2[:, 0, 0], mixed / wf, c2[:, 1, 1] / wf**2,
+            drift[:, 0] + ratio * c2[:, 1, 1], (drift[:, 1] - ratio * mixed) / wf]
+
+
+def ref_operator_matrix(chart, dom, pattern, c2, drift, zeroth):
+    """The DK-shaped matrix of these coefficients, one scatter-add of each
+    derivative operator's entries times its coefficient into their
+    positions in ``pattern``, without the entries that come out zero."""
+    ops, indptr, indices, positions, diagonal = pattern
+    coefs = ref_term_coefficients(chart, dom, c2, drift)
     data = np.zeros(len(indices) + 1)  # the last slot collects boundary rows
     for op, pos, coef in zip(ops, positions, coefs):
         np.add.at(data, pos, np.repeat(coef, np.diff(op.indptr)) * op.data)
@@ -389,7 +407,7 @@ def test_frame_operators_and_pattern_match_the_sparse_algebra(domain_kind, chart
     assert sorted(H) == sorted(refH)
     for got, want in list(zip(P, refP)) + [(H[k], refH[k]) for k in refH]:
         assert same_entries(got, want)
-    ref = ref_operator_pattern(chart, dom)
+    ref = ref_operator_pattern(dom)
     # every DK matrix is the scatter-add fill without its zeros, byte for
     # byte; random coefficients with signed zeros also cover the cases no
     # field is admissible on
@@ -402,7 +420,7 @@ def test_frame_operators_and_pattern_match_the_sparse_algebra(domain_kind, chart
         (op.matrix, (op.second_order, op.drift, op.zeroth)) for op in built_operators(chart, dom)
     ]
     for got, coefficients in cases:
-        want = ref_operator_matrix(dom, ref, *coefficients)
+        want = ref_operator_matrix(chart, dom, ref, *coefficients)
         for part in ("data", "indices", "indptr"):
             assert bitwise_equal(getattr(got, part), getattr(want, part)), part
 
@@ -494,7 +512,7 @@ def test_one_stencil_build_per_grid_serves_every_operator(monkeypatch):
             arrays += [op.data, op.indices, op.indptr]
         return [sorted(t) for t in tables], [(a.dtype, a.shape, a.tobytes()) for a in arrays]
 
-    # the frame tables combine the cached weights without writing to them
+    # DK's build and the frame operators read the cached weights without writing to them
     dom = GridDomain.ball(1.0, 8, 32)
     ops = dom.derivative_ops()
     before = snapshot(ops)
