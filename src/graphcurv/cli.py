@@ -214,18 +214,21 @@ def _target_bounds(kval, domain):
 
 
 def _check_input(cfg, key):
-    """(path, chart, domain, f, assembly, oracle, gap) of the grid file at
-    ``input.<key>``: K(f) assembled and from the oracle (one pass each), and
-    their largest interior difference."""
+    """(path, chart, domain, f, assembly) of the grid file at ``input.<key>``,
+    with K(f) assembled once."""
     src = cfg["input"][key]
     if not src:
         raise ConfigError(f"missing required key input.{key}")
     chart, domain, f = _load_solution(src, cfg)
-    asm = assemble_curvature(chart, domain, f)
+    return src, chart, domain, f, assemble_curvature(chart, domain, f)
+
+
+def _oracle_gap(chart, domain, f, asm):
+    """(oracle, gap): K(f) from the oracle (one pass) and its largest
+    interior difference from the assembled K."""
     data = curvature_oracle(chart, domain, f)
     interior = domain.interior
-    gap = float(np.max(np.abs(asm.K[interior] - data.K[interior])))
-    return src, chart, domain, f, asm, data, gap
+    return data, float(np.max(np.abs(asm.K[interior] - data.K[interior])))
 
 
 # ---- commands ------------------------------------------------------------------
@@ -233,7 +236,8 @@ def _check_input(cfg, key):
 
 def cmd_curvature(cfg):
     t0 = time.perf_counter()
-    src, chart, domain, f, asm, data, gap = _check_input(cfg, "values")
+    src, chart, domain, f, asm = _check_input(cfg, "values")
+    data, gap = _oracle_gap(chart, domain, f, asm)
     interior = domain.interior
     export_csv(
         _out_path(cfg, "kfield"),
@@ -431,6 +435,7 @@ def _walk(cfg, command, grids):
     profiles = {}  # radial cap profiles of this walk only
     try:
         for domain in grids(cfg):
+            level_t0 = time.perf_counter()
             run = None  # lets the level below release its factors
             run = _setup_solve(cfg, domain, seeded=not levels, profiles=profiles)
             f, history = _solve(run, levels[-1][:2] if levels else None)
@@ -440,6 +445,7 @@ def _walk(cfg, command, grids):
                 run.meta[key] += count
             run.meta["linear_solves"] = run.lu.counters()
             run.meta["grid_s"] = domain.build_s
+            run.meta["elapsed_s"] = time.perf_counter() - level_t0
             history = [{**row, "iter": row["iter"] + shift} for row in history]
             levels.append((domain, f, run.meta, history))
             domain.drop_caches()  # later levels need only its values
@@ -504,7 +510,7 @@ def cmd_solve(cfg):
 
 def cmd_validate(cfg):
     t0 = time.perf_counter()
-    src, chart, domain, f, asm, data, gap = _check_input(cfg, "solution")
+    src, chart, domain, f, asm = _check_input(cfg, "solution")
     interior = domain.interior
 
     kval = target = None
@@ -534,7 +540,11 @@ def cmd_validate(cfg):
         details["sandwich"]["violations"] = (
             len(rep["above_upper"]) + len(rep["below_lower"])
         )
+    del barrier
 
+    # the barrier's assembly and the oracle are the two largest transients
+    # here, so the oracle runs once the barrier is checked and released
+    data, gap = _oracle_gap(chart, domain, f, asm)
     ds = domain.spacing[0]
     gap_tol = 50.0 * ds**2 * (1.0 + float(np.max(np.abs(data.K[interior]))))
     checks["assembly_vs_oracle"] = bool(gap <= gap_tol)
@@ -558,9 +568,9 @@ def cmd_validate(cfg):
     except GraphCurvError as exc:
         checks["transversal"] = False
         details["pogorelov_error"] = str(exc)
-    # the stability probe's factorization, where it needs one, is
-    # validate's memory peak, so it runs last, with the oracle's fields
-    # released
+    # the stability probe builds DK and, off polar grids or where the ring
+    # average does not converge, factors it, so it runs last, with the
+    # oracle's fields released
     del data
     try:
         stab = stability_check(chart, domain, f, assembly=asm)

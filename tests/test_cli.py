@@ -19,6 +19,7 @@ from graphcurv.charts import EuclideanChart, HyperbolicChart
 from graphcurv.cli import EXIT_CODES, exit_code_for, main
 from graphcurv.diagnostics import make_barrier_pair
 from graphcurv.grids import GridDomain, load_grid, restrict_values, save_grid
+from graphcurv.shape_oracle import curvature_oracle
 from graphcurv.solver import (
     SolveTarget,
     continuation_solve,
@@ -344,6 +345,58 @@ def test_solve_heap_peak_per_node_stays_at_its_measured_value(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak / (1 + 64 * 256) <= 1.05 * SOLVE_PEAK_PER_NODE
+
+
+def _traced_peak(call, *args):
+    """(result, traced heap peak in bytes) of ``call(*args)``: the most it
+    held at once beyond what was live when it started."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def solved_ball(tmp_path_factory):
+    """Solution file of the 65x256 problem the solve guard above traces."""
+    tmp_path = tmp_path_factory.mktemp("ball")
+    cfg = write_cfg(tmp_path, domain={"kind": "ball", "nr": 64, "nphi": 256},
+                    problem={"k": 0.9, "barrier": {"kind": "cap", "k": 0.95}})
+    assert main(["solve", "--config", str(cfg)]) == 0
+    return tmp_path / "out" / "solution.grid"
+
+
+# traced heap peak of the oracle on that solution, in bytes per node, with
+# the grid's derivative operators already built: X, its first partials, the
+# metric and the normal at once, each second partial one component at a
+# time.  Holding every component's second partials at once, on one (N, m)
+# padded grid, peaks at 475
+ORACLE_PEAK_PER_NODE = 189.2
+
+
+def test_oracle_heap_peak_per_node_stays_at_its_measured_value(solved_ball):
+    dom, f, _ = load_grid(solved_ball)
+    dom.derivative_ops()
+    data, peak = _traced_peak(curvature_oracle, HyperbolicChart(n=2, offset=0.5), dom, f)
+    assert np.all(data.vert_align[dom.interior] > 0.0)
+    assert peak / dom.num_nodes <= 1.05 * ORACLE_PEAK_PER_NODE
+
+
+# traced heap peak of validate on that solution, in bytes per node: the
+# assembly's fields stay live throughout, and the barrier, the oracle and
+# the stability probe each add their transient in turn.  Running the oracle
+# beside the barrier's assembly adds about 100 bytes per node
+VALIDATE_PEAK_PER_NODE = 503.9
+
+
+def test_validate_heap_peak_per_node_stays_at_its_measured_value(solved_ball, tmp_path):
+    vcfg = write_cfg(tmp_path, domain={"kind": "ball", "nr": 64, "nphi": 256},
+                     problem={"k": 0.9, "barrier": {"kind": "cap", "k": 0.95}},
+                     input={"solution": str(solved_ball)})
+    rc, peak = _traced_peak(main, ["validate", "--config", str(vcfg)])
+    assert rc == 0
+    assert peak / (1 + 64 * 256) <= 1.05 * VALIDATE_PEAK_PER_NODE
 
 
 def test_interval_solve_writes_the_chart_of_its_dimension(tmp_path):
@@ -717,6 +770,17 @@ def test_every_level_reports_the_time_spent_building_its_grid(tmp_path, monkeypa
         factored = meta["linear_solves"]["factorizations"] > 0
         assert ("dissection_order" in built[dom]) == factored
         assert meta["grid_s"] == dom.build_s > 0.0
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_every_level_reports_its_wall_time(tmp_path, command):
+    cfg = write_cfg(tmp_path, domain={"kind": "ball", "nr": 32, "nphi": 128},
+                    sweep={"levels": 2})
+    assert main([command, "--config", str(cfg)]) == 0
+    summary = read_summary(tmp_path)
+    levels = [meta["elapsed_s"] for meta in summary["per_level"]]
+    assert len(levels) == 2 and all(t > 0.0 for t in levels)
+    assert sum(levels) <= summary["elapsed_s"]
 
 
 def test_sweep_level_falls_back_to_the_continuation(tmp_path, monkeypatch):
