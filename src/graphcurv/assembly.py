@@ -193,7 +193,6 @@ class CurvatureAssembly:
     M: np.ndarray  # (N, n, n)
     K: np.ndarray  # (N,) signed curvature; boundary rows zero
     lambda_min: np.ndarray  # (N,) smallest eigenvalue of M; boundary rows zero
-    method: str = "closed"
 
     @property
     def margin(self):
@@ -294,7 +293,6 @@ def assemble_curvature(chart, domain, f, method="closed"):
         M=M,
         K=K,
         lambda_min=lam_min,
-        method=method,
     )
 
 

@@ -90,22 +90,17 @@ def _out_path(cfg, key):
     return os.path.join(cfg["output"]["dir"], cfg["output"][key])
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
+def _json_default(obj):
+    """numpy scalars and arrays as Python values, for ``json.dump``."""
+    if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _write_summary(cfg, obj):
     path = _out_path(cfg, "summary")
     with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
     return path
 
@@ -404,12 +399,13 @@ def _solve(run, below=None):
 
 
 def _totals(metas):
-    """``newton_total``, ``rejected_trials`` and ``linear_solves`` summed over
-    levels, but the last level's ``fill``."""
+    """``newton_total``, ``rejected_trials``, ``grid_s`` and ``linear_solves``
+    summed over levels, but the last level's ``fill``."""
     solves = {key: sum(m["linear_solves"][key] for m in metas)
               for key in HeldLU().counters()}
     solves["fill"] = metas[-1]["linear_solves"]["fill"] if metas else 0
-    totals = {key: sum(m[key] for m in metas) for key in ("newton_total", "rejected_trials")}
+    totals = {key: sum(m[key] for m in metas)
+              for key in ("newton_total", "rejected_trials", "grid_s")}
     totals["linear_solves"] = solves
     return totals
 
@@ -456,6 +452,7 @@ def _walk(cfg, command, grids):
         if run is not None:
             failed = {key: run.spent[key] + count for key, count in _progress(exc).items()}
             failed["linear_solves"] = run.lu.counters()
+            failed["grid_s"] = domain.build_s
             begun.append(failed)
         grid = None if domain is None else f"{domain.kind}{list(domain.shape)}"
         _write_summary(cfg, {

@@ -16,8 +16,8 @@ DK is factorized afresh only when GMRES misses its tolerance).  DK is
 dropped once its step is solved, so at most one DK is alive at a time.
 ``newton_solve`` takes the held preconditioner and updates it in place;
 ``continuation_solve`` keeps one on the state, so one preconditioner can
-serve the start step, later Newton steps, later tau-steps and the retries
-after failed correctors.  The line search, the admissibility and sandwich
+serve the start step, later Newton steps and later tau-steps, failed
+correctors included.  The line search, the admissibility and sandwich
 tests and ``tol`` see only the resulting step.
 
 Determinism: everything here is sequential and seed-driven; the only random
@@ -325,11 +325,14 @@ def start_state(target, *, delta0=None, f_init=None):
 def continuation_solve(state, opts=None):
     """Predictor-corrector walk of the target path; returns f at tau = 1.
 
-    Corrector failures (NoConvergence, NonAdmissibleInit) halve dtau down to
-    ``opts.dtau_min``, below which StepsizeUnderflow reports the last good
-    (tau, f); correctors finishing in <= 3 Newton steps double dtau up to
-    0.5.  SingularLinearSystem propagates with tau context (the remedy
-    is ``perturb_rhs``).  ``state`` is updated in place.  Every error raised
+    The start corrector runs once, from the seed iterate or from one
+    undamped Newton step off f = 0; its failure ends the walk.  A failed
+    tau-step corrector (NoConvergence, NonAdmissibleInit) is not re-run from
+    another start: dtau halves at once, down to ``opts.dtau_min``, below
+    which StepsizeUnderflow reports the last good (tau, f); correctors
+    finishing in <= 3 Newton steps double dtau up to 0.5.
+    SingularLinearSystem propagates with tau context (the remedy is
+    ``perturb_rhs``).  ``state`` is updated in place.  Every error raised
     here carries ``steps`` (``state.newton_total``), ``rejected_trials``
     (``state.rejected_trials``) and the ``residual`` and ``tau`` of the last
     accepted corrector (None before the start corrector finishes).
@@ -367,10 +370,7 @@ def continuation_solve(state, opts=None):
                 r0 = _residual(asm0, tgt0.evaluate(f0), domain.interior)
                 f_start = f0 + build_DK(
                     state.target.chart, domain, f0, assembly=asm0).solve(-r0, held=state.lu)
-                try:
-                    res = correct(0.0, f_start)
-                except (NoConvergence, NonAdmissibleInit):
-                    res = correct(0.0, f0)  # fall back to the base slice itself
+                res = correct(0.0, f_start)
             state.f = res.f
             state.tau = 0.0
             state.residual_norm, state.margin = res.residual_norm, res.margin
@@ -402,11 +402,8 @@ def continuation_solve(state, opts=None):
             try:
                 res = correct(tau_try, f_pred)
             except (NoConvergence, NonAdmissibleInit):
-                try:
-                    res = correct(tau_try, state.f)  # order-0 predictor retry
-                except (NoConvergence, NonAdmissibleInit):
-                    state.dtau = dtau / 2.0
-                    continue
+                state.dtau = dtau / 2.0
+                continue
             except SingularLinearSystem as exc:
                 raise SingularLinearSystem(
                     f"singular linearization at tau = {tau_try:.6f}: {exc}"

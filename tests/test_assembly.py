@@ -146,6 +146,23 @@ def test_conformal_representation_agrees_at_second_order():
     assert 3.0 < g16 / g32 < 5.0
 
 
+def test_conformal_representation_agrees_at_second_order_on_an_interval():
+    chart = HyperbolicChart(n=1, offset=D)
+
+    def gap(cells):
+        dom = GridDomain.interval(-1.0, 1.0, cells)
+        x = dom.coords[:, 0]
+        f = -0.05 * (1 - x**2) - 0.01 * x * (1 - x**2)
+        k1 = assemble_curvature(chart, dom, f).K
+        k2 = conformal_graph_curvature(chart, dom, f)
+        return np.max(np.abs((k1 - k2)[dom.interior]))
+
+    g32 = gap(32)
+    g64 = gap(64)
+    assert g32 < 2e-5
+    assert 3.0 < g32 / g64 < 5.0
+
+
 def test_conformal_representation_guards():
     dom = ball(4, 16)
     with pytest.raises(OutOfRange):

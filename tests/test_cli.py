@@ -414,6 +414,20 @@ def test_interval_solve_writes_the_chart_of_its_dimension(tmp_path):
         assert json.load(fh)["status"] == "passed"
 
 
+def test_auto_start_over_a_flat_interval_is_a_paraboloid(tmp_path):
+    # the flat base is degenerate and no cap barrier exists to scale, so
+    # init.kind "auto" seeds the continuation with the paraboloid; the
+    # solution is the circular arc of curvature k through the end points
+    rc, summary = solve_summary(tmp_path, "flat", chart={"kind": "euclidean"},
+                                domain={"kind": "interval", "cells": 32, "lo": -1.0, "hi": 1.0},
+                                problem={"k": 0.5, "barrier": {"kind": "none"}})
+    assert rc == 0 and summary["barrier"] == "none"
+    assert [m["start"] for m in summary["per_level"]] == ["continuation", "prolonged"]
+    dom, f, _ = load_grid(tmp_path / "flat" / "solution.grid")
+    x = dom.coords[:, 0]
+    assert np.max(np.abs(f - (np.sqrt(3.0) - np.sqrt(4.0 - x**2)))) < 2e-4
+
+
 @pytest.mark.parametrize("domain, limit", [
     ({"kind": "box", "shape": [6, 6], "extent": [[0, 1]]}, "2 axes"),
     ({"kind": "box", "shape": [6, 6], "periodic": [False]}, "2 axes"),
@@ -781,6 +795,32 @@ def test_every_level_reports_its_wall_time(tmp_path, command):
     levels = [meta["elapsed_s"] for meta in summary["per_level"]]
     assert len(levels) == 2 and all(t > 0.0 for t in levels)
     assert sum(levels) <= summary["elapsed_s"]
+
+
+@pytest.mark.parametrize("finest_fails", [False, True], ids=["converged", "failed"])
+def test_solve_reports_the_grid_time_of_all_its_levels(tmp_path, monkeypatch, finest_fails):
+    # the top-level grid_s is the run's, summed over its levels like
+    # newton_total, not the finest level's; a failed level counts its own
+    finest = []
+    if finest_fails:
+        monkeypatch.setattr(
+            cli, "prolong_values", lambda coarse, fine, v: 1.0 - fine.coords[:, 0] ** 2
+        )
+        real = cli.continuation_solve
+
+        def finest_level_fails(state, opts):
+            if state.target.domain.shape == (33, 128):
+                finest.append(state.target.domain)
+                raise err.NoConvergence("forced on the finest level")
+            return real(state, opts)
+
+        monkeypatch.setattr(cli, "continuation_solve", finest_level_fails)
+    rc, summary = solve_summary(tmp_path, "grid_s",
+                                domain={"kind": "ball", "nr": 32, "nphi": 128})
+    assert rc == (EXIT_CODES["NoConvergence"] if finest_fails else 0)
+    levels = [meta["grid_s"] for meta in summary["per_level"]]
+    assert len(levels) == (1 if finest_fails else 2) and len(levels + finest) == 2
+    assert summary["grid_s"] == sum(levels + [dom.build_s for dom in finest])
 
 
 def test_sweep_level_falls_back_to_the_continuation(tmp_path, monkeypatch):

@@ -145,6 +145,18 @@ def test_target_expression_evaluation():
     kf = build_target_k(cfg_f, dom)
     assert np.allclose(kf(dom.coords, f - 1.0), 0.7)
 
+    # boxes expose x and y
+    cfg_b = parse_config(
+        {**MINIMAL,
+         "domain": {"kind": "box", "shape": [6, 5], "extent": [[-1, 1], [0, 2]]},
+         "problem": {"k": "0.6 + 0.05*x*y - 0.01*y**2"}}
+    )
+    dom_b = build_domain(cfg_b)
+    x, y = dom_b.coords[:, 0], dom_b.coords[:, 1]
+    assert np.ptp(x) == 2.0 and np.ptp(y) == 2.0
+    kb = build_target_k(cfg_b, dom_b)(dom_b.coords, np.zeros(dom_b.num_nodes))
+    assert np.array_equal(kb, 0.6 + 0.05 * x * y - 0.01 * y**2)
+
 
 def test_target_expression_errors():
     dom = build_domain(parse_config(MINIMAL))

@@ -222,6 +222,36 @@ def test_continuation_counts_steps_of_failed_correctors(monkeypatch):
     assert state.history[-1]["iter"] == state.newton_total
 
 
+def test_failed_tau_step_runs_one_corrector(monkeypatch):
+    # a failed corrector halves dtau at once: each tau-step, accepted or
+    # failed, runs newton_solve once, after the one start corrector.  A
+    # tau-step is told apart by the walk's (tau, dtau) when it is tried,
+    # which only a second corrector on the same step would repeat
+    calls = []
+
+    def recording(*args, **kwargs):
+        step = (state.f is None, state.tau, state.dtau)
+        try:
+            res = newton_solve(*args, **kwargs)
+        except NoConvergence:
+            calls.append((step, False))
+            raise
+        calls.append((step, True))
+        return res
+
+    monkeypatch.setattr(solver, "newton_solve", recording)
+    dom = GridDomain.ball(1.0, 8, 32)
+    state = start_state(hyper_target(dom, 0.9, with_barrier=True))
+    continuation_solve(state, ContinuationOptions(newton=NewtonOptions(max_iter=2)))
+    assert state.tau == 1.0
+    outcome = dict(calls)  # each tau-step's last corrector
+    accepted = sum(ok for (start, _, _), ok in outcome.items() if not start)
+    failed = sum(not ok for (start, _, _), ok in outcome.items() if not start)
+    assert accepted == len({row["tau"] for row in state.history} - {0.0})
+    assert failed > 0
+    assert len(calls) == 1 + accepted + failed
+
+
 def test_continuation_reuses_factorizations(monkeypatch):
     # the acceptance-battery continuation to k = 0.9, on a 33x33 box: the
     # held LU preconditions solves on Cartesian grids (polar ones start from
@@ -338,6 +368,23 @@ def test_failed_start_corrector_carries_no_iterate():
     assert info.value.tau is None and info.value.residual is None
 
 
+def test_failed_start_corrector_is_not_retried(monkeypatch):
+    # the corrector from the undamped first step is the only start attempt
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(1)
+        return newton_solve(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "newton_solve", recording)
+    dom = GridDomain.ball(1.0, 8, 32)
+    state = start_state(hyper_target(dom, 0.7, with_barrier=True))
+    with pytest.raises(NoConvergence) as info:
+        continuation_solve(state, ContinuationOptions(newton=NewtonOptions(max_iter=1)))
+    assert len(calls) == 1
+    assert info.value.steps == state.newton_total == 1
+
+
 @pytest.mark.parametrize("at_goal", [False, True])
 def test_continuation_keeps_the_margin_of_its_last_iterate(at_goal):
     # delta0 = gap puts the start level on the goal, so the walk ends on the
@@ -374,6 +421,23 @@ def test_start_state_delta0_guard():
 def test_fixed_step_control_and_transversality_floor_are_no_options(call):
     with pytest.raises(TypeError, match="argument"):
         call()
+
+
+def test_seeded_start_takes_delta0_over_the_seed_floor():
+    # with f_init, delta0 places gamma(0) at phi0 + delta0, not at the seed's
+    # smallest curvature, and must still clear phi0
+    chart = EuclideanChart(n=2)
+    dom = GridDomain.ball(1.0, 8, 32)
+    seed = 0.25 * (dom.coords[:, 0] ** 2 - 1.0)
+    target = SolveTarget(chart, dom, 0.5)
+    state = start_state(target, f_init=seed, delta0=0.3)
+    assert state.gamma0 == 0.3  # phi0 = 0 over the flat base
+    assert np.array_equal(state.seed_iterate, seed)
+    with pytest.raises(OutOfRange, match="does not exceed phi0"):
+        start_state(target, f_init=seed, delta0=0.0)
+    f = continuation_solve(state)
+    assert state.tau == 1.0
+    assert np.max(np.abs(assemble_curvature(chart, dom, f).K[dom.interior] - 0.5)) <= 1e-9
 
 
 def test_start_state_rejects_inadmissible_seed():
