@@ -225,7 +225,7 @@ def _cap_profile(chart, k, R, m, n, tol, max_iter):
             s = 2.0**-kk
             f_new = f + s * step
             r_new, margin_new, parts_new = resid(f_new)
-            if margin_new < 0.1 * margin:
+            if not margin_new >= 0.1 * margin:  # NaN fails
                 continue
             # Sufficient decrease is judged in the 2-norm: a Newton step
             # often just moves the residual peak to another node, so the
@@ -233,7 +233,7 @@ def _cap_profile(chart, k, R, m, n, tol, max_iter):
             # quarter of the residual mass.  (Convergence below is still
             # declared on the max norm.)
             rn2 = float(np.linalg.norm(r_new))
-            if rn2 > (1.0 - s / 8.0) * r2:
+            if not rn2 <= (1.0 - s / 8.0) * r2:
                 continue
             rn = float(np.max(np.abs(r_new)))
             f, r, rnorm, r2, margin, parts = f_new, r_new, rn, rn2, margin_new, parts_new

@@ -32,7 +32,6 @@ import functools
 import itertools
 import json
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -488,8 +487,13 @@ def _boundary_rle(mask):
     return ",".join(f"{i}:{j - i}" for i, j in zip(edges[::2], edges[1::2]))
 
 
+_ENCODING = "<f8"  # the values: raw little-endian float64, in node order
+
+
 def save_grid(path, domain, values, chart_id):
-    """Write a grid file: one JSON header line + one %.17g value per line."""
+    """Write a grid file: one JSON header line, then the values as raw
+    little-endian float64 (header key ``encoding``), so each value, NaN
+    payloads and -0 included, reads back bitwise."""
     values = domain.check_values(values)
     header = {
         "shape": list(domain.shape),
@@ -499,54 +503,58 @@ def save_grid(path, domain, values, chart_id):
         "layout": domain.kind,
         "extent": [list(ab) for ab in domain.extent],
         "periodic": [int(p) for p in domain.periodic],
+        "encoding": _ENCODING,
     }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        fh.write(("%.17g\n" * len(values)) % tuple(values.tolist()))
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+        fh.write(np.ascontiguousarray(values, dtype=_ENCODING))
 
 
 def load_grid(path):
     """Read a grid file; returns (domain, values, chart_id).
 
     A header that is not one JSON object holding the keys ``save_grid``
-    writes (``periodic`` may be left out) with values of their types raises
-    ConfigError.  The domain is rebuilt from the header and cross-checked
-    against the stored boundary mask; any inconsistency raises
-    DomainMismatch.  The values are parsed in one call; blank lines are
-    skipped, and a line that is not one number raises ValueError.
+    writes (``periodic`` may be left out) with values of their types, or
+    whose ``encoding`` is not "<f8", raises ConfigError; so does a text grid
+    file, which has no ``encoding``.  The domain is rebuilt from the header
+    and cross-checked against the stored boundary mask; any inconsistency
+    raises DomainMismatch.  A payload that is not a whole number of 8-byte
+    values raises ValueError, and one of another number of values than the
+    grid has nodes raises DomainMismatch.
     """
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         try:
             header = json.loads(fh.readline())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{exc.lineno}: malformed grid header: {exc.msg}")
         if not isinstance(header, dict):
             raise ConfigError(f"{path}: malformed grid header: not a JSON object")
-        for key in ("layout", "shape", "extent", "spacing", "boundary", "chart"):
+        for key in ("layout", "shape", "extent", "spacing", "boundary", "chart", "encoding"):
             if key not in header:
                 raise ConfigError(f"{path}: malformed grid header: missing key {key!r}")
-        with warnings.catch_warnings():
-            # a file without values is reported below, as a count mismatch
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            values = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
-    if values.shape[1] != 1:
-        raise ValueError(f"{values.shape[1]} values on a line, expected one")
-    values = values[:, 0]
+        if header["encoding"] != _ENCODING:
+            raise ConfigError(f"{path}: malformed grid header: 'encoding': "
+                              f"{header['encoding']!r} is not {_ENCODING!r}")
 
-    def field(key, convert, default=None):
-        try:
-            return convert(header.get(key, default))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: malformed grid header: {key!r}: {exc}") from None
+        def field(key, convert, default=None):
+            try:
+                return convert(header.get(key, default))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{path}: malformed grid header: {key!r}: {exc}") from None
 
-    shape = field("shape", lambda v: tuple(int(m) for m in v))
-    periodic = field("periodic", lambda v: tuple(bool(p) for p in v), [0] * len(shape))
-    extent = field("extent", lambda v: tuple((float(a), float(b)) for a, b in v))
-    dom = _grid(field("layout", str.__str__), extent, shape, periodic)  # str or TypeError
-    if not np.allclose(dom.spacing, field("spacing", lambda v: np.array(v, dtype=float))):
-        raise DomainMismatch("grid spacing in header does not match layout")
-    if _boundary_rle(dom.boundary) != header["boundary"]:
-        raise DomainMismatch("boundary mask in header does not match layout")
+        shape = field("shape", lambda v: tuple(int(m) for m in v))
+        periodic = field("periodic", lambda v: tuple(bool(p) for p in v), [0] * len(shape))
+        extent = field("extent", lambda v: tuple((float(a), float(b)) for a, b in v))
+        dom = _grid(field("layout", str.__str__), extent, shape, periodic)  # str or TypeError
+        if not np.allclose(dom.spacing, field("spacing", lambda v: np.array(v, dtype=float))):
+            raise DomainMismatch("grid spacing in header does not match layout")
+        if _boundary_rle(dom.boundary) != header["boundary"]:
+            raise DomainMismatch("boundary mask in header does not match layout")
+        # read only now, so the payload is not held while the grid is built
+        payload = fh.read()
+    if len(payload) % 8:
+        raise ValueError(f"{len(payload)} bytes of values, not a whole number of 8-byte values")
+    values = np.frombuffer(payload, dtype=_ENCODING).astype(float)
     if values.shape[0] != dom.num_nodes:
         raise DomainMismatch(
             f"{values.shape[0]} values for {dom.num_nodes} nodes"

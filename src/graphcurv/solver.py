@@ -190,14 +190,14 @@ def newton_solve(f_init, target, opts=None, lu=None):
                 s = 2.0**-k
                 f_new = f + s * delta
                 asm_new = assemble_curvature(chart, domain, f_new)
-                if asm_new.margin < _MARGIN_FRACTION * asm.margin:
+                if not asm_new.margin >= _MARGIN_FRACTION * asm.margin:  # NaN fails
                     continue
                 if not _inside_sandwich(f_new, sandwich, interior):
                     continue
                 k_new = target.evaluate(f_new)
                 r_new = _residual(asm_new, k_new, interior)
                 rnorm_new = float(np.max(np.abs(r_new)))
-                if rnorm_new > (1.0 - s / 4.0) * rnorm:
+                if not rnorm_new <= (1.0 - s / 4.0) * rnorm:
                     continue
                 f, asm, r, rnorm = f_new, asm_new, r_new, rnorm_new
                 history.append(

@@ -565,8 +565,8 @@ def _grid_with_header(tmp_path, edit):
     dom = GridDomain.ball(1.0, 4, 16)
     path = tmp_path / "field.grid"
     save_grid(path, dom, np.zeros(dom.num_nodes), HyperbolicChart(n=2, offset=0.5).chart_id())
-    header, values = path.read_text().split("\n", 1)
-    path.write_text(json.dumps(edit(json.loads(header))) + "\n" + values)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps(edit(json.loads(header))).encode() + b"\n" + payload)
     return path
 
 
@@ -578,7 +578,8 @@ def test_grid_header_that_is_not_an_object_is_a_config_error(tmp_path, capsys):
         capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("key", ["layout", "shape", "extent", "spacing", "boundary", "chart"])
+@pytest.mark.parametrize("key", ["layout", "shape", "extent", "spacing", "boundary", "chart",
+                                 "encoding"])
 def test_grid_header_without_a_key_is_a_config_error(tmp_path, capsys, key):
     path = _grid_with_header(tmp_path, lambda header: {k: v for k, v in header.items()
                                                        if k != key})
@@ -596,6 +597,23 @@ def test_grid_header_value_of_a_wrong_type_is_a_config_error(tmp_path, capsys, k
     cfg = write_cfg(tmp_path, input={"values": str(path)})
     assert main(["curvature", "--config", str(cfg)]) == EXIT_CODES["ConfigError"]
     assert f"ConfigError: {path}: malformed grid header: {key!r}: " in capsys.readouterr().err
+
+
+def test_grid_payload_of_partial_values_is_a_config_error(tmp_path, capsys):
+    path = _grid_with_header(tmp_path, lambda header: header)
+    path.write_bytes(path.read_bytes()[:-4])
+    cfg = write_cfg(tmp_path, input={"values": str(path)})
+    assert main(["curvature", "--config", str(cfg)]) == EXIT_CODES["ConfigError"] == 2
+    assert (f"ConfigError: {path}: malformed grid data: {65 * 8 - 4} bytes of values, "
+            "not a whole number of 8-byte values") in capsys.readouterr().err
+
+
+def test_grid_of_an_unknown_encoding_is_a_config_error(tmp_path, capsys):
+    path = _grid_with_header(tmp_path, lambda header: {**header, "encoding": "%.17g"})
+    cfg = write_cfg(tmp_path, input={"values": str(path)})
+    assert main(["curvature", "--config", str(cfg)]) == EXIT_CODES["ConfigError"]
+    assert (f"ConfigError: {path}: malformed grid header: 'encoding': '%.17g' is not '<f8'"
+            in capsys.readouterr().err)
 
 
 # ---- validate ------------------------------------------------------------------

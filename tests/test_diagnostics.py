@@ -76,6 +76,15 @@ def test_cap_barrier_infeasibility_and_guards():
         sphere_cap_barrier(chart, GridDomain.interval(0.0, 1.0, 8), 0.5)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the trials that overflow
+def test_cap_line_search_rejects_a_trial_whose_curvature_is_nan():
+    # no curvature-2 cap spans the ball over the D = 0.05 slice: a damped
+    # step lands where K is NaN, and the line search must refuse it rather
+    # than take it into a Jacobian with a zero pivot
+    with pytest.raises(OutOfRange, match="no curvature-2 cap over this ball"):
+        sphere_cap_barrier(HyperbolicChart(n=2, offset=0.05), ball(), 2.0)
+
+
 # ---- barrier pairs ------------------------------------------------------------------
 
 

@@ -1,11 +1,14 @@
 """Finite-difference grids: stencils, file I/O, refinement plumbing."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphcurv.errors import DomainMismatch, OutOfRange
+from graphcurv.errors import ConfigError, DomainMismatch, OutOfRange
 from graphcurv.grids import (
     GridDomain,
     coarsen_domain,
@@ -225,7 +228,7 @@ def test_save_load_roundtrip_bitwise(tmp_path, dom):
     assert cid == "hyperbolic:n=2:D=0.5"
     dom.check_compatible(dom2)
     assert np.array_equal(dom2.boundary, dom.boundary)
-    # %.17g output reproduces every double exactly
+    # the raw float64 payload reproduces every double exactly
     assert np.array_equal(vals2, vals)
 
 
@@ -248,28 +251,25 @@ def test_save_load_value_fidelity(tmp_path_factory, xs):
     assert np.array_equal(back, vals)
 
 
-def test_load_keeps_special_values_and_skips_blank_lines(tmp_path):
+def test_load_keeps_special_values(tmp_path):
     dom = GridDomain.interval(0.0, 1.0, 12)
     vals = np.array([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
-                     1.0 / 3.0, -1e-300, np.pi, -np.e, 1e22, 2.0**-1074 * 3, -7.0, 0.1])
+                     1.0 / 3.0, -1e-300, np.pi, -np.e, 1e22, 2.0**-1074 * 3, -np.inf, np.inf])
     path = tmp_path / "v.grid"
     save_grid(path, dom, vals, "euclidean:n=2")
     _, back, _ = load_grid(path)
     assert back.tobytes() == vals.tobytes()  # -0 stays -0
-    header, *lines = path.read_text().splitlines()
-    spaced = tmp_path / "spaced.grid"
-    spaced.write_text("\n".join([header, ""] + lines[:5] + ["  ", ""] + lines[5:]) + "\n\n")
-    _, back, _ = load_grid(spaced)
+    # NaNs keep their sign and payload bits
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                     0x7FF4000000000ABC, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64).view(float)
+    vals[:5] = nans
+    save_grid(path, dom, vals, "euclidean:n=2")
+    _, back, _ = load_grid(path)
     assert back.tobytes() == vals.tobytes()
-    # a line holding anything but one number is malformed, not a value count
-    for bad_line in ("1.0 2.0", "abc", "#1"):
-        bad = tmp_path / "bad.grid"
-        bad.write_text("\n".join([header, bad_line] + lines[1:]) + "\n")
-        with pytest.raises(ValueError):
-            load_grid(bad)
+    assert back.flags.writeable and back.dtype == np.float64
     # no values at all is a count mismatch
     empty = tmp_path / "empty.grid"
-    empty.write_text(header + "\n")
+    empty.write_bytes(path.read_bytes().split(b"\n", 1)[0] + b"\n")
     with pytest.raises(DomainMismatch, match="0 values"):
         load_grid(empty)
 
@@ -281,46 +281,105 @@ def test_save_grid_writes_the_bytes_of_the_per_value_loop(tmp_path):
     path = tmp_path / "v.grid"
     save_grid(path, dom, vals, "euclidean:n=2")
     _, values = path.read_bytes().split(b"\n", 1)
-    assert values == "".join("%.17g\n" % v for v in vals).encode()
+    assert values == vals.astype("<f8").tobytes()
+
+
+def _edited(path, tmp_path, name, header=None, payload=None):
+    """A copy of grid file ``path`` with its header or payload replaced."""
+    head, body = path.read_bytes().split(b"\n", 1)
+    if header is not None:
+        head = json.dumps(header(json.loads(head))).encode()
+    out = tmp_path / name
+    out.write_bytes(head + b"\n" + (body if payload is None else payload(body)))
+    return out
 
 
 def test_load_rejects_corruption(tmp_path):
-    import json
-
     dom = GridDomain.ball(1.0, 4, 16)
     path = tmp_path / "f.grid"
     save_grid(path, dom, np.zeros(dom.num_nodes), "euclidean:n=2")
-    lines = path.read_text().splitlines()
 
-    # truncated value block
-    bad = tmp_path / "short.grid"
-    bad.write_text("\n".join(lines[:-3]) + "\n")
-    with pytest.raises(DomainMismatch):
-        load_grid(bad)
+    # a value block one value too long, or one or three too short
+    for edit, found in [(lambda b: b + b[:8], 66), (lambda b: b[:-8], 64),
+                        (lambda b: b[:-3 * 8], 62)]:
+        with pytest.raises(DomainMismatch, match=f"^{found} values for 65 nodes$"):
+            load_grid(_edited(path, tmp_path, "count.grid", payload=edit))
 
     # header spacing inconsistent with the declared layout
-    header = json.loads(lines[0])
-    header["spacing"][0] *= 1.5
-    bad2 = tmp_path / "spacing.grid"
-    bad2.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    def spacing(header):
+        header["spacing"][0] *= 1.5
+        return header
+
     with pytest.raises(DomainMismatch):
-        load_grid(bad2)
+        load_grid(_edited(path, tmp_path, "spacing.grid", header=spacing))
 
     # boundary mask that does not match the layout
-    header = json.loads(lines[0])
-    header["boundary"] = "0:1"
-    bad3 = tmp_path / "mask.grid"
-    bad3.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
     with pytest.raises(DomainMismatch):
-        load_grid(bad3)
+        load_grid(_edited(path, tmp_path, "mask.grid", header=lambda h: {**h, "boundary": "0:1"}))
 
     # unknown layout tag
-    header = json.loads(lines[0])
-    header["layout"] = "moebius"
-    bad4 = tmp_path / "layout.grid"
-    bad4.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
     with pytest.raises(DomainMismatch):
-        load_grid(bad4)
+        load_grid(_edited(path, tmp_path, "layout.grid", header=lambda h: {**h, "layout": "moebius"}))
+
+
+@pytest.mark.parametrize("cut", [1, 7, 9])
+def test_load_refuses_a_payload_of_partial_values(tmp_path, cut):
+    dom = GridDomain.ball(1.0, 4, 16)
+    path = tmp_path / "f.grid"
+    save_grid(path, dom, np.zeros(dom.num_nodes), "euclidean:n=2")
+    bad = _edited(path, tmp_path, "partial.grid", payload=lambda b: b[:-cut])
+    with pytest.raises(ValueError, match=f"^{65 * 8 - cut} bytes of values, not a whole number"):
+        load_grid(bad)
+
+
+@pytest.mark.parametrize("encoding", [">f8", "%.17g", None])
+def test_load_refuses_an_unknown_encoding(tmp_path, encoding):
+    dom = GridDomain.ball(1.0, 4, 16)
+    path = tmp_path / "f.grid"
+    save_grid(path, dom, np.zeros(dom.num_nodes), "euclidean:n=2")
+    bad = _edited(path, tmp_path, "encoding.grid", header=lambda h: {**h, "encoding": encoding})
+    with pytest.raises(ConfigError, match=f"malformed grid header: 'encoding': {encoding!r} "
+                                          "is not '<f8'"):
+        load_grid(bad)
+
+
+def test_load_refuses_a_text_grid_file(tmp_path):
+    # the text form of earlier versions: the header without `encoding`,
+    # then one %.17g value per line
+    dom = GridDomain.ball(1.0, 4, 16)
+    path = tmp_path / "f.grid"
+    save_grid(path, dom, np.zeros(dom.num_nodes), "euclidean:n=2")
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    del header["encoding"]
+    text = tmp_path / "text.grid"
+    text.write_text(json.dumps(header, sort_keys=True) + "\n" + "0\n" * dom.num_nodes)
+    with pytest.raises(ConfigError, match="missing key 'encoding'"):
+        load_grid(text)
+
+
+# traced heap peaks of grid-file I/O on a 65x256 ball, in bytes per node.
+# save_grid writes the values' own buffer, so its peak is the header's
+# boundary encoding; formatting the values as text held a Python float per
+# node (61 B/node).  load_grid's peak is rebuilding the grid from the header:
+# the payload and its array are read after that
+SAVE_PEAK_PER_NODE = 2.08
+LOAD_PEAK_PER_NODE = 44.46
+
+
+def test_grid_io_heap_peak_per_node_stays_at_its_measured_value(tmp_path):
+    dom = GridDomain.ball(1.0, 64, 256)
+    vals = np.random.default_rng(3).standard_normal(dom.num_nodes)
+    path = tmp_path / "f.grid"
+    peaks = []
+    for call, args in [(save_grid, (path, dom, vals, "euclidean:n=2")), (load_grid, (path,))]:
+        tracemalloc.start()
+        try:
+            call(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] / dom.num_nodes)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 1.05 * SAVE_PEAK_PER_NODE
+    assert peaks[1] <= 1.05 * LOAD_PEAK_PER_NODE
 
 
 def test_export_csv_format(tmp_path):

@@ -346,6 +346,22 @@ def test_continuation_step_underflow_keeps_last_iterate():
     assert assemble_curvature(chart, dom, state.f).admissible
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the trials that overflow
+def test_line_search_rejects_a_trial_whose_assembly_is_nan():
+    # near tau = 0.85 a full step lands at f ~ -4e3, where the chart's cosh
+    # overflows and K is NaN on hundreds of nodes; that trial must be
+    # rejected like any other, so the corrector fails and dtau halves,
+    # instead of taking the NaN iterate into the next DK build
+    dom = GridDomain.ball(1.0, 16, 64)
+    state = start_state(SolveTarget(HyperbolicChart(n=2, offset=0.2), dom, 1.5))
+    perturb_rhs(state, 1e-3, seed=1)
+    opts = ContinuationOptions(dtau_min=1e-3, newton=NewtonOptions(max_iter=5))
+    with pytest.raises(StepsizeUnderflow):
+        continuation_solve(state, opts)
+    assert 0.85 < state.tau < 1.0
+    assert assemble_curvature(state.target.chart, dom, state.f).admissible
+
+
 def test_continuation_underflow_carries_the_walk_progress():
     chart = HyperbolicChart(n=2, offset=D)
     dom = GridDomain.ball(1.0, 8, 32)
