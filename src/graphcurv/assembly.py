@@ -56,7 +56,7 @@ __all__ = [
 
 
 def _raw_partials(domain, f):
-    st, d1, d2 = domain.derivative_ops().stencils
+    st, d1, d2 = domain.derivative_ops()
     grid = st.padded(f)
     return (tuple(st.apply(op, f, grid) for op in d1),
             {ab: st.apply(op, f, grid) for ab, op in d2.items()})
@@ -92,16 +92,15 @@ def _polar_frame(d1, d2, wf, ratio):
 class _Frame:
     """The frame of a (chart, grid), built once per pair (``_frame``)."""
 
-    derivs: object  # the domain's DerivOps
+    derivs: tuple  # the domain's ``derivative_ops()``: (Stencils, d1, d2)
     warp: tuple | None  # the polar grid's (wf, ratio) of ``warp_factors``, else None
-    operators: tuple | None = None  # ``linearize.frame_operators``' (P, H), once made
 
     def fold(self, c2, drift):
         """(derivative operator, coefficient) pairs, d2 then d1, that sum,
         coefficient times operator, to sum_ab c2[:, a, b] H[(a, b)] + sum_a
         drift[:, a] P[a] for the frame operators H and P; each coefficient
         is formed when its pair is reached."""
-        _, d1, d2 = self.derivs.stencils
+        _, d1, d2 = self.derivs
         if self.warp is None:
             for (a, b), op in d2.items():
                 yield op, c2[:, a, a] if a == b else c2[:, a, b] + c2[:, b, a]
@@ -183,12 +182,12 @@ def sym_inverse_parts(mat):
 
 @dataclass
 class CurvatureAssembly:
-    chart: object
+    """What DK and the margin read of K(f) at f: M = Hess f + Psi, not its
+    two terms (``frame_quantities`` and ``closed_psi_Psi`` give those)."""
+
     domain: object
     f: np.ndarray
     grad: np.ndarray  # (N, n) frame gradient
-    hess: np.ndarray  # (N, n, n) frame Hessian
-    Psi: np.ndarray  # (N, n, n)
     psi: np.ndarray  # (N,)
     M: np.ndarray  # (N, n, n)
     K: np.ndarray  # (N,) signed curvature; boundary rows zero
@@ -252,7 +251,7 @@ def _generic_psi_Psi(chart, domain, f, p, nodes):
 
 
 def assemble_curvature(chart, domain, f, method="closed"):
-    """Assemble K(f), M, psi, Psi and the admissibility margin over a grid.
+    """Assemble K(f), M, psi and the admissibility margin over a grid.
 
     Boundary rows of all per-node outputs are zero; only interior rows carry
     meaning.  ``method='generic'`` builds (psi, Psi) from the chart's metric
@@ -273,22 +272,19 @@ def assemble_curvature(chart, domain, f, method="closed"):
         psi, Psi = psi_g, Psi_g
     elif method != "closed":
         raise OutOfRange(f"unknown assembly method {method!r}")
-    M = hess + Psi
+    M = np.add(hess, Psi, out=hess)  # in place: the floats of hess + Psi
     lam_min, _ = sym_eig_bounds(M)
     K = signed_root_det(M) / psi
     outside = ~domain.interior
-    for arr in (p, hess, Psi, M):
+    for arr in (p, M):
         arr[outside] = 0.0
     K = np.where(outside, 0.0, K)
     lam_min = np.where(outside, 0.0, lam_min)
     psi = np.where(outside, 1.0, psi)
     return CurvatureAssembly(
-        chart=chart,
         domain=domain,
         f=f,
         grad=p,
-        hess=hess,
-        Psi=Psi,
         psi=psi,
         M=M,
         K=K,

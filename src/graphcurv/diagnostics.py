@@ -69,9 +69,6 @@ class BarrierPair:
     def upper(self):
         return np.zeros(self.domain.num_nodes)
 
-    def sandwich(self):
-        return self.lower, self.upper
-
 
 def _radial_slope(f, h1):
     """Central-difference f' at the nodes of each row; 0 at the pole and rim."""

@@ -16,7 +16,8 @@ chart is what both the curvature assembly and the embedding oracle want at
 the pole, where polar frames degenerate).  Rows where no centered stencil
 fits (rim/endpoint nodes) are zero; consumers only read interior rows.  An
 operator is its weights on every node's 3**n neighbour slots (``Stencils``),
-applied by shifted views of the input on the index grid, or as CSR.
+applied by shifted views of the input on the index grid; its CSR matrix
+(``Stencils.csr``) is made only when asked for, and never kept here.
 
 All stencils are second-order centered; the node conventions above are chosen
 so one-sided differencing is never needed.
@@ -40,7 +41,6 @@ from .errors import ConfigError, DomainMismatch, OutOfRange
 
 __all__ = [
     "GridDomain",
-    "DerivOps",
     "save_grid",
     "load_grid",
     "export_csv",
@@ -51,25 +51,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
-
-
-@dataclass(frozen=True)
-class DerivOps:
-    """Coordinate-partial operators d1[a] and d2[(a, b)], a <= b: as slot
-    weights in ``stencils``, ``derivative_stencils``' (Stencils, d1, d2),
-    and as the CSR matrices ``d1`` and ``d2``, made on first access."""
-
-    stencils: tuple  # not to be modified
-
-    @functools.cached_property
-    def d1(self):
-        st, d1, _ = self.stencils
-        return tuple(map(st.csr, d1))
-
-    @functools.cached_property
-    def d2(self):
-        st, _, d2 = self.stencils
-        return {ab: st.csr(op) for ab, op in d2.items()}
 
 
 @dataclass(eq=False)
@@ -160,9 +141,9 @@ class GridDomain:
         dphi = TWO_PI / nphi
         num = 1 + nr * nphi
         coords = np.zeros((num, 2))
-        ii, jj = np.meshgrid(np.arange(1, nr + 1), np.arange(nphi), indexing="ij")
-        coords[1:, 0] = (ii * ds).ravel()
-        coords[1:, 1] = (jj * dphi).ravel()
+        rings = coords[1:].reshape(nr, nphi, 2)
+        rings[..., 0] = (np.arange(1, nr + 1) * ds)[:, None]
+        rings[..., 1] = np.arange(nphi) * dphi
         boundary = np.zeros(num, dtype=bool)
         boundary[1 + (nr - 1) * nphi:] = True
         return GridDomain(
@@ -242,7 +223,8 @@ class GridDomain:
         return hit
 
     def derivative_ops(self):
-        return self.cached("derivative_ops", lambda: DerivOps(derivative_stencils(self)))
+        """``derivative_stencils(self)``, built once; not to be modified."""
+        return self.cached("derivative_ops", lambda: derivative_stencils(self))
 
     def dissection_order(self):
         """Nested-dissection elimination order of the nodes (computed once).
@@ -446,7 +428,8 @@ class Stencils:
 
 
 def derivative_stencils(dom):
-    """(stencils, d1, d2): the derivative operators as ``Stencils`` operators.
+    """(stencils, d1, d2): the derivative operators d1[a] and d2[(a, b)],
+    a <= b, as ``Stencils`` operators, the one form a grid keeps.
 
     Central differences along each axis and their products for the mixed
     derivative.  On the ball the angular second derivative stops short of

@@ -109,32 +109,29 @@ def frame_operators(chart, domain):
     """Sparse maps v -> frame gradient / Hessian components of v.
 
     Returns (P, H) with P[a] and H[(a, b)] (a <= b) CSR matrices of shape
-    (N, N), made on the first call and kept on the domain's frame: the
-    derivative operators, but on polar grids P[1], H[(0, 1)] and H[(1, 1)]
-    combine their weights slot by slot with the operations of the sparse
-    products and sums of ``diag(1/w) @ D``.  Interior rows reproduce
-    ``assembly.frame_quantities`` to rounding, not exactly: on polar grids
-    the warp factors scale the weights here but the differences there (on
-    H[(1, 1)] of a smooth field with |H| <= 0.9, hyperbolic chart: 4.5e-12
-    on a 17x64 ball, growing as 1/h^2 to 1.4e-9 on 65x256).
+    (N, N), made on each call and kept nowhere: the derivative operators,
+    but on polar grids P[1], H[(0, 1)] and H[(1, 1)] combine their weights
+    slot by slot with the operations of the sparse products and sums of
+    ``diag(1/w) @ D``.  Interior rows reproduce ``assembly.frame_quantities``
+    to rounding, not exactly: on polar grids the warp factors scale the
+    weights here but the differences there (on H[(1, 1)] of a smooth field
+    with |H| <= 0.9, hyperbolic chart: 4.5e-12 on a 17x64 ball, growing as
+    1/h^2 to 1.4e-9 on 65x256).
     """
     frame = _frame(chart, domain)
-    if frame.operators is None:
-        P, H = list(frame.derivs.d1), dict(frame.derivs.d2)
-        if frame.warp is not None:
-            st, d1, d2 = frame.derivs.stencils
-            wf, ratio = frame.warp
-            inv, inv2 = 1.0 / wf, 1.0 / wf**2
+    st, d1, d2 = frame.derivs
+    P, H = list(d1), dict(d2)
+    if frame.warp is not None:
+        wf, ratio = frame.warp
+        inv, inv2 = 1.0 / wf, 1.0 / wf**2
 
-            def combined(fn, *ops):
-                return st.csr({s: fn(*(op.get(s, 0.0) for op in ops))
-                               for s in set().union(*ops)})
+        def combined(fn, *ops):
+            return {s: fn(*(op.get(s, 0.0) for op in ops)) for s in set().union(*ops)}
 
-            H[(0, 1)] = combined(lambda a, b: inv * (a - ratio * b), d2[(0, 1)], d1[1])
-            H[(1, 1)] = combined(lambda a, b: inv2 * a + ratio * b, d2[(1, 1)], d1[0])
-            P[1] = combined(lambda a: inv * a, d1[1])
-        frame.operators = tuple(P), H
-    return frame.operators
+        H[(0, 1)] = combined(lambda a, b: inv * (a - ratio * b), d2[(0, 1)], d1[1])
+        H[(1, 1)] = combined(lambda a, b: inv2 * a + ratio * b, d2[(1, 1)], d1[0])
+        P[1] = combined(lambda a: inv * a, d1[1])
+    return tuple(map(st.csr, P)), {ab: st.csr(op) for ab, op in H.items()}
 
 
 @dataclass
@@ -443,7 +440,7 @@ def _operator(chart, domain, c2, drift, zeroth, kind, normal_curvature=None):
     acc[len(acc) // 2] += zeroth  # the middle slot: the node itself
     acc[:, domain.boundary] = 0.0
     acc[len(acc) // 2, domain.boundary] = 1.0
-    return EllipticOperator(domain, frame.derivs.stencils[0], dict(enumerate(acc)), c2, drift,
+    return EllipticOperator(domain, frame.derivs[0], dict(enumerate(acc)), c2, drift,
                             zeroth, kind, normal_curvature)
 
 
@@ -607,7 +604,7 @@ def stability_check(chart, domain, f, assembly=None):
     rhs = np.where(domain.interior, 1.0, 0.0)
     w = _refined(op, rhs)
     if w is None:
-        op.matrix = op.stencils.csr(op.weights)  # all the LU reads
+        op.matrix  # made now: all the LU reads
         op.weights = None
         w = op.solve(rhs)
     stable = bool(np.all(w[domain.interior] < 0.0))

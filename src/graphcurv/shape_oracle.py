@@ -120,7 +120,7 @@ def curvature_oracle(chart, domain, f):
     """Evaluate ShapeData for the graph of f; interior rows only (rest zero)."""
     f = domain.check_values(f)
     coords, layout, mink = domain.coords, domain.layout, chart.minkowski
-    st, d1, d2 = domain.derivative_ops().stencils
+    st, d1, d2 = domain.derivative_ops()
     n, num = domain.n, domain.num_nodes
     # X and its first partials, stored component-major: every component
     # X[:, k], Xa[:, a, k] is one contiguous (N,) array.  The slot products

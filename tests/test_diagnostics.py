@@ -97,9 +97,8 @@ def test_make_barrier_pair_cap():
     # phi_hat is measured from the assembled barrier, so it sits at the cap
     # curvature up to grid truncation
     assert bp.phi_hat == pytest.approx(1.0, abs=5e-3)
-    lo, hi = bp.sandwich()
-    assert np.all(hi == 0.0)
-    assert np.all(lo[dom.interior] < 0.0)
+    assert np.all(bp.upper == 0.0)
+    assert np.all(bp.lower[dom.interior] < 0.0)
 
 
 def test_make_barrier_pair_offset_waives_boundary_equality():

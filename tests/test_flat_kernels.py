@@ -16,6 +16,8 @@ import scipy.sparse.linalg as spla
 from graphcurv.assembly import (
     _raw_partials,
     assemble_curvature,
+    closed_psi_Psi,
+    frame_quantities,
     signed_root_det,
     sym_eig_bounds,
 )
@@ -89,10 +91,10 @@ def ref_assembly(chart, domain, f):
     lam_min, _ = sym_eig_bounds(M)
     K = signed_root_det(M) / psi
     outside = ~domain.interior
-    for arr in (p, hess, Psi, M):
+    for arr in (p, M):
         arr[outside] = 0.0
     return {
-        "grad": p, "hess": hess, "Psi": Psi, "M": M,
+        "grad": p, "M": M,
         "psi": np.where(outside, 1.0, psi),
         "K": np.where(outside, 0.0, K),
         "lambda_min": np.where(outside, 0.0, lam_min),
@@ -186,6 +188,11 @@ def test_flat_kernels_match_the_matrix_formulas_bitwise(domain_kind, chart_kind)
     dom = DOMAINS[domain_kind]()
     chart = CHARTS[chart_kind](dom.n)
     for f in fields(dom):
+        p, hess = frame_quantities(chart, dom, f)
+        ref_p, ref_hess = ref_frame_quantities(chart, dom, f)
+        assert bitwise_equal(p, ref_p) and bitwise_equal(hess, ref_hess)
+        for got, want in zip(closed_psi_Psi(chart, f, p), ref_closed_psi_Psi(chart, f, p)):
+            assert bitwise_equal(got, want)
         asm = assemble_curvature(chart, dom, f)
         for name, want in ref_assembly(chart, dom, f).items():
             assert bitwise_equal(getattr(asm, name), want), name

@@ -125,7 +125,7 @@ def ref_curvature_oracle(chart, domain, f):
     from them."""
     mink = chart.minkowski
     X = chart.embed(domain.coords, f, domain.layout)
-    st, d1, d2 = domain.derivative_ops().stencils
+    st, d1, d2 = domain.derivative_ops()
     n = domain.n
     num, m = X.shape
     eta = np.where(np.arange(m) == 0, -1.0, 1.0) if mink else np.ones(m)
