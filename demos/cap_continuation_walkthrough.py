@@ -31,8 +31,7 @@ barrier = make_barrier_pair(chart, dom, kind="cap", k=0.95)
 print(f"barrier: cap with curvature floor {barrier.phi_hat:.3f}, "
       f"depth {float(np.min(barrier.lower)):.4f}")
 
-target = SolveTarget(chart, dom, k, lower=barrier.lower, upper=barrier.upper,
-                     phi_hat=barrier.phi_hat)
+target = SolveTarget(chart, dom, k, lower=barrier.lower, phi_hat=barrier.phi_hat)
 state = start_state(target, delta0=0.05)
 print(f"path: gamma(0) = {state.gamma0:.6f}  ->  gamma(1) = {k}")
 

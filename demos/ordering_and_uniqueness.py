@@ -28,8 +28,7 @@ print(f"{'k':>6} {'depth':>10} {'newton':>7}")
 sols = {}
 for k in (0.5, 0.6, 0.7, 0.8):
     bp = make_barrier_pair(chart, dom, kind="cap", k=k + 0.05)
-    target = SolveTarget(chart, dom, k, lower=bp.lower, upper=bp.upper,
-                         phi_hat=bp.phi_hat)
+    target = SolveTarget(chart, dom, k, lower=bp.lower, phi_hat=bp.phi_hat)
     state = start_state(target)
     sols[k] = continuation_solve(state)
     print(f"{k:6.2f} {float(np.min(sols[k])):10.6f} {state.newton_total:7d}")

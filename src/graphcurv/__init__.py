@@ -2,7 +2,6 @@
 
 from .charts import (
     BaseHypersurface,
-    ConnectionForm,
     EpsilonChart,
     EuclideanChart,
     HyperbolicChart,

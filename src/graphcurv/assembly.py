@@ -230,7 +230,7 @@ def _generic_psi_Psi(chart, domain, f, p, nodes):
     n = domain.n
     m = n + 1
     gmat = chart.graph_metric_at(base, fv, layout)
-    om = chart.graph_connection_form_at(base, fv, layout).tensor
+    om = chart.graph_connection_form_at(base, fv, layout)
     kappa = chart.frame_coefficients(base, layout)
     nn = len(fv)
     tang = np.zeros((nn, n, m))

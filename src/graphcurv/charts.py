@@ -34,7 +34,6 @@ __all__ = [
     "alpha_of_theta",
     "theta_of_alpha",
     "equidistant_curvature",
-    "ConnectionForm",
     "BaseHypersurface",
     "EuclideanChart",
     "HyperbolicChart",
@@ -64,18 +63,6 @@ def theta_of_alpha(alpha):
 def equidistant_curvature(dist):
     """Extrinsic curvature of the equidistant hypersurface at height dist."""
     return np.tanh(dist)
-
-
-@dataclass(frozen=True)
-class ConnectionForm:
-    """Difference tensor Omega between the ambient and product connections.
-
-    ``tensor[..., k, i, j]`` is the k-th coordinate component of
-    Omega(d_i, d_j) at the evaluation point(s); the vertical coordinate is
-    always the last index.
-    """
-
-    tensor: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -118,7 +105,8 @@ class Chart:
         raise NotImplementedError
 
     def connection_form_at(self, points):
-        """Connection difference :class:`ConnectionForm` at chart coordinates."""
+        """Ambient minus product connection at chart coordinates: ``[..., k, i, j]``
+        is the k-th component of Omega(d_i, d_j), the vertical index last."""
         raise NotImplementedError
 
     def graph_coords(self, base, t, layout):
@@ -183,7 +171,7 @@ class Chart:
         for i in range(self.n):
             om[..., i, i, m - 1] = rat
             om[..., i, m - 1, i] = rat
-        return ConnectionForm(om)
+        return om
 
     # ---- model embedding -------------------------------------------------
 
@@ -459,7 +447,7 @@ class EpsilonChart(_HyperboloidChart):
         for i in range(self.n):
             om[..., i, i, m - 1] = rat
             om[..., i, m - 1, i] = rat
-        return ConnectionForm(om)
+        return om
 
     def graph_coords(self, base, t, layout):
         base = np.asarray(base, dtype=float)
@@ -486,11 +474,9 @@ class EpsilonChart(_HyperboloidChart):
 
     def graph_connection_form_at(self, base, t, layout):
         pts = self.graph_coords(np.asarray(base, float), np.asarray(t, float), layout)
-        om = self.connection_form_at(pts).tensor
+        om = self.connection_form_at(pts)
         idx = np.asarray(self._graph_axis_permutation(layout))
-        return ConnectionForm(
-            om[..., idx[:, None, None], idx[None, :, None], idx[None, None, :]]
-        )
+        return om[..., idx[:, None, None], idx[None, :, None], idx[None, None, :]]
 
     def _require_model(self):
         if not self.normalized:

@@ -267,11 +267,10 @@ COARSEST_CELLS = 16
 
 @dataclass
 class _Solve:
-    """One level of a walk, set up but not yet run."""
+    """One level of a walk, set up but not yet run; ``target`` is its problem."""
 
     sol: dict  # the config's solver block
-    target: SolveTarget  # problem.k with the barrier sandwich: the path's goal
-    bump: np.ndarray | None  # the seeded perturbation at tau = 1 (None for magnitude 0)
+    target: SolveTarget  # problem.k, the seeded bump, the lower barrier: the path's goal
     nopts: NewtonOptions
     f_init: np.ndarray | None
     meta: dict
@@ -315,8 +314,8 @@ def _setup_solve(cfg, domain, seeded, profiles):
         chart=chart,
         domain=domain,
         k=kval,
+        bump=_perturbation(cfg, domain),
         lower=None if barrier is None else barrier.lower,
-        upper=None if barrier is None else barrier.upper,
         phi_hat=None if barrier is None else barrier.phi_hat,
     )
     sol = cfg["solver"]
@@ -338,10 +337,9 @@ def _setup_solve(cfg, domain, seeded, profiles):
         "seed": int(sol["seed"]),
         "perturb_magnitude": float(sol["perturb"]["magnitude"]),
     }
-    bump = _perturbation(cfg, domain)
-    if bump is not None:
+    if target.bump is not None:
         meta["perturb_seed"] = meta["seed"]
-    return _Solve(sol, target, bump, nopts, f_init, meta)
+    return _Solve(sol, target, nopts, f_init, meta)
 
 
 def _progress(exc):
@@ -351,7 +349,7 @@ def _progress(exc):
 
 def _newton(run, f_init):
     """Newton from ``f_init`` against the tau = 1 target; (f, history), fills meta."""
-    res = newton_solve(f_init, run.target.perturbed(run.bump), run.nopts, run.lu)
+    res = newton_solve(f_init, run.target, run.nopts, run.lu)
     run.meta.update(tau=1.0, newton_total=res.iterations,
                     rejected_trials=res.rejected_trials,
                     residual_norm=res.residual_norm, margin=res.margin)
@@ -386,7 +384,6 @@ def _solve(run, below=None):
     copts = ContinuationOptions(dtau_min=float(sol["dtau_min"]), newton=run.nopts)
     state = start_state(run.target, delta0=sol["delta0"], f_init=run.f_init)
     state.lu = run.lu
-    state.perturbation = run.bump
     f = continuation_solve(state, copts)
     run.meta.update(
         tau=state.tau,
@@ -416,7 +413,7 @@ def _walk(cfg, command, grids):
     ``grids(cfg)`` lists the grids, each the factor-2 refinement of the one
     before.  The first is solved the configured way from ``solver.init``,
     every finer one by ``_solve`` from the solution below.  Each
-    level builds its own targets (with the seeded perturbation on its grid)
+    level builds its own target (with the seeded perturbation on its grid)
     and its own HeldLU; the levels share one cache of radial cap profiles,
     since refinements of one ball solve the same radial problem.  Returns
     (domain, f, meta, history) per level; the histories' ``iter`` runs on
@@ -516,7 +513,7 @@ def cmd_validate(cfg):
     if cfgmod.provided(cfg, "problem", "k") is not None:
         kval = cfgmod.build_target_k(cfg, domain)
         bump = _perturbation(cfg, domain)  # the target solve solved
-        target = SolveTarget(chart, domain, kval).perturbed(bump).evaluate(f)
+        target = SolveTarget(chart, domain, kval, bump=bump).evaluate(f)
         if bump is not None:
             details.update(perturb_magnitude=float(cfg["solver"]["perturb"]["magnitude"]),
                            perturb_seed=int(cfg["solver"]["seed"]))

@@ -51,7 +51,7 @@ __all__ = [
 
 @dataclass
 class BarrierPair:
-    """Lower barrier f_hat with curvature floor phi_hat, upper barrier 0.
+    """Lower barrier f_hat with curvature floor phi_hat; the upper one is f = 0.
 
     ``tag`` records the construction: 'cap' (sphere cap through the boundary
     circle), 'offset' (constant-depth slice; exempt from the zero-boundary
@@ -64,10 +64,6 @@ class BarrierPair:
     phi_hat: float
     phi0: float
     tag: str = "cap"
-
-    @property
-    def upper(self):
-        return np.zeros(self.domain.num_nodes)
 
 
 def _radial_slope(f, h1):

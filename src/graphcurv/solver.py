@@ -2,9 +2,12 @@
 
 The discrete problem is K(f) = phi on the interior with f = 0 on the
 boundary, solved only inside the admissible cone (Hess f + Psi positive
-definite).  ``newton_solve`` is a damped Newton iteration whose line search
-never leaves the cone: a step is accepted only if the admissibility margin
-stays above a fraction of the previous one and the residual drops.
+definite).  One ``SolveTarget`` holds the whole problem of a solve: phi is
+its k plus the seeded bump, and its lower barrier and the base slice f = 0
+bound f from below and above.  ``newton_solve`` is a damped Newton iteration
+whose line search never leaves the cone: a step is accepted only if the
+admissibility margin stays above a fraction of the previous one and the
+residual drops.
 ``continuation_solve`` reaches hard targets by walking a path of targets
 gamma(tau) from an achievable start near the base curvature up to the goal,
 with secant prediction and automatic step halving/doubling.
@@ -17,7 +20,7 @@ dropped once its step is solved, so at most one DK is alive at a time.
 ``newton_solve`` takes the held preconditioner and updates it in place;
 ``continuation_solve`` keeps one on the state, so one preconditioner can
 serve the start step, later Newton steps and later tau-steps, failed
-correctors included.  The line search, the admissibility and sandwich
+correctors included.  The line search, the admissibility and barrier
 tests and ``tol`` see only the resulting step.
 
 Determinism: everything here is sequential and seed-driven; the only random
@@ -62,26 +65,28 @@ __all__ = [
 
 @dataclass
 class SolveTarget:
-    """Target curvature with zero Dirichlet data and an optional sandwich.
+    """The problem of one solve: K(f) = k + bump, f = 0 on the boundary.
 
     ``k`` may be a scalar, a per-node array, or a callable (coords, f) ->
     array for f-dependent targets (those are treated as lagged in the Newton
     matrix: the residual sees k(x, f) but DK does not differentiate through
     it, which is adequate for the small perturbations it exists for).
-    ``lower``/``upper`` are optional nodewise sandwich bounds enforced by the
-    line search (a lower barrier and the zero function, typically);
-    ``phi_hat`` optionally records the barrier's curvature floor for path
-    placement.
+    ``bump`` is an optional fixed node vector added to k: the seeded
+    right-hand-side perturbation (``perturb_rhs``).  With ``lower`` set, the
+    line search keeps lower <= f <= 0 at every interior node: the lower
+    barrier below, the base slice f = 0 above.  ``phi_hat`` optionally
+    records the barrier's curvature floor for path placement.
     """
 
     chart: object
     domain: object
     k: object
+    bump: np.ndarray | None = None
     lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
     phi_hat: float | None = None
 
-    def evaluate(self, f):
+    def k_at(self, f):
+        """k at the iterate f, without the bump."""
         if callable(self.k):
             out = np.asarray(self.k(self.domain.coords, f), dtype=float)
         else:
@@ -90,25 +95,15 @@ class SolveTarget:
             ).astype(float)
         return self.domain.check_values(out)
 
-    def perturbed(self, bump):
-        """The same target plus the fixed node vector ``bump`` (self if None)."""
-        if bump is None:
-            return self
-        return replace(self, k=lambda coords, f: self.evaluate(f) + bump)
-
-    def sandwich(self):
-        if self.lower is None and self.upper is None:
-            return None
-        lo = self.lower
-        hi = self.upper
-        if hi is None:
-            hi = np.zeros(self.domain.num_nodes)
-        return lo, hi
+    def evaluate(self, f):
+        """The right-hand side at the iterate f: k plus the bump."""
+        out = self.k_at(f)
+        return out if self.bump is None else out + self.bump
 
     def gap(self):
-        """min target - base curvature (evaluated at f = 0); must be > 0."""
+        """min k - base curvature (at f = 0, without the bump); must be > 0."""
         phi0 = self.chart.base_hypersurface().phi0
-        k0 = self.evaluate(np.zeros(self.domain.num_nodes))
+        k0 = self.k_at(np.zeros(self.domain.num_nodes))
         return float(np.min(k0[self.domain.interior]) - phi0)
 
 
@@ -134,14 +129,11 @@ def _residual(asm, target_values, interior):
     return np.where(interior, asm.K - target_values, 0.0)
 
 
-def _inside_sandwich(f, sandwich, interior):
-    if sandwich is None:
+def _inside_barriers(f, lower, interior):
+    """lower <= f <= 0 at every interior node (always True without ``lower``)."""
+    if lower is None:
         return True
-    lo, hi = sandwich
-    ok = np.all(f[interior] <= hi[interior])
-    if ok and lo is not None:
-        ok = np.all(f[interior] >= lo[interior])
-    return bool(ok)
+    return bool(np.all(f[interior] <= 0.0) and np.all(f[interior] >= lower[interior]))
 
 
 _MARGIN_FRACTION = 0.1  # a step keeps this share of the admissibility margin
@@ -154,8 +146,10 @@ def newton_solve(f_init, target, opts=None, lu=None):
     preconditioner ``lu`` (a fresh ``HeldLU`` when None; updated in place)
     and takes the largest step s in {1, 1/2, ..., 2^-max_halvings} whose
     iterate (a) keeps the admissibility margin >= 0.1 * (current margin),
-    (b) drops the residual to <= (1 - s/4) * current, and (c) stays
-    inside the sandwich when one is attached.  Raises NonAdmissibleInit,
+    (b) drops the residual to <= (1 - s/4) * current, and (c) keeps
+    lower <= f <= 0 when the target has a lower barrier.  Converged means
+    residual <= ``opts.tol`` after at most ``opts.max_iter`` steps; this is
+    the only convergence test of a solve.  Raises NonAdmissibleInit,
     NoConvergence (iteration cap or exhausted line search) or
     SingularLinearSystem, or the assembly's errors; every error raised here
     carries ``steps`` (the accepted steps), ``rejected_trials`` (line-search
@@ -168,7 +162,6 @@ def newton_solve(f_init, target, opts=None, lu=None):
     try:
         chart, domain = target.chart, target.domain
         interior = domain.interior
-        sandwich = target.sandwich()
         f = domain.check_values(f_init).copy()
         f[domain.boundary] = 0.0
         asm = assemble_curvature(chart, domain, f)
@@ -176,14 +169,18 @@ def newton_solve(f_init, target, opts=None, lu=None):
             raise NonAdmissibleInit(
                 f"initial iterate is not admissible: margin = {asm.margin:.3e}"
             )
-        if not _inside_sandwich(f, sandwich, interior):
+        if not _inside_barriers(f, target.lower, interior):
             raise NonAdmissibleInit("initial iterate violates the barrier sandwich")
         kvals = target.evaluate(f)
         r = _residual(asm, kvals, interior)
         rnorm = float(np.max(np.abs(r)))
-        for it in range(opts.max_iter):
+        for it in range(opts.max_iter + 1):
             if rnorm <= opts.tol:
                 return NewtonResult(f, True, it, rnorm, asm.margin, history, rejected)
+            if it == opts.max_iter:
+                raise NoConvergence(
+                    f"no convergence in {opts.max_iter} iterations (residual {rnorm:.3e})"
+                )
             delta = build_DK(chart, domain, f, assembly=asm).solve(-r, held=lu)
             accepted = False
             for k in range(opts.max_halvings + 1):
@@ -192,7 +189,7 @@ def newton_solve(f_init, target, opts=None, lu=None):
                 asm_new = assemble_curvature(chart, domain, f_new)
                 if not asm_new.margin >= _MARGIN_FRACTION * asm.margin:  # NaN fails
                     continue
-                if not _inside_sandwich(f_new, sandwich, interior):
+                if not _inside_barriers(f_new, target.lower, interior):
                     continue
                 k_new = target.evaluate(f_new)
                 r_new = _residual(asm_new, k_new, interior)
@@ -211,11 +208,6 @@ def newton_solve(f_init, target, opts=None, lu=None):
                     f"line search exhausted at iteration {it + 1} "
                     f"(residual {rnorm:.3e}, margin {asm.margin:.3e})"
                 )
-        if rnorm <= opts.tol:
-            return NewtonResult(f, True, opts.max_iter, rnorm, asm.margin, history, rejected)
-        raise NoConvergence(
-            f"no convergence in {opts.max_iter} iterations (residual {rnorm:.3e})"
-        )
     except GraphCurvError as exc:
         exc.steps, exc.residual, exc.rejected_trials = len(history), rnorm, rejected
         raise
@@ -236,9 +228,9 @@ class ContinuationOptions:
 class ContinuationState:
     """Walk state for the target path gamma(tau) = gamma0 + tau*(k - gamma0).
 
-    ``perturbation`` (zero by default) is added to the whole path; ``history``
-    collects one row per accepted Newton step as dicts with keys
-    iter/tau/residual/margin/step, where ``iter`` is the running
+    ``target`` is the goal; its bump and lower barrier hold on the whole
+    path.  ``history`` collects one row per accepted Newton step as dicts
+    with keys iter/tau/residual/margin/step, where ``iter`` is the running
     ``newton_total``; ``newton_total`` counts accepted Newton steps across
     all correctors, including those of rejected tau-steps (which add no
     history rows).  ``rejected_trials`` counts the line-search trials all
@@ -252,7 +244,6 @@ class ContinuationState:
     tau: float = 0.0
     f: np.ndarray | None = None
     dtau: float = _DTAU_INIT
-    perturbation: np.ndarray | None = None
     seed_iterate: np.ndarray | None = None
     residual_norm: float = np.inf
     margin: float | None = None
@@ -262,19 +253,13 @@ class ContinuationState:
     lu: HeldLU = field(default_factory=HeldLU)
 
     def path_target(self, tau):
-        """SolveTarget at path position tau (same sandwich as the goal)."""
+        """The goal with k moved to gamma(tau); the bump and barrier stay."""
         base = self.target
 
         def k_tau(coords, f):
-            kend = base.evaluate(f)
-            out = self.gamma0 + tau * (kend - self.gamma0)
-            if self.perturbation is not None:
-                out = out + self.perturbation
-            return out
+            return self.gamma0 + tau * (base.k_at(f) - self.gamma0)
 
-        return SolveTarget(
-            base.chart, base.domain, k_tau, base.lower, base.upper, base.phi_hat
-        )
+        return replace(base, k=k_tau)
 
 
 def start_state(target, *, delta0=None, f_init=None):
@@ -326,7 +311,9 @@ def continuation_solve(state, opts=None):
     """Predictor-corrector walk of the target path; returns f at tau = 1.
 
     The start corrector runs once, from the seed iterate or from one
-    undamped Newton step off f = 0; its failure ends the walk.  A failed
+    undamped Newton step off f = 0; its failure ends the walk.  Only
+    ``newton_solve`` tests convergence: a start level that already sits on
+    the goal walks to tau = 1 through correctors of zero steps.  A failed
     tau-step corrector (NoConvergence, NonAdmissibleInit) is not re-run from
     another start: dtau halves at once, down to ``opts.dtau_min``, below
     which StepsizeUnderflow reports the last good (tau, f); correctors
@@ -374,15 +361,6 @@ def continuation_solve(state, opts=None):
             state.f = res.f
             state.tau = 0.0
             state.residual_norm, state.margin = res.residual_norm, res.margin
-            # constant or already-solved path: check the goal before stepping
-            asm_end = assemble_curvature(state.target.chart, domain, state.f)
-            r_end = _residual(
-                asm_end, state.path_target(1.0).evaluate(state.f), domain.interior
-            )
-            if float(np.max(np.abs(r_end))) <= opts.newton.tol:
-                state.tau = 1.0
-                state.residual_norm = float(np.max(np.abs(r_end)))
-                return state.f
         tau_prev = None
         f_prev = None
         while state.tau < 1.0:
@@ -463,15 +441,16 @@ def rhs_perturbation(domain, magnitude, seed):
 def perturb_rhs(state, magnitude, seed):
     """Add ``rhs_perturbation(domain, magnitude, seed)`` to the whole path.
 
+    The vector joins the bump of ``state.target``, which is replaced, not
+    changed in place, so other states on the same target keep theirs.
     Magnitude 0 leaves the state unchanged.  Returns the state.
     """
     bump = rhs_perturbation(state.target.domain, magnitude, seed)
     if bump is None:
         return state
-    if state.perturbation is None:
-        state.perturbation = bump
-    else:
-        state.perturbation = state.perturbation + bump
+    if state.target.bump is not None:
+        bump = state.target.bump + bump
+    state.target = replace(state.target, bump=bump)
     return state
 
 

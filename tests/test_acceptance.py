@@ -193,7 +193,7 @@ def ac5_run():
     barrier = make_barrier_pair(chart, dom, kind="cap", k=0.95)
     target = SolveTarget(
         chart, dom, 0.9,
-        lower=barrier.lower, upper=barrier.upper, phi_hat=barrier.phi_hat,
+        lower=barrier.lower, phi_hat=barrier.phi_hat,
     )
     state = start_state(target, delta0=0.05)
     t0 = time.perf_counter()
@@ -239,8 +239,7 @@ def test_ac06_comparison_ordering():
     sols = {}
     for k in (0.6, 0.8):
         bp = make_barrier_pair(chart, dom, kind="cap", k=k + 0.05)
-        tgt = SolveTarget(chart, dom, k, lower=bp.lower, upper=bp.upper,
-                          phi_hat=bp.phi_hat)
+        tgt = SolveTarget(chart, dom, k, lower=bp.lower, phi_hat=bp.phi_hat)
         sols[k] = continuation_solve(start_state(tgt))
     relation = order_compare(dom, sols[0.8], sols[0.6])
     margin = float(np.min((sols[0.6] - sols[0.8])[dom.interior]))
@@ -326,8 +325,7 @@ def test_ac10_pogorelov_sup_stable_under_refinement(ac5_run):
     sup65 = pogorelov_monitor(chart, ac5_run["dom"], ac5_run["f"])["sup"]
     dom129 = GridDomain.ball(1.0, 64, 256)
     bp = make_barrier_pair(chart, dom129, kind="cap", k=0.95)
-    tgt = SolveTarget(chart, dom129, 0.9, lower=bp.lower, upper=bp.upper,
-                      phi_hat=bp.phi_hat)
+    tgt = SolveTarget(chart, dom129, 0.9, lower=bp.lower, phi_hat=bp.phi_hat)
     f129 = continuation_solve(start_state(tgt, delta0=0.05))
     sup129 = pogorelov_monitor(chart, dom129, f129)["sup"]
     diff = abs(sup65 - sup129) / abs(sup65)

@@ -91,7 +91,7 @@ def test_graph_connection_vertical_component():
     hy = HyperbolicChart(n=2, offset=D)
     base = np.array([[0.4, 1.0]])
     t = np.array([-0.1])
-    om = hy.graph_connection_form_at(base, t, "polar").tensor[0]
+    om = hy.graph_connection_form_at(base, t, "polar")[0]
     c, cp, _ = hy.warp(-0.1)
     assert om[2, 0, 0] == pytest.approx(-c * cp / hy.c0**2, rel=1e-13)
     w, _ = hy.base_warp(0.4)

@@ -97,7 +97,6 @@ def test_make_barrier_pair_cap():
     # phi_hat is measured from the assembled barrier, so it sits at the cap
     # curvature up to grid truncation
     assert bp.phi_hat == pytest.approx(1.0, abs=5e-3)
-    assert np.all(bp.upper == 0.0)
     assert np.all(bp.lower[dom.interior] < 0.0)
 
 

@@ -39,7 +39,7 @@ def hyper_target(dom, k, with_barrier=False):
     if with_barrier:
         bp = make_barrier_pair(chart, dom, kind="cap", k=1.1 * k)
         lower, phi_hat = bp.lower, bp.phi_hat
-    return SolveTarget(chart, dom, k, lower=lower, upper=None, phi_hat=phi_hat)
+    return SolveTarget(chart, dom, k, lower=lower, phi_hat=phi_hat)
 
 
 # ---- Newton corrector ----------------------------------------------------------
@@ -403,8 +403,8 @@ def test_failed_start_corrector_is_not_retried(monkeypatch):
 
 @pytest.mark.parametrize("at_goal", [False, True])
 def test_continuation_keeps_the_margin_of_its_last_iterate(at_goal):
-    # delta0 = gap puts the start level on the goal, so the walk ends on the
-    # goal check after the start corrector
+    # delta0 = gap puts the start level on the goal, so after the start
+    # corrector the walk reaches tau = 1 through correctors of zero steps
     dom = GridDomain.ball(1.0, 8, 32)
     target = hyper_target(dom, 0.6, with_barrier=True)
     state = start_state(target, delta0=target.gap() if at_goal else None)
@@ -482,22 +482,33 @@ def test_perturb_rhs_contract():
 
     st = start_state(target)
     perturb_rhs(st, 1e-3, seed=5)
-    assert np.max(np.abs(st.perturbation)) == 1e-3
+    assert np.max(np.abs(st.target.bump)) == 1e-3
 
     st2 = start_state(target)
     perturb_rhs(st2, 1e-3, seed=5)
-    assert np.array_equal(st.perturbation, st2.perturbation)
+    assert np.array_equal(st.target.bump, st2.target.bump)
 
     st3 = start_state(target)
     perturb_rhs(st3, 0.0, seed=5)
-    assert st3.perturbation is None
+    assert st3.target.bump is None
 
     with pytest.raises(OutOfRange):
         perturb_rhs(st, -1e-3, seed=5)
 
     # perturbations accumulate
     perturb_rhs(st, 1e-4, seed=6)
-    assert np.max(np.abs(st.perturbation)) <= 1e-3 + 1e-4 + 1e-16
+    assert np.max(np.abs(st.target.bump)) <= 1e-3 + 1e-4 + 1e-16
+
+
+def test_the_bump_rides_on_the_target_and_its_whole_path():
+    dom = GridDomain.ball(1.0, 8, 32)
+    bump = solver.rhs_perturbation(dom, 1e-3, seed=3)
+    target = SolveTarget(HyperbolicChart(n=2, offset=D), dom, 0.6, bump=bump)
+    f = -0.05 * (1.0 - dom.coords[:, 0] ** 2)
+    assert np.array_equal(target.evaluate(f), 0.6 + bump)
+    # gamma0 lies within a factor 2 of k, so gamma0 + (k - gamma0) is k exactly
+    state = start_state(target)
+    assert np.array_equal(state.path_target(1.0).evaluate(f), 0.6 + bump)
 
 
 def test_perturbed_path_still_converges_deterministically():
