@@ -348,37 +348,40 @@ def _progress(exc):
 
 
 def _newton(run, f_init):
-    """Newton from ``f_init`` against the tau = 1 target; (f, history), fills meta."""
+    """Newton from ``f_init`` against the tau = 1 target; fills meta, returns
+    the ``NewtonResult``."""
     res = newton_solve(f_init, run.target, run.nopts, run.lu)
     run.meta.update(tau=1.0, newton_total=res.iterations,
                     rejected_trials=res.rejected_trials,
                     residual_norm=res.residual_norm, margin=res.margin)
-    return res.f, res.history
+    return res
 
 
 def _solve(run, below=None):
     """Solve one level on ``run.lu``; returns (f, history), fills meta.
 
     With ``below`` = (coarser grid, its solution), Newton first starts from
-    the prolonged solution (``start`` "prolonged"); if that raises
+    the prolonged solution (``start`` "prolonged", whose residual norm is
+    ``start_residual``); if that raises
     NoConvergence or NonAdmissibleInit, ``run.spent`` keeps its progress
     and the level is solved the configured way, on the same HeldLU.
     """
     if below is not None:
         try:
-            out = _newton(run, prolong_values(below[0], run.target.domain, below[1]))
+            res = _newton(run, prolong_values(below[0], run.target.domain, below[1]))
         except (NoConvergence, NonAdmissibleInit) as exc:
             run.spent = _progress(exc)
         else:
-            run.meta["start"] = "prolonged"
-            return out
+            run.meta.update(start="prolonged", start_residual=res.start_residual)
+            return res.f, res.history
     sol = run.sol
     run.meta["start"] = sol["mode"]
     if sol["mode"] == "newton":
         f_init = run.f_init
         if f_init is None:
             f_init = np.zeros(run.target.domain.num_nodes)
-        return _newton(run, f_init)
+        res = _newton(run, f_init)
+        return res.f, res.history
     if sol["mode"] != "continuation":
         raise ConfigError(f"solver.mode must be continuation|newton, got {sol['mode']!r}")
     copts = ContinuationOptions(dtau_min=float(sol["dtau_min"]), newton=run.nopts)

@@ -143,7 +143,9 @@ def sphere_cap_barrier(chart, domain, k, profiles=None):
     ``_CAP_REFINE``-times finer radius grid with damped Newton on the exact
     tridiagonal Jacobian (one tridiagonal solve a step), then reads off the
     domain's radii.  Raises OutOfRange when no cap with that curvature
-    exists over the ball (Newton leaves the admissible cone or stalls).
+    exists over the ball (Newton leaves the admissible cone or stalls), and
+    up front when k does not exceed the base curvature phi0: such a cap
+    would lie on or above the base slice, never strictly below it.
 
     The fine grid has at most 1024 cells, so the refinements of one ball
     share it.  ``profiles``, a dict the caller owns, keeps each radial
@@ -154,6 +156,11 @@ def sphere_cap_barrier(chart, domain, k, profiles=None):
         raise OutOfRange("sphere-cap barriers are defined over ball domains")
     if k <= 0:
         raise OutOfRange("cap curvature must be positive")
+    phi0 = chart.base_hypersurface().phi0
+    if k <= phi0:
+        raise OutOfRange(
+            f"cap curvature {k:.6g} does not exceed the base curvature {phi0:.6g}"
+        )
     nr = domain.shape[0] - 1
     R = domain.extent[0][1]
     m = max(1, min(_CAP_REFINE, 1024 // nr)) * nr  # read off at domain radii exactly
@@ -176,7 +183,8 @@ def _cap_profile(chart, k, R, m, n, tol, max_iter):
     Damped Newton: each step solves the exact tridiagonal Jacobian
     (``_radial_jacobian``) by Thomas elimination.  The seed is the Euclidean
     cap of the curvature k - phi0 that the graph adds to the base slice's
-    phi0 when 0 < phi0 < k, and of curvature k otherwise, with its sphere
+    phi0 when phi0 > 0 (``sphere_cap_barrier`` has k > phi0), and of
+    curvature k otherwise, with its sphere
     radius at least 1.05 R.  Second differences on the fine grid put an
     evaluation-noise floor of order machine-eps / h^2 under the discrete
     residual; convergence is declared at ``tol`` or at that floor,
@@ -185,7 +193,7 @@ def _cap_profile(chart, k, R, m, n, tol, max_iter):
     h1 = R / m
     svals = h1 * np.arange(m + 1)
     phi0 = chart.base_hypersurface().phi0
-    excess = k - phi0 if 0.0 < phi0 < k else k
+    excess = k - phi0 if phi0 > 0.0 else k
     rs = max(1.0 / excess, 1.05 * R)
     f = np.sqrt(rs**2 - R**2) - np.sqrt(rs**2 - svals**2)
     f[-1] = 0.0

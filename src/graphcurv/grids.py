@@ -23,7 +23,7 @@ All stencils are second-order centered; the node conventions above are chosen
 so one-sided differencing is never needed.
 
 Node vectors move between a grid and its ``refine_domain`` refinement by
-injection (``restrict_values``) and cubic interpolation (``prolong_values``);
+injection (``restrict_values``) and quintic interpolation (``prolong_values``);
 ``coarsen_domain`` undoes one factor-2 refinement.
 """
 
@@ -34,6 +34,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -628,37 +629,62 @@ def restrict_values(fine, coarse, values):
     return values.reshape(fine.shape)[(slice(None, None, ratio),) * fine.n].ravel()
 
 
-def _refine_axis(v, axis, periodic):
-    """Nodes of ``v`` along ``axis`` interleaved with cubic midpoint values.
+_MIDPOINT_POINTS = 6  # nodes per midpoint stencil: quintic interpolation
 
-    Interior midpoints take the centered weights (-1, 9, 9, -1)/16; a
-    periodic axis wraps, and the first and last midpoints of a non-periodic
-    one take the one-sided cubic (5, 15, -5, 1)/16 and its mirror image.
+
+@functools.lru_cache(maxsize=None)
+def _midpoint_weights(points, at):
+    """Lagrange weights of the nodes 0..points-1 at the midpoint at + 1/2,
+    formed as exact fractions and rounded once: for 6 or 5 points they are
+    multiples of 1/256 or 1/128, so exact in float."""
+    x = Fraction(2 * at + 1, 2)
+    weights = []
+    for j in range(points):
+        w = Fraction(1)
+        for i in range(points):
+            if i != j:
+                w *= (x - i) / (j - i)
+        weights.append(float(w))
+    return tuple(weights)
+
+
+def _refine_axis(v, axis, periodic):
+    """Nodes of ``v`` along ``axis`` interleaved with quintic midpoint values.
+
+    Each midpoint is the Lagrange interpolant of the 6 nodes around it,
+    exact for polynomials of degree 5: centred, (3, -25, 150, 150, -25,
+    3)/256, at every midpoint of a periodic axis (which wraps) and at the
+    interior ones of any other.  On a non-periodic axis the window clamps to
+    the 6 end nodes, so the first midpoint takes (63, 315, -210, 126, -45,
+    7)/256, the second (-7, 105, 210, -70, 21, -3)/256, and the last two
+    their mirror images; an axis of fewer than 6 nodes uses all of them.
     """
     v = np.moveaxis(v, axis, 0)
-    if periodic:
-        a, b, c, d = np.roll(v, 1, 0), v, np.roll(v, -1, 0), np.roll(v, -2, 0)
-        mid = (9.0 * (b + c) - (a + d)) / 16.0
-    else:
-        mid = np.empty((v.shape[0] - 1,) + v.shape[1:])
-        mid[1:-1] = (9.0 * (v[1:-2] + v[2:-1]) - (v[:-3] + v[3:])) / 16.0
-        mid[0] = (5.0 * v[0] + 15.0 * v[1] - 5.0 * v[2] + v[3]) / 16.0
-        mid[-1] = (5.0 * v[-1] + 15.0 * v[-2] - 5.0 * v[-3] + v[-4]) / 16.0
-    out = np.empty((v.shape[0] + mid.shape[0],) + v.shape[1:])
+    m = v.shape[0]
+    points = _MIDPOINT_POINTS if periodic else min(_MIDPOINT_POINTS, m)
+    lower = np.arange(m if periodic else m - 1)  # the node before each midpoint
+    first = lower - (points - 1) // 2
+    if not periodic:
+        first = np.clip(first, 0, m - points)
+    weights = np.array([_midpoint_weights(points, int(a)) for a in lower - first])
+    along = (-1,) + (1,) * (v.ndim - 1)
+    mid = sum(weights[:, j].reshape(along) * v[(first + j) % m] for j in range(points))
+    out = np.empty((m + lower.shape[0],) + v.shape[1:])
     out[0::2] = v
     out[1::2] = mid
     return np.moveaxis(out, 0, axis)
 
 
 def prolong_values(coarse, fine, values):
-    """Cubic interpolation of a coarse-grid node vector onto ``fine``.
+    """Quintic interpolation of a coarse-grid node vector onto ``fine``.
 
     ``fine`` must be ``refine_domain(coarse, 2)`` (else DomainMismatch).
     Coarse nodes are copied exactly; the new nodes are filled axis by axis
-    with 4-point cubic midpoint weights (see ``_refine_axis``), so the result
-    is exact for polynomials of degree 3 in each Cartesian grid coordinate.
+    with 6-point midpoint weights (see ``_refine_axis``), so the result is
+    exact for polynomials of degree 5 in each Cartesian grid coordinate.
     On the ball the radial stencil of each ray continues through the pole
-    onto the opposite ray (ring 1 rotated by pi); the angular axis wraps.
+    onto the opposite ray (rings 2 and 1 rotated by pi), so the midpoints
+    next to the pole are centred too; the angular axis wraps.
     """
     values = coarse.check_values(values)
     if _refinement_ratio(fine, coarse) != 2:
@@ -668,11 +694,11 @@ def prolong_values(coarse, fine, values):
     if coarse.kind == "ball":
         nphi = coarse.shape[1]
         rings = values[1:].reshape(coarse.shape[0] - 1, nphi)
-        # one ray through the pole: ring 1 at phi + pi, pole, rings 1..nr at phi
+        # one ray through the pole: rings 2, 1 at phi + pi, pole, rings 1..nr at phi
         ray = np.concatenate(
-            [np.roll(rings[:1], -nphi // 2, axis=1), np.full((1, nphi), values[0]), rings]
+            [np.roll(rings[1::-1], -nphi // 2, axis=1), np.full((1, nphi), values[0]), rings]
         )
-        radial = _refine_axis(ray, 0, False)[3:]  # fine rings 1..2 nr
+        radial = _refine_axis(ray, 0, False)[5:]  # fine rings 1..2 nr
         return np.concatenate([values[:1], _refine_axis(radial, 1, True).ravel()])
     out = values.reshape(coarse.shape)
     for axis, per in enumerate(coarse.periodic):

@@ -123,6 +123,8 @@ class NewtonResult:
     margin: float
     history: list = field(default_factory=list)
     rejected_trials: int = 0  # line-search trials assembled and rejected
+    start_residual: float = np.inf  # the residual norm of the initial iterate
+    assembly: object = None  # assemble_curvature at f
 
 
 def _residual(asm, target_values, interior):
@@ -139,7 +141,7 @@ def _inside_barriers(f, lower, interior):
 _MARGIN_FRACTION = 0.1  # a step keeps this share of the admissibility margin
 
 
-def newton_solve(f_init, target, opts=None, lu=None):
+def newton_solve(f_init, target, opts=None, lu=None, assembly=None):
     """Damped Newton for K(f) = target with zero Dirichlet data.
 
     Solves DK * delta = target - K(f) each iteration through the held
@@ -149,7 +151,11 @@ def newton_solve(f_init, target, opts=None, lu=None):
     (b) drops the residual to <= (1 - s/4) * current, and (c) keeps
     lower <= f <= 0 when the target has a lower barrier.  Converged means
     residual <= ``opts.tol`` after at most ``opts.max_iter`` steps; this is
-    the only convergence test of a solve.  Raises NonAdmissibleInit,
+    the only convergence test of a solve.  ``assembly`` is an
+    ``assemble_curvature`` the caller holds (a result's ``assembly``); it
+    stands for the initial iterate's when its f has the same values, and is
+    dropped otherwise.
+    Raises NonAdmissibleInit,
     NoConvergence (iteration cap or exhausted line search) or
     SingularLinearSystem, or the assembly's errors; every error raised here
     carries ``steps`` (the accepted steps), ``rejected_trials`` (line-search
@@ -164,7 +170,11 @@ def newton_solve(f_init, target, opts=None, lu=None):
         interior = domain.interior
         f = domain.check_values(f_init).copy()
         f[domain.boundary] = 0.0
-        asm = assemble_curvature(chart, domain, f)
+        if assembly is not None and np.array_equal(assembly.f, f):
+            asm = assembly
+        else:
+            asm = assemble_curvature(chart, domain, f)
+        del assembly  # asm moves on with the iterate; hold no second one alive
         if not asm.admissible:
             raise NonAdmissibleInit(
                 f"initial iterate is not admissible: margin = {asm.margin:.3e}"
@@ -173,10 +183,11 @@ def newton_solve(f_init, target, opts=None, lu=None):
             raise NonAdmissibleInit("initial iterate violates the barrier sandwich")
         kvals = target.evaluate(f)
         r = _residual(asm, kvals, interior)
-        rnorm = float(np.max(np.abs(r)))
+        rnorm = start = float(np.max(np.abs(r)))
         for it in range(opts.max_iter + 1):
             if rnorm <= opts.tol:
-                return NewtonResult(f, True, it, rnorm, asm.margin, history, rejected)
+                return NewtonResult(f, True, it, rnorm, asm.margin, history, rejected,
+                                    start, asm)
             if it == opts.max_iter:
                 raise NoConvergence(
                     f"no convergence in {opts.max_iter} iterations (residual {rnorm:.3e})"
@@ -307,6 +318,20 @@ def start_state(target, *, delta0=None, f_init=None):
     return ContinuationState(target=target, gamma0=phi0 + delta0)
 
 
+def _step_off_base(state):
+    """One undamped Newton step off f = 0 toward the tau = 0 target."""
+    chart, domain = state.target.chart, state.target.domain
+    f0 = np.zeros(domain.num_nodes)
+    asm0 = assemble_curvature(chart, domain, f0)
+    if not asm0.admissible:
+        raise NonAdmissibleInit(
+            "base slice is not admissible (totally geodesic base?); "
+            "supply a seed iterate via start_state(f_init=...)"
+        )
+    r0 = _residual(asm0, state.path_target(0.0).evaluate(f0), domain.interior)
+    return f0 + build_DK(chart, domain, f0, assembly=asm0).solve(-r0, held=state.lu)
+
+
 def continuation_solve(state, opts=None):
     """Predictor-corrector walk of the target path; returns f at tau = 1.
 
@@ -325,12 +350,17 @@ def continuation_solve(state, opts=None):
     accepted corrector (None before the start corrector finishes).
     """
     opts = opts or ContinuationOptions()
-    domain = state.target.domain
+
+    # the last corrector's final assembly, for the next one's start: popped
+    # into newton_solve, which alone holds it then, so no corrector runs with
+    # another's assembly alive
+    handoff = []
 
     def correct(tau, f_start):
         tgt = state.path_target(tau)
         try:
-            res = newton_solve(f_start, tgt, opts.newton, state.lu)
+            res = newton_solve(f_start, tgt, opts.newton, state.lu,
+                               handoff.pop() if handoff else None)
         except GraphCurvError as exc:
             state.newton_total += exc.steps
             state.rejected_trials += exc.rejected_trials
@@ -339,25 +369,15 @@ def continuation_solve(state, opts=None):
         for row in res.history:
             state.newton_total += 1
             state.history.append({**row, "iter": state.newton_total, "tau": tau})
-        return res
+        handoff.append(res.assembly)
+        return replace(res, assembly=None)
 
     try:
         if state.f is None:
             if state.seed_iterate is not None:
                 res = correct(0.0, state.seed_iterate)
             else:
-                f0 = np.zeros(domain.num_nodes)
-                tgt0 = state.path_target(0.0)
-                asm0 = assemble_curvature(state.target.chart, domain, f0)
-                if not asm0.admissible:
-                    raise NonAdmissibleInit(
-                        "base slice is not admissible (totally geodesic base?); "
-                        "supply a seed iterate via start_state(f_init=...)"
-                    )
-                r0 = _residual(asm0, tgt0.evaluate(f0), domain.interior)
-                f_start = f0 + build_DK(
-                    state.target.chart, domain, f0, assembly=asm0).solve(-r0, held=state.lu)
-                res = correct(0.0, f_start)
+                res = correct(0.0, _step_off_base(state))
             state.f = res.f
             state.tau = 0.0
             state.residual_norm, state.margin = res.residual_norm, res.margin

@@ -205,6 +205,31 @@ def test_solve_nests_from_the_coarsest_grid(tmp_path):
     assert np.max(np.abs(f - plain)) <= 1e-8
 
 
+def test_benchmark_solve_takes_one_newton_step_on_its_finest_level(tmp_path):
+    # the benchmark's problem on 129x512: the 65x256 solution, prolonged by
+    # quintic midpoints, is close enough for one Newton step to reach tol.
+    # Run as the benchmark runs it, at one BLAS thread: the step's residual
+    # on ring 1 is round-off amplified by 1 / (ds dphi)^2, and at two threads
+    # GMRES's products round so that it ends at 3.0e-9, over tol
+    cfg = write_cfg(tmp_path, domain={"kind": "ball", "nr": 128, "nphi": 512},
+                    problem={"k": 0.9, "barrier": {"kind": "cap", "k": 0.95}})
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-m", "graphcurv.cli", "solve", "--config", str(cfg)],
+                         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    summary = read_summary(tmp_path)
+    levels = summary["per_level"]
+    assert [m["start"] for m in levels] == ["continuation"] + ["prolonged"] * 3
+    assert levels[-1]["domain"] == "ball[129, 512]"
+    assert levels[-1]["newton_total"] == 1 and summary["residual_norm"] <= 1e-9
+    assert "start_residual" not in levels[0]
+    for m in levels[1:]:  # the residual of each prolonged start
+        assert m["start_residual"] > m["residual_norm"]
+
+
 @pytest.mark.parametrize("nr, nphi", [(8, 32), (32, 136), (33, 128)],
                          ids=["4-rings-below", "nphi-68", "odd-nr"])
 def test_solve_keeps_one_level_where_the_grid_cannot_be_halved(tmp_path, nr, nphi):
@@ -354,7 +379,7 @@ def solved_ball(tmp_path_factory):
 # combined polar frame tables beside the derivative operators adds about 90
 # bytes per node, and keeping an assembly's frame Hessian and Psi beside its
 # M adds 64, each past the 5 % allowed
-SOLVE_PEAK_PER_NODE = 531.6
+SOLVE_PEAK_PER_NODE = 531.2
 
 
 def test_solve_heap_peak_per_node_stays_at_its_measured_value(solved_ball, tmp_path):
@@ -980,6 +1005,15 @@ def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
 def test_target_below_base_curvature_is_out_of_range(tmp_path):
     cfg = write_cfg(tmp_path, problem={"k": 0.3})
     assert main(["solve", "--config", str(cfg)]) == EXIT_CODES["OutOfRange"] == 13
+
+
+def test_cap_barrier_below_base_curvature_is_out_of_range(tmp_path, capsys):
+    # D = 1: phi0 = tanh(1) = 0.7616 lies between the cap's 0.75 and the target
+    cfg = write_cfg(tmp_path, chart={"offset": 1.0},
+                    problem={"k": 0.8, "barrier": {"kind": "cap", "k": 0.75}})
+    assert main(["solve", "--config", str(cfg)]) == EXIT_CODES["OutOfRange"] == 13
+    assert ("OutOfRange: cap curvature 0.75 does not exceed the base curvature 0.761594"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("eps_gap, code", [(0.06, 13), (0.04, 0)])

@@ -460,12 +460,13 @@ def test_singular_cap_jacobian_is_out_of_range(monkeypatch):
 
 
 def test_cap_at_or_below_the_base_curvature_is_refused():
-    chart = HyperbolicChart(n=2, offset=D)
-    dom = ball()
-    # k == phi0 seeds from the curvature-k cap (no division by k - phi0)
-    for k in (chart.base_hypersurface().phi0, 0.4):
-        with pytest.raises(NonAdmissible):
-            make_barrier_pair(chart, dom, kind="cap", k=k)
+    # refused before any radial solve: such a cap would not lie below f = 0;
+    # at D = 1, phi0 = 0.7616
+    for offset, k in [(D, None), (D, 0.4), (1.0, 0.75)]:
+        chart = HyperbolicChart(n=2, offset=offset)
+        k = chart.base_hypersurface().phi0 if k is None else k
+        with pytest.raises(OutOfRange, match="does not exceed the base curvature"):
+            make_barrier_pair(chart, ball(), kind="cap", k=k)
 
 
 def test_band_entries_match_the_loop_reference():

@@ -542,7 +542,44 @@ def test_prolong_is_exact_on_cubics(dom):
     assert np.allclose(got, cubic(fine.coords), rtol=0.0, atol=1e-13)
 
 
-def test_prolong_on_the_ball_is_fourth_order_through_the_pole():
+def _unwrapped_midpoints(coarse, fine):
+    """Fine nodes whose midpoint stencil crosses no periodic seam, as a mask."""
+    keep = np.ones(fine.shape, dtype=bool)
+    for ax, (m, per) in enumerate(zip(coarse.shape, coarse.periodic)):
+        if per:
+            i = np.arange(2 * m)
+            # midpoint 2j + 1 reads the coarse nodes j - 2 .. j + 3
+            ok = (i % 2 == 0) | ((i >= 5) & (i <= 2 * m - 7))
+            keep &= ok.reshape((-1,) + (1,) * (fine.n - 1 - ax))
+    return keep.ravel()
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [GridDomain.interval(-1.0, 2.0, 8), GridDomain.box(((0.0, 1.0), (-1.0, 2.0)), (7, 9)),
+     GridDomain.annulus(0.5, 1.5, 8, 16),
+     GridDomain.box(((0.0, 1.0), (-1.0, 2.0)), (9, 16), periodic=(True, True))],
+    ids=["interval", "box", "annulus", "periodic-box"],
+)
+def test_prolong_is_exact_on_quintics(dom):
+    # a periodic axis wraps, so only the midpoints off its seam see one polynomial
+    def quintic(coords):
+        x = coords[:, 0]
+        out = 1.0 + 2.0 * x - 3.0 * x**2 + 0.7 * x**3 - 0.4 * x**4 + 0.3 * x**5
+        if coords.shape[1] > 1:
+            y = coords[:, 1]
+            out = out * (2.0 - y + 0.5 * y**2 - 0.3 * y**3 + 0.2 * y**4 - 0.1 * y**5)
+        return out
+
+    fine = refine_domain(dom, 2)
+    keep = _unwrapped_midpoints(dom, fine)
+    got = prolong_values(dom, fine, quintic(dom.coords))[keep]
+    want = quintic(fine.coords)[keep]
+    assert keep.sum() > dom.num_nodes  # new nodes are checked, not just the copies
+    assert np.allclose(got, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
+
+
+def test_prolong_on_the_ball_is_sixth_order_through_the_pole():
     def field(dom):
         s, phi = dom.coords[:, 0], dom.coords[:, 1]
         x, y = s * np.cos(phi), s * np.sin(phi)
@@ -557,9 +594,9 @@ def test_prolong_on_the_ball_is_fourth_order_through_the_pole():
         ring1.append(err[1:1 + fine.shape[1]].max())
     assert ring1[0] > 0.0
     for a, b in zip(errs, errs[1:]):
-        assert a >= 10.0 * b
+        assert a >= 40.0 * b
     for a, b in zip(ring1, ring1[1:]):
-        assert a >= 10.0 * b
+        assert a >= 40.0 * b
 
 
 def test_prolong_rejects_anything_but_a_factor_two_refinement():

@@ -252,6 +252,70 @@ def test_failed_tau_step_runs_one_corrector(monkeypatch):
     assert len(calls) == 1 + accepted + failed
 
 
+def test_newton_takes_an_assembly_only_of_its_initial_values(monkeypatch):
+    dom = GridDomain.ball(1.0, 8, 32)
+    target = hyper_target(dom, 0.7)
+    res = newton_solve(np.zeros(dom.num_nodes), target)
+    assert res.start_residual > res.history[0]["residual"]
+    assembled = []
+    real = solver.assemble_curvature
+    monkeypatch.setattr(solver, "assemble_curvature",
+                        lambda *args: assembled.append(1) or real(*args))
+    again = newton_solve(np.zeros(dom.num_nodes), target, assembly=res.assembly)
+    assert len(assembled) == 1 + again.iterations  # another f's assembly is not used
+    assert np.array_equal(again.f, res.f)
+    assembled.clear()
+    done = newton_solve(res.f, target, assembly=res.assembly)
+    assert assembled == [] and done.assembly is res.assembly
+    assert done.iterations == 0 and done.start_residual == res.residual_norm
+
+
+def test_first_tau_step_reuses_the_start_correctors_assembly(monkeypatch):
+    # the first tau-step starts from the start corrector's last iterate, so
+    # it takes that iterate's assembly instead of making it again, and the
+    # walk stays bitwise the same
+    assembled = []
+    real_assemble, real_newton = solver.assemble_curvature, solver.newton_solve
+    monkeypatch.setattr(solver, "assemble_curvature",
+                        lambda *args: assembled.append(1) or real_assemble(*args))
+    dom = GridDomain.ball(1.0, 8, 32)
+    target = hyper_target(dom, 0.9, with_barrier=True)
+    runs = []
+    for newton in (real_newton, lambda f, tgt, opts, lu, assembly: real_newton(f, tgt, opts, lu)):
+        monkeypatch.setattr(solver, "newton_solve", newton)
+        assembled.clear()
+        state = start_state(target)
+        f = continuation_solve(state)
+        runs.append((f, state.history, len(assembled)))
+    (f, history, calls), (f_again, history_again, calls_again) = runs
+    # the first tau-step's corrector converged, so only it was reused
+    assert min(row["tau"] for row in history if row["tau"] > 0.0) == 0.2
+    assert calls == calls_again - 1
+    assert np.array_equal(f, f_again) and history == history_again
+
+
+# traced heap peak of a warm continuation on the full 33x128 grid, in bytes
+# per node, the walk's first corrector warming the grid's caches.  Keeping
+# the base slice's assembly alive through the walk adds about 96, and a
+# corrector's final assembly alive through the next corrector 72
+CONTINUATION_PEAK_PER_NODE = 410.8
+
+
+def test_continuation_heap_peak_per_node_stays_at_its_measured_value():
+    import tracemalloc
+
+    dom = GridDomain.ball(1.0, 32, 128)
+    target = hyper_target(dom, 0.9, with_barrier=True)
+    continuation_solve(start_state(target))
+    tracemalloc.start()
+    try:
+        continuation_solve(start_state(target))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / dom.num_nodes <= 1.05 * CONTINUATION_PEAK_PER_NODE
+
+
 def test_continuation_reuses_factorizations(monkeypatch):
     # the acceptance-battery continuation to k = 0.9, on a 33x33 box: the
     # held LU preconditions solves on Cartesian grids (polar ones start from
