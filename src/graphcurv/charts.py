@@ -343,7 +343,8 @@ class HyperbolicChart(_HyperboloidChart):
 
     def warp(self, t):
         v = self.offset - np.asarray(t, dtype=float)
-        return np.cosh(v), -np.sinh(v), np.cosh(v)
+        c = np.cosh(v)
+        return c, -np.sinh(v), c  # c'' = c: one array, which no caller writes
 
     def base_warp(self, s):
         s = np.asarray(s, dtype=float)

@@ -13,8 +13,10 @@ randomized initial iterates in tests) is numpy's PCG64 via
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass, field
@@ -97,7 +99,22 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _write_summary(cfg, obj):
+def _minor_faults():
+    """Minor page faults of this process so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _started():
+    """(wall clock, minor page faults) at a command's start."""
+    return time.perf_counter(), _minor_faults()
+
+
+def _write_summary(cfg, obj, started):
+    """Write ``obj`` with the ``elapsed_s`` and ``minor_page_faults`` of the
+    command begun at ``started``."""
+    t0, faults0 = started
+    obj = {**obj, "elapsed_s": time.perf_counter() - t0,
+           "minor_page_faults": _minor_faults() - faults0}
     path = _out_path(cfg, "summary")
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
@@ -230,7 +247,7 @@ def _oracle_gap(chart, domain, f, asm):
 
 
 def cmd_curvature(cfg):
-    t0 = time.perf_counter()
+    started = _started()
     src, chart, domain, f, asm = _check_input(cfg, "values")
     data, gap = _oracle_gap(chart, domain, f, asm)
     interior = domain.interior
@@ -250,9 +267,8 @@ def cmd_curvature(cfg):
         "K_interior_min": float(np.min(asm.K[interior])),
         "K_interior_max": float(np.max(asm.K[interior])),
         "oracle_gap": gap,
-        "elapsed_s": time.perf_counter() - t0,
     }
-    _write_summary(cfg, summary)
+    _write_summary(cfg, summary, started)
     print(
         "curvature: K in [%.17g, %.17g], margin %.17g, oracle gap %.17g"
         % (summary["K_interior_min"], summary["K_interior_max"], asm.margin, gap)
@@ -410,7 +426,7 @@ def _totals(metas):
     return totals
 
 
-def _walk(cfg, command, grids):
+def _walk(cfg, command, grids, started):
     """Nested iteration over grids, coarse to fine: the path of solve and sweep.
 
     ``grids(cfg)`` lists the grids, each the factor-2 refinement of the one
@@ -420,13 +436,13 @@ def _walk(cfg, command, grids):
     and its own HeldLU; the levels share one cache of radial cap profiles,
     since refinements of one ball solve the same radial problem.  Returns
     (domain, f, meta, history) per level; the histories' ``iter`` runs on
-    over the levels.  A GraphCurvError writes ``command``'s summary with the
-    counters up to the failure and propagates.  The failed level's Newton
-    steps, rejected line-search trials, last accepted tau and residual are
-    the ones the error carries (see ``newton_solve`` and
-    ``continuation_solve``), plus those of a failed prolonged start.
+    over the levels.  A GraphCurvError writes ``command``'s summary (begun
+    at ``started``) with the counters up to the failure and propagates.
+    The failed level's Newton steps, rejected line-search trials, last
+    accepted tau and residual are the ones the error carries (see
+    ``newton_solve`` and ``continuation_solve``), plus those of a failed
+    prolonged start.
     """
-    t0 = time.perf_counter()
     levels, domain, run = [], None, None
     profiles = {}  # radial cap profiles of this walk only
     try:
@@ -459,8 +475,8 @@ def _walk(cfg, command, grids):
             "command": command, "status": type(exc).__name__, "error": str(exc),
             **_totals(begun), "tau": exc.tau, "residual_norm": exc.residual,
             "per_level": metas, "failed_level": len(metas),
-            "failed_grid": grid, "elapsed_s": time.perf_counter() - t0,
-        })
+            "failed_grid": grid,
+        }, started)
         raise
 
 
@@ -486,16 +502,15 @@ def cmd_solve(cfg):
     Newton from the prolonged solution on every finer one; ``newton_total``
     and ``linear_solves`` are summed over the levels.
     """
-    t0 = time.perf_counter()
-    levels = _walk(cfg, "solve", _solve_grids)
+    started = _started()
+    levels = _walk(cfg, "solve", _solve_grids, started)
     domain, f, meta, _ = levels[-1]
     metas = [m for _, _, m, _ in levels]
     save_grid(_out_path(cfg, "solution"), domain, f, meta["chart"])
     _write_history(cfg, [row for *_, history in levels for row in history])
     summary = {"command": "solve", "status": "converged", **meta, **_totals(metas),
-               "per_level": metas, "elapsed_s": time.perf_counter() - t0,
-               "solution": _out_path(cfg, "solution")}
-    _write_summary(cfg, summary)
+               "per_level": metas, "solution": _out_path(cfg, "solution")}
+    _write_summary(cfg, summary, started)
     print(
         "solve: converged, tau %.3g, %d Newton iterations on %d level(s), "
         "residual %.3e, margin %.6g"
@@ -506,7 +521,7 @@ def cmd_solve(cfg):
 
 
 def cmd_validate(cfg):
-    t0 = time.perf_counter()
+    started = _started()
     src, chart, domain, f, asm = _check_input(cfg, "solution")
     interior = domain.interior
 
@@ -585,9 +600,8 @@ def cmd_validate(cfg):
         "input": src,
         "checks": checks,
         "details": details,
-        "elapsed_s": time.perf_counter() - t0,
     }
-    _write_summary(cfg, summary)
+    _write_summary(cfg, summary, started)
     for name in sorted(checks):
         print(f"validate: {name}: {'pass' if checks[name] else 'FAIL'}")
     return EXIT_CODES["ok"] if passed else EXIT_CODES["validation_failed"]
@@ -616,8 +630,8 @@ def cmd_sweep(cfg):
     levels, sampled at the coarser nodes, give the observed orders of
     convergence.
     """
-    t0 = time.perf_counter()
-    results = _walk(cfg, "sweep", _sweep_grids)
+    started = _started()
+    results = _walk(cfg, "sweep", _sweep_grids, started)
     diffs = []
     for (coarse, f_coarse, _, _), (fine, f_fine, _, _) in zip(results, results[1:]):
         restricted = restrict_values(fine, coarse, f_fine)
@@ -648,9 +662,8 @@ def cmd_sweep(cfg):
         "orders": orders,
         "table": table_path,
         "per_level": [meta for _, _, meta, _ in results],
-        "elapsed_s": time.perf_counter() - t0,
     }
-    _write_summary(cfg, summary)
+    _write_summary(cfg, summary, started)
     for i, o in enumerate(orders):
         print("sweep: order between levels %d-%d-%d: %.3f" % (i, i + 1, i + 2, o))
     if not orders:
@@ -660,8 +673,42 @@ def cmd_sweep(cfg):
 
 # ---- entry point ---------------------------------------------------------------
 
+# mallopt(3) parameters of glibc's malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _hold_freed_heap_pages():
+    """Let glibc's malloc keep the pages a run frees, for the next array.
+
+    Newton and continuation free and allocate (N,) float arrays thousands of
+    times; at 129x512 each is 512 KiB.  glibc's default thresholds (128 KiB
+    at start, raised as mapped blocks are freed) give such blocks mappings
+    of their own or trim them off the heap top once freed, so their pages
+    fault in again on the next use.  Here blocks below 32 MiB come from the
+    heap, and its top goes back to the kernel only once 256 MiB of it is
+    free.  Either setting alone makes runs slower.  Does nothing off glibc,
+    nor when glibc refuses the first.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (ValueError, OSError):
+        return
+    if not (libc or "").startswith("glibc"):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, 32 << 20):
+        mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
 
 def main(argv=None):
+    """Run one command and return its exit code.
+
+    The heap policy of ``_hold_freed_heap_pages`` is set here, not in the
+    library: it holds for the whole process, which the program owns."""
+    _hold_freed_heap_pages()
     parser = argparse.ArgumentParser(
         prog="graphcurv",
         description="Prescribed-curvature graphs over model hypersurfaces.",

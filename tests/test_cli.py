@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1028,6 +1029,98 @@ def test_eps_gap_demands_that_clearance_of_the_barrier_floor(tmp_path, capsys, e
     else:
         summary = read_summary(tmp_path)
         assert summary["status"] == "converged" and summary["phi_hat"] > 0.7 + eps_gap
+
+
+# ---- page faults and the heap policy of the process -------------------------------
+
+
+def _on_glibc():
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (ValueError, OSError):
+        return False
+
+
+def test_every_summary_reports_the_minor_page_faults_of_its_command(tmp_path):
+    small = {"kind": "ball", "nr": 4, "nphi": 16}
+    out = tmp_path / "out"
+    solve = write_cfg(tmp_path, name="solve.json", domain=small)
+    check = write_cfg(tmp_path, name="check.json", domain=small,
+                      input={"solution": str(out / "solution.grid"),
+                             "values": str(out / "solution.grid")})
+    failed = write_cfg(tmp_path, name="failed.json", domain=small,
+                       solver={"mode": "newton", "max_iter": 1})
+    runs = [("solve", solve, 0), ("curvature", check, 0), ("validate", check, 0),
+            ("sweep", solve, 0), ("solve", failed, EXIT_CODES["NoConvergence"])]
+    for command, cfg, code in runs:
+        assert main([command, "--config", str(cfg)]) == code
+        faults = read_summary(tmp_path)["minor_page_faults"]
+        assert isinstance(faults, int) and faults >= 0, command
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the heap policy is glibc's mallopt")
+def test_second_solve_in_one_process_reuses_the_freed_heap_pages(tmp_path):
+    # the 65x256 solve's temporaries are 128 KiB each; with glibc's default
+    # thresholds a warm second solve faults about 3 600 pages back in
+    cfg = write_cfg(tmp_path, domain={"kind": "ball", "nr": 64, "nphi": 256},
+                    problem={"k": 0.9, "barrier": {"kind": "cap", "k": 0.95}})
+    script = "\n".join([
+        "from graphcurv.cli import main",
+        *(f"assert main(['solve', '--config', {str(cfg)!r}, '--out', {str(out)!r}]) == 0"
+          for out in (tmp_path / "first", tmp_path / "second")),
+    ])
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    with open(tmp_path / "second" / "summary.json") as fh:
+        assert json.load(fh)["minor_page_faults"] < 100
+
+
+@pytest.mark.parametrize("libc, mallopt_result, calls", [
+    (ValueError("unrecognized configuration name"), 1, []),
+    (None, 1, []),
+    ("musl 1.2.4", 1, []),
+    ("glibc 2.36", 0, [(-3, 32 << 20)]),
+    ("glibc 2.36", 1, [(-3, 32 << 20), (-1, 256 << 20)]),
+], ids=["confstr-raises", "confstr-unset", "not-glibc", "mallopt-refuses", "glibc"])
+def test_heap_policy_is_set_on_glibc_alone_and_never_fails_a_run(tmp_path, monkeypatch,
+                                                                  libc, mallopt_result,
+                                                                  calls):
+    small = {"kind": "ball", "nr": 16, "nphi": 64}
+    plain = write_cfg(tmp_path, name="plain.json", domain=small,
+                      output={"dir": str(tmp_path / "plain")})
+    assert main(["solve", "--config", str(plain)]) == 0
+
+    def confstr(name):
+        assert name == "CS_GNU_LIBC_VERSION"
+        if isinstance(libc, Exception):
+            raise libc
+        return libc
+
+    made = []
+
+    class Mallopt:  # a foreign function: main sets its argtypes and restype
+        def __call__(self, param, value):
+            made.append((param, value))
+            return mallopt_result
+
+    def cdll(name, *args, real=cli.ctypes.CDLL, **kwargs):
+        if name is None:
+            return SimpleNamespace(mallopt=Mallopt())
+        return real(name, *args, **kwargs)
+
+    monkeypatch.setattr(cli.os, "confstr", confstr)
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    cfg = write_cfg(tmp_path, domain=small)
+    assert main(["solve", "--config", str(cfg)]) == 0
+    assert made == calls
+    assert read_summary(tmp_path)["status"] == "converged"
+    assert ((tmp_path / "out" / "solution.grid").read_bytes()
+            == (tmp_path / "plain" / "solution.grid").read_bytes())
 
 
 # ---- exit-code map -----------------------------------------------------------------
