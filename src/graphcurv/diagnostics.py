@@ -58,7 +58,6 @@ class BarrierPair:
     invariant since it is nowhere zero), or 'user' (supplied grid function).
     """
 
-    chart: object
     domain: object
     lower: np.ndarray
     phi_hat: float
@@ -297,7 +296,7 @@ def make_barrier_pair(chart, domain, kind="cap", k=None, depth=None, lower=None,
         )
     phi_hat = float(np.min(asm.K[interior]))
     phi0 = chart.base_hypersurface().phi0
-    return BarrierPair(chart, domain, f_hat, phi_hat, phi0, tag=kind)
+    return BarrierPair(domain, f_hat, phi_hat, phi0, tag=kind)
 
 
 def validate_sandwich(f, barrier, target=None, tol=0.0):

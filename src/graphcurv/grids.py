@@ -106,12 +106,10 @@ class GridDomain:
             spacing.append(h)
         grids = np.meshgrid(*axes, indexing="ij")
         coords = np.stack([g.ravel() for g in grids], axis=-1)
-        boundary = np.zeros(coords.shape[0], dtype=bool)
+        boundary = np.zeros(shape, dtype=bool)
         for ax, per in enumerate(periodic):
-            if per:
-                continue
-            idx = grids[ax].ravel()
-            boundary |= np.isclose(idx, extent[ax][0]) | np.isclose(idx, extent[ax][1])
+            if not per:  # the first and last index, as on the interval and ball
+                np.moveaxis(boundary, ax, 0)[[0, -1]] = True
         return GridDomain(
             kind="box",
             shape=shape,
@@ -119,7 +117,7 @@ class GridDomain:
             extent=extent,
             periodic=periodic,
             coords=coords,
-            boundary=boundary,
+            boundary=boundary.ravel(),
         )
 
     @staticmethod
@@ -193,8 +191,8 @@ class GridDomain:
         same = (
             self.kind == other.kind
             and self.shape == other.shape
-            and np.allclose(self.spacing, other.spacing)
-            and np.allclose(np.asarray(self.extent), np.asarray(other.extent))
+            and self.periodic == other.periodic
+            and _same_extent(self, other)
         )
         if not same:
             raise DomainMismatch(
@@ -595,6 +593,11 @@ def coarsen_domain(domain, min_cells):
         return None
 
 
+def _same_extent(a, b):
+    """Extents equal to a millionth of the finest spacing, wherever they lie."""
+    return np.allclose(a.extent, b.extent, rtol=0.0, atol=1e-6 * min(a.spacing + b.spacing))
+
+
 def _refinement_ratio(fine, coarse):
     """k with ``fine`` shaped as ``refine_domain(coarse, k)``; else DomainMismatch."""
     if fine.kind != coarse.kind:
@@ -605,7 +608,7 @@ def _refinement_ratio(fine, coarse):
         ok = not ratios and ratio >= 1 and refine_domain(coarse, ratio).shape == fine.shape
     except OutOfRange:
         ok = False
-    if not ok or not np.allclose(np.asarray(fine.extent), np.asarray(coarse.extent)):
+    if not ok or not _same_extent(fine, coarse):
         raise DomainMismatch(
             f"{fine.kind}{fine.shape} is not a refinement of {coarse.shape}"
         )

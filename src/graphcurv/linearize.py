@@ -143,8 +143,8 @@ class EllipticOperator:
     first access.  ``second_order`` / ``drift`` / ``zeroth`` hold the
     per-node coefficients of the frame derivatives (boundary rows zero),
     which the build folds onto the derivative operators to form
-    ``weights``; ``kind`` names the construction and ``normal_curvature``
-    stores the measured ambient W for the comparison operator.
+    ``weights``; ``normal_curvature`` stores the measured ambient W for the
+    comparison operator.
     """
 
     domain: object
@@ -153,7 +153,6 @@ class EllipticOperator:
     second_order: np.ndarray  # (N, n, n)
     drift: np.ndarray  # (N, n)
     zeroth: np.ndarray  # (N,)
-    kind: str = "DK"
     normal_curvature: np.ndarray | None = None
     _lu: object = field(default=None, repr=False, compare=False)
 
@@ -429,7 +428,7 @@ class HeldLU:
         return None
 
 
-def _operator(chart, domain, c2, drift, zeroth, kind, normal_curvature=None):
+def _operator(chart, domain, c2, drift, zeroth, normal_curvature=None):
     """The ``EllipticOperator`` of per-node coefficients, identity rows on
     the boundary: the slot sums of module docstring, "Storage"."""
     frame = _frame(chart, domain)
@@ -441,7 +440,7 @@ def _operator(chart, domain, c2, drift, zeroth, kind, normal_curvature=None):
     acc[:, domain.boundary] = 0.0
     acc[len(acc) // 2, domain.boundary] = 1.0
     return EllipticOperator(domain, frame.derivs[0], dict(enumerate(acc)), c2, drift,
-                            zeroth, kind, normal_curvature)
+                            zeroth, normal_curvature)
 
 
 def _warp_derivative_fields(chart, f, p, psi, n):
@@ -513,7 +512,7 @@ def build_DK(chart, domain, f, assembly=None):
         assembly = assemble_curvature(chart, domain, f)
     require_admissible(assembly, "linearization point")
     c2, drift, zeroth = _derivative_coefficients(chart, domain, assembly)
-    return _operator(chart, domain, c2, drift, zeroth, "DK")
+    return _operator(chart, domain, c2, drift, zeroth)
 
 
 def measured_normal_curvature(chart, domain):
@@ -576,7 +575,7 @@ def build_JK(base, domain):
     c2[interior] = -(1.0 / a0) * np.eye(n)
     drift = np.zeros((N, n))
     zeroth = np.where(interior, h, 0.0)
-    return _operator(chart, domain, c2, drift, zeroth, "JK", normal_curvature=W)
+    return _operator(chart, domain, c2, drift, zeroth, normal_curvature=W)
 
 
 def stability_check(chart, domain, f, assembly=None):

@@ -21,7 +21,8 @@ dropped once its step is solved, so at most one DK is alive at a time.
 ``continuation_solve`` keeps one on the state, so one preconditioner can
 serve the start step, later Newton steps and later tau-steps, failed
 correctors included.  The line search, the admissibility and barrier
-tests and ``tol`` see only the resulting step.
+tests and ``tol`` see only the resulting step.  No assembly passes between
+solves: each ``newton_solve`` assembles its own initial iterate.
 
 Determinism: everything here is sequential and seed-driven; the only random
 ingredient is ``rhs_perturbation`` / ``smooth_random_field``, which draw from
@@ -116,6 +117,8 @@ class NewtonOptions:
 
 @dataclass
 class NewtonResult:
+    """A solve's last accepted iterate, with one history row per accepted step."""
+
     f: np.ndarray
     converged: bool
     iterations: int
@@ -124,7 +127,6 @@ class NewtonResult:
     history: list = field(default_factory=list)
     rejected_trials: int = 0  # line-search trials assembled and rejected
     start_residual: float = np.inf  # the residual norm of the initial iterate
-    assembly: object = None  # assemble_curvature at f
 
 
 def _residual(asm, target_values, interior):
@@ -141,7 +143,7 @@ def _inside_barriers(f, lower, interior):
 _MARGIN_FRACTION = 0.1  # a step keeps this share of the admissibility margin
 
 
-def newton_solve(f_init, target, opts=None, lu=None, assembly=None):
+def newton_solve(f_init, target, opts=None, lu=None):
     """Damped Newton for K(f) = target with zero Dirichlet data.
 
     Solves DK * delta = target - K(f) each iteration through the held
@@ -151,11 +153,9 @@ def newton_solve(f_init, target, opts=None, lu=None, assembly=None):
     (b) drops the residual to <= (1 - s/4) * current, and (c) keeps
     lower <= f <= 0 when the target has a lower barrier.  Converged means
     residual <= ``opts.tol`` after at most ``opts.max_iter`` steps; this is
-    the only convergence test of a solve.  ``assembly`` is an
-    ``assemble_curvature`` the caller holds (a result's ``assembly``); it
-    stands for the initial iterate's when its f has the same values, and is
-    dropped otherwise.
-    Raises NonAdmissibleInit,
+    the only convergence test of a solve.  Every solve assembles its own
+    initial iterate, so it makes 1 + (accepted steps) + (rejected trials)
+    assemblies.  Raises NonAdmissibleInit,
     NoConvergence (iteration cap or exhausted line search) or
     SingularLinearSystem, or the assembly's errors; every error raised here
     carries ``steps`` (the accepted steps), ``rejected_trials`` (line-search
@@ -170,11 +170,7 @@ def newton_solve(f_init, target, opts=None, lu=None, assembly=None):
         interior = domain.interior
         f = domain.check_values(f_init).copy()
         f[domain.boundary] = 0.0
-        if assembly is not None and np.array_equal(assembly.f, f):
-            asm = assembly
-        else:
-            asm = assemble_curvature(chart, domain, f)
-        del assembly  # asm moves on with the iterate; hold no second one alive
+        asm = assemble_curvature(chart, domain, f)
         if not asm.admissible:
             raise NonAdmissibleInit(
                 f"initial iterate is not admissible: margin = {asm.margin:.3e}"
@@ -187,7 +183,7 @@ def newton_solve(f_init, target, opts=None, lu=None, assembly=None):
         for it in range(opts.max_iter + 1):
             if rnorm <= opts.tol:
                 return NewtonResult(f, True, it, rnorm, asm.margin, history, rejected,
-                                    start, asm)
+                                    start)
             if it == opts.max_iter:
                 raise NoConvergence(
                     f"no convergence in {opts.max_iter} iterations (residual {rnorm:.3e})"
@@ -336,7 +332,8 @@ def continuation_solve(state, opts=None):
     """Predictor-corrector walk of the target path; returns f at tau = 1.
 
     The start corrector runs once, from the seed iterate or from one
-    undamped Newton step off f = 0; its failure ends the walk.  Only
+    undamped Newton step off f = 0; its failure ends the walk.  Every
+    corrector is one ``newton_solve`` from its predicted start.  Only
     ``newton_solve`` tests convergence: a start level that already sits on
     the goal walks to tau = 1 through correctors of zero steps.  A failed
     tau-step corrector (NoConvergence, NonAdmissibleInit) is not re-run from
@@ -351,16 +348,10 @@ def continuation_solve(state, opts=None):
     """
     opts = opts or ContinuationOptions()
 
-    # the last corrector's final assembly, for the next one's start: popped
-    # into newton_solve, which alone holds it then, so no corrector runs with
-    # another's assembly alive
-    handoff = []
-
     def correct(tau, f_start):
         tgt = state.path_target(tau)
         try:
-            res = newton_solve(f_start, tgt, opts.newton, state.lu,
-                               handoff.pop() if handoff else None)
+            res = newton_solve(f_start, tgt, opts.newton, state.lu)
         except GraphCurvError as exc:
             state.newton_total += exc.steps
             state.rejected_trials += exc.rejected_trials
@@ -369,8 +360,7 @@ def continuation_solve(state, opts=None):
         for row in res.history:
             state.newton_total += 1
             state.history.append({**row, "iter": state.newton_total, "tau": tau})
-        handoff.append(res.assembly)
-        return replace(res, assembly=None)
+        return res
 
     try:
         if state.f is None:

@@ -79,6 +79,16 @@ def test_solve_happy_path(tmp_path):
     assert solves["trisolves"] >= summary["newton_total"] + solves["krylov_iterations"]
 
 
+def test_solve_on_a_box_far_from_the_origin(tmp_path):
+    # the box's boundary is its first and last index on each axis, so a
+    # shifted box solves as the unshifted one does
+    cfg = write_cfg(tmp_path, domain={"kind": "box", "shape": [9, 9],
+                                      "extent": [[1e6, 1e6 + 1.0], [0.0, 1.0]]},
+                    problem={"barrier": {"kind": "none"}})
+    assert main(["solve", "--config", str(cfg)]) == 0
+    assert read_summary(tmp_path)["status"] == "converged"
+
+
 def test_solve_newton_mode(tmp_path):
     cfg = write_cfg(
         tmp_path,

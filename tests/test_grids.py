@@ -68,6 +68,16 @@ def test_box_layout_invariants():
     assert per.boundary.sum() == 2 * 8
 
 
+@pytest.mark.parametrize("extent", [(1e6, 1e6 + 4.0), (0.0, 1e-9)], ids=["shifted", "tiny"])
+def test_box_boundary_does_not_depend_on_where_the_extent_lies(extent):
+    # the first and last index of each non-periodic axis, not the nodes
+    # whose coordinates come close to an end of the extent
+    want = GridDomain.box(((0.0, 4.0), (0.0, 1.0)), (5, 5)).boundary
+    assert want.sum() == 16
+    dom = GridDomain.box((extent, (0.0, 1.0)), (5, 5))
+    assert np.array_equal(dom.boundary, want)
+
+
 def test_check_values_shape_guard():
     dom = GridDomain.interval(0.0, 1.0, 8)
     with pytest.raises(DomainMismatch):
@@ -83,6 +93,20 @@ def test_check_compatible():
     c = GridDomain.ball(1.0, 5, 16)
     with pytest.raises(DomainMismatch):
         a.check_compatible(c)
+
+
+def test_extents_are_compared_against_the_spacing_not_the_coordinates():
+    # two grids one extent apart share a single point, however far from 0
+    a = GridDomain.interval(1e6, 1e6 + 1.0, 8)
+    a.check_compatible(GridDomain.interval(1e6, 1e6 + 1.0, 8))
+    with pytest.raises(DomainMismatch):
+        a.check_compatible(GridDomain.interval(1e6 + 1.0, 1e6 + 2.0, 8))
+    with pytest.raises(DomainMismatch):
+        restrict_values(GridDomain.interval(1e6 + 1.0, 1e6 + 2.0, 16), a, np.zeros(17))
+    # and a tiny box is not compatible with its periodic twin
+    tiny = GridDomain.box(((0.0, 1e-9), (0.0, 1.0)), (5, 5))
+    with pytest.raises(DomainMismatch):
+        tiny.check_compatible(GridDomain.box(((0.0, 1e-9), (0.0, 1.0)), (5, 5), (True, False)))
 
 
 # ---- differentiation: exactness on polynomials / trig -----------------------

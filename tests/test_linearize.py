@@ -304,7 +304,7 @@ def test_held_lu_of_a_distant_operator_falls_back_to_direct():
     dom = box(65)
     op = build_DK(chart, dom, box_field(dom))
     diag = EllipticOperator(dom, op.stencils, {4: op.weights[4]},  # the middle slot
-                            op.second_order, op.drift, op.zeroth, kind="diag")
+                            op.second_order, op.drift, op.zeroth)
     rhs = np.random.default_rng(3).standard_normal(dom.num_nodes)
     held = HeldLU()
     diag.solve(rhs, held=held)
@@ -549,7 +549,7 @@ def anisotropic_operator(dom, eps=1e-3):
     c2[:, 0, 1] = c2[:, 1, 0] = (eps - 1.0) * c * s
     c2[dom.boundary] = 0.0
     drift, zeroth = np.zeros((dom.num_nodes, 2)), np.zeros(dom.num_nodes)
-    return _operator(chart, dom, c2, drift, zeroth, "anisotropic")
+    return _operator(chart, dom, c2, drift, zeroth)
 
 
 def test_ring_average_of_a_strongly_phi_dependent_operator_falls_back_to_the_lu():
@@ -577,7 +577,7 @@ def test_a_singular_operator_on_a_polar_grid_is_still_reported():
     c2, drift, zeroth = dk.second_order, dk.drift, dk.zeroth
     for coef in (c2, drift, zeroth):
         coef[1 + dom.shape[1] + np.arange(dom.shape[1])] = 0.0  # ring 2
-    op = _operator(chart, dom, c2, drift, zeroth, "DK")
+    op = _operator(chart, dom, c2, drift, zeroth)
     with pytest.raises(SingularLinearSystem):
         _RingAverage(op)
     assert _RingAverage.of(op) is None

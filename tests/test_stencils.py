@@ -417,7 +417,7 @@ def test_frame_operators_and_pattern_match_the_sparse_algebra(domain_kind, chart
     coefs = [rng.standard_normal(shape) for shape in ((N, n, n), (N, n), (N,))]
     for arr in coefs:
         arr[::5] = -0.0
-    cases = [(_operator(chart, dom, *coefs, "DK").matrix, coefs)] + [
+    cases = [(_operator(chart, dom, *coefs).matrix, coefs)] + [
         (op.matrix, (op.second_order, op.drift, op.zeroth)) for op in built_operators(chart, dom)
     ]
     for got, coefficients in cases:
@@ -438,7 +438,7 @@ def test_slot_products_match_the_csr_products(domain_kind, chart_kind):
     rng = np.random.default_rng(3)
     N, n = dom.num_nodes, dom.n
     coefs = [rng.standard_normal(shape) for shape in ((N, n, n), (N, n), (N,))]
-    built = [_operator(chart, dom, *coefs, "DK"), *built_operators(chart, dom)]
+    built = [_operator(chart, dom, *coefs), *built_operators(chart, dom)]
     cases = [(op, st.csr(op)) for op in list(d1) + list(d2.values())]
     cases += [(op.weights, op.matrix) for op in built]
     edge = np.ones(dom.shape, dtype=bool)
