@@ -92,6 +92,11 @@ def _out_path(cfg, key):
     return os.path.join(cfg["output"]["dir"], cfg["output"][key])
 
 
+def _grid_name(domain):
+    """How summaries name a grid: its kind and shape, e.g. "ball[33, 128]"."""
+    return f"{domain.kind}{list(domain.shape)}"
+
+
 def _json_default(obj):
     """numpy scalars and arrays as Python values, for ``json.dump``."""
     if isinstance(obj, (np.generic, np.ndarray)):
@@ -260,7 +265,7 @@ def cmd_curvature(cfg):
         "command": "curvature",
         "status": "ok",
         "chart": chart.chart_id(),
-        "domain": f"{domain.kind}{list(domain.shape)}",
+        "domain": _grid_name(domain),
         "input": src,
         "margin": asm.margin,
         "admissible": bool(asm.admissible),
@@ -343,7 +348,7 @@ def _setup_solve(cfg, domain, seeded, profiles):
     f_init = _initial_iterate(cfg, chart, domain, barrier, seeded)
     meta = {
         "chart": chart.chart_id(),
-        "domain": f"{domain.kind}{list(domain.shape)}",
+        "domain": _grid_name(domain),
         "mode": sol["mode"],
         "k_min": kmin,
         "k_max": kmax,
@@ -373,22 +378,41 @@ def _newton(run, f_init):
     return res
 
 
-def _solve(run, below=None):
+def _prolonged_start(fine, below):
+    """Newton's start on ``fine`` from the solved levels ``below``, nearest first.
+
+    One level below gives its solution prolonged.  With two, of spacings H
+    and 2H, the nearer solution is first Richardson-extrapolated (Richardson
+    & Gaunt 1927) in its leading h^2 error term to the spacing h = H / r of
+    ``fine``: f_H + (1 - r^-2) / 3 (f_H - prolong(f_2H)), a weight of 1/4 for
+    r = 2 and 5/16 for r = 4, both exact in binary.
+    """
+    grid, f = below[0]
+    if len(below) > 1:
+        coarser, f_coarser = below[1]
+        r = round(grid.spacing[0] / fine.spacing[0])  # a power of two
+        f = f + (1.0 - r**-2.0) / 3.0 * (f - prolong_values(coarser, grid, f_coarser))
+    return prolong_values(grid, fine, f)
+
+
+def _solve(run, below=()):
     """Solve one level on ``run.lu``; returns (f, history), fills meta.
 
-    With ``below`` = (coarser grid, its solution), Newton first starts from
-    the prolonged solution (``start`` "prolonged", whose residual norm is
-    ``start_residual``); if that raises
-    NoConvergence or NonAdmissibleInit, ``run.spent`` keeps its progress
-    and the level is solved the configured way, on the same HeldLU.
+    With ``below``, one or two solved coarser levels as (grid, solution),
+    nearest first, Newton first starts from their ``_prolonged_start``
+    (``start`` "prolonged", ``start_from`` the names of those grids, and
+    ``start_residual`` its residual norm); if that raises NoConvergence or
+    NonAdmissibleInit, ``run.spent`` keeps its progress and the level is
+    solved the configured way, on the same HeldLU.
     """
-    if below is not None:
+    if below:
         try:
-            res = _newton(run, prolong_values(below[0], run.target.domain, below[1]))
+            res = _newton(run, _prolonged_start(run.target.domain, below))
         except (NoConvergence, NonAdmissibleInit) as exc:
             run.spent = _progress(exc)
         else:
-            run.meta.update(start="prolonged", start_residual=res.start_residual)
+            run.meta.update(start="prolonged", start_from=[_grid_name(g) for g, _ in below],
+                            start_residual=res.start_residual)
             return res.f, res.history
     sol = run.sol
     run.meta["start"] = sol["mode"]
@@ -429,9 +453,10 @@ def _totals(metas):
 def _walk(cfg, command, grids, started):
     """Nested iteration over grids, coarse to fine: the path of solve and sweep.
 
-    ``grids(cfg)`` lists the grids, each the factor-2 refinement of the one
-    before.  The first is solved the configured way from ``solver.init``,
-    every finer one by ``_solve`` from the solution below.  Each
+    ``grids(cfg)`` lists the grids, each a power-of-two refinement of the
+    one before, the second the factor-2 refinement of the first.  The first
+    is solved the configured way from ``solver.init``, every finer one by
+    ``_solve`` from the solutions of the (at most two) levels below.  Each
     level builds its own target (with the seeded perturbation on its grid)
     and its own HeldLU; the levels share one cache of radial cap profiles,
     since refinements of one ball solve the same radial problem.  Returns
@@ -450,7 +475,8 @@ def _walk(cfg, command, grids, started):
             level_t0 = time.perf_counter()
             run = None  # lets the level below release its factors
             run = _setup_solve(cfg, domain, seeded=not levels, profiles=profiles)
-            f, history = _solve(run, levels[-1][:2] if levels else None)
+            below = [level[:2] for level in levels[:-3:-1]]  # nearest first
+            f, history = _solve(run, below)
             shift = (sum(meta["newton_total"] for _, _, meta, _ in levels)
                      + run.spent["newton_total"])
             for key, count in run.spent.items():
@@ -470,7 +496,7 @@ def _walk(cfg, command, grids, started):
             failed["linear_solves"] = run.lu.counters()
             failed["grid_s"] = domain.build_s
             begun.append(failed)
-        grid = None if domain is None else f"{domain.kind}{list(domain.shape)}"
+        grid = None if domain is None else _grid_name(domain)
         _write_summary(cfg, {
             "command": command, "status": type(exc).__name__, "error": str(exc),
             **_totals(begun), "tau": exc.tau, "residual_norm": exc.residual,
@@ -483,15 +509,20 @@ def _walk(cfg, command, grids, started):
 def _solve_grids(cfg):
     """The grids of ``solve``, coarsest first, ending on the configured one.
 
-    The configured grid is halved while ``coarsen_domain`` allows it.  A
-    ``file`` seed and a ``user`` barrier are read from files written on the
-    configured grid, which then stays alone.
+    The coarsest is the configured grid halved while ``coarsen_domain``
+    allows it; then come its factor-2 refinement and the configured grid,
+    at most three levels.  The grids in between are skipped: from the two
+    below it (``_prolonged_start``) the finest level starts about as close
+    as from the grid just below it.  A ``file`` seed and a ``user`` barrier
+    are read from files written on the configured grid, which then stays
+    alone.
     """
     grids = [cfgmod.build_domain(cfg)]
     if (cfg["solver"]["init"]["kind"] != "file"
             and cfg["problem"]["barrier"]["kind"] != "user"):
         while (coarse := coarsen_domain(grids[0], COARSEST_CELLS)) is not None:
             grids.insert(0, coarse)
+    del grids[2:-1]
     return grids
 
 
@@ -499,8 +530,9 @@ def cmd_solve(cfg):
     """Solve on the configured grid by nested iteration (``_walk``).
 
     The configured mode runs on the coarsest grid of ``_solve_grids`` and
-    Newton from the prolonged solution on every finer one; ``newton_total``
-    and ``linear_solves`` are summed over the levels.
+    Newton on every finer one, from the solution below prolonged, and on a
+    third level from the two below Richardson-extrapolated and prolonged;
+    ``newton_total`` and ``linear_solves`` are summed over the levels.
     """
     started = _started()
     levels = _walk(cfg, "solve", _solve_grids, started)
@@ -596,7 +628,7 @@ def cmd_validate(cfg):
         "command": "validate",
         "status": "passed" if passed else "failed",
         "chart": chart.chart_id(),
-        "domain": f"{domain.kind}{list(domain.shape)}",
+        "domain": _grid_name(domain),
         "input": src,
         "checks": checks,
         "details": details,

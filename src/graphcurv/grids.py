@@ -528,7 +528,9 @@ def load_grid(path):
         periodic = field("periodic", lambda v: tuple(bool(p) for p in v), [0] * len(shape))
         extent = field("extent", lambda v: tuple((float(a), float(b)) for a, b in v))
         dom = _grid(field("layout", str.__str__), extent, shape, periodic)  # str or TypeError
-        if not np.allclose(dom.spacing, field("spacing", lambda v: np.array(v, dtype=float))):
+        spacing = field("spacing", lambda v: np.array(v, dtype=float))
+        if spacing.shape != (dom.n,) or not np.allclose(
+                spacing, dom.spacing, rtol=0.0, atol=1e-6 * min(dom.spacing)):
             raise DomainMismatch("grid spacing in header does not match layout")
         if _boundary_rle(dom.boundary) != header["boundary"]:
             raise DomainMismatch("boundary mask in header does not match layout")
@@ -681,31 +683,36 @@ def _refine_axis(v, axis, periodic):
 def prolong_values(coarse, fine, values):
     """Quintic interpolation of a coarse-grid node vector onto ``fine``.
 
-    ``fine`` must be ``refine_domain(coarse, 2)`` (else DomainMismatch).
-    Coarse nodes are copied exactly; the new nodes are filled axis by axis
-    with 6-point midpoint weights (see ``_refine_axis``), so the result is
-    exact for polynomials of degree 5 in each Cartesian grid coordinate.
-    On the ball the radial stencil of each ray continues through the pole
-    onto the opposite ray (rings 2 and 1 rotated by pi), so the midpoints
-    next to the pole are centred too; the angular axis wraps.
+    ``fine`` must be ``refine_domain(coarse, 2**k)`` for some k >= 1 (else
+    DomainMismatch).  Each of the k halvings copies the nodes it has
+    exactly and fills the new ones axis by axis with 6-point midpoint
+    weights (see ``_refine_axis``), so the result is k factor-2
+    prolongations, bitwise, and exact for polynomials of degree 5 in each
+    Cartesian grid coordinate.  On the ball the radial stencil of each ray
+    continues through the pole onto the opposite ray (rings 2 and 1 rotated
+    by pi), so the midpoints next to the pole are centred too; the angular
+    axis wraps.
     """
     values = coarse.check_values(values)
-    if _refinement_ratio(fine, coarse) != 2:
-        raise DomainMismatch(
-            f"{fine.kind}{fine.shape} is not the factor-2 refinement of {coarse.shape}"
-        )
+    ratio = _refinement_ratio(fine, coarse)
+    if ratio < 2:
+        raise DomainMismatch(f"{fine.kind}{fine.shape} is not a refinement of {coarse.shape}")
+    halvings = ratio.bit_length() - 1  # ratio is a power of two
     if coarse.kind == "ball":
-        nphi = coarse.shape[1]
-        rings = values[1:].reshape(coarse.shape[0] - 1, nphi)
-        # one ray through the pole: rings 2, 1 at phi + pi, pole, rings 1..nr at phi
-        ray = np.concatenate(
-            [np.roll(rings[1::-1], -nphi // 2, axis=1), np.full((1, nphi), values[0]), rings]
-        )
-        radial = _refine_axis(ray, 0, False)[5:]  # fine rings 1..2 nr
-        return np.concatenate([values[:1], _refine_axis(radial, 1, True).ravel()])
+        rings = values[1:].reshape(coarse.shape[0] - 1, coarse.shape[1])
+        for _ in range(halvings):
+            nphi = rings.shape[1]
+            # one ray through the pole: rings 2, 1 at phi + pi, pole, rings 1..nr at phi
+            ray = np.concatenate(
+                [np.roll(rings[1::-1], -nphi // 2, axis=1), np.full((1, nphi), values[0]), rings]
+            )
+            radial = _refine_axis(ray, 0, False)[5:]  # fine rings 1..2 nr
+            rings = _refine_axis(radial, 1, True)
+        return np.concatenate([values[:1], rings.ravel()])
     out = values.reshape(coarse.shape)
-    for axis, per in enumerate(coarse.periodic):
-        out = _refine_axis(out, axis, per)
+    for _ in range(halvings):
+        for axis, per in enumerate(coarse.periodic):
+            out = _refine_axis(out, axis, per)
     return out.ravel()
 
 

@@ -217,28 +217,35 @@ def test_solve_nests_from_the_coarsest_grid(tmp_path):
 
 
 def test_benchmark_solve_takes_one_newton_step_on_its_finest_level(tmp_path):
-    # the benchmark's problem on 129x512: the 65x256 solution, prolonged by
-    # quintic midpoints, is close enough for one Newton step to reach tol.
-    # Run as the benchmark runs it, at one BLAS thread: the step's residual
-    # on ring 1 is round-off amplified by 1 / (ds dphi)^2, and at two threads
-    # GMRES's products round so that it ends at 3.0e-9, over tol
+    # the benchmark's problem on 129x512, solved on 17x64, 33x128 and
+    # 129x512: the two coarse solutions, Richardson-extrapolated and
+    # prolonged by quintic midpoints, are close enough for one Newton step to
+    # reach tol.  The step's residual on ring 1 is round-off amplified by
+    # 1 / (ds dphi)^2; from this start it stays below tol at one BLAS thread,
+    # as the benchmark runs, and at two, whose GMRES products round
+    # differently
     cfg = write_cfg(tmp_path, domain={"kind": "ball", "nr": 128, "nphi": 512},
                     problem={"k": 0.9, "barrier": {"kind": "cap", "k": 0.95}})
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run([sys.executable, "-m", "graphcurv.cli", "solve", "--config", str(cfg)],
-                         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
-    assert run.returncode == 0, run.stderr
-    summary = read_summary(tmp_path)
-    levels = summary["per_level"]
-    assert [m["start"] for m in levels] == ["continuation"] + ["prolonged"] * 3
-    assert levels[-1]["domain"] == "ball[129, 512]"
-    assert levels[-1]["newton_total"] == 1 and summary["residual_norm"] <= 1e-9
-    assert "start_residual" not in levels[0]
-    for m in levels[1:]:  # the residual of each prolonged start
-        assert m["start_residual"] > m["residual_norm"]
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-m", "graphcurv.cli", "solve", "--config",
+                              str(cfg), "--out", str(out)],
+                             env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        with open(out / "summary.json") as fh:
+            summary = json.load(fh)
+        levels = summary["per_level"]
+        assert [m["start"] for m in levels] == ["continuation", "prolonged", "prolonged"]
+        assert levels[-1]["domain"] == "ball[129, 512]"
+        assert levels[-1]["start_from"] == ["ball[33, 128]", "ball[17, 64]"]
+        assert levels[-1]["newton_total"] == 1 and summary["residual_norm"] <= 1e-9
+        assert "start_residual" not in levels[0]
+        for m in levels[1:]:  # the residual of each prolonged start
+            assert m["start_residual"] > m["residual_norm"]
 
 
 @pytest.mark.parametrize("nr, nphi", [(8, 32), (32, 136), (33, 128)],
@@ -381,6 +388,20 @@ def solved_ball(tmp_path_factory):
                     problem={"k": 0.9, "barrier": {"kind": "cap", "k": 0.95}})
     assert main(["solve", "--config", str(cfg)]) == 0
     return tmp_path / "out" / "solution.grid"
+
+
+def test_a_third_level_starts_from_the_two_below_it_extrapolated(solved_ball):
+    # 17x64 and 33x128, Richardson-extrapolated, start 65x256 ten times
+    # closer than 17x64 starts 33x128; 33x128 prolonged alone starts it only
+    # four times closer
+    with open(solved_ball.parent / "summary.json") as fh:
+        levels = json.load(fh)["per_level"]
+    assert [m["domain"] for m in levels] == ["ball[17, 64]", "ball[33, 128]", "ball[65, 256]"]
+    second, third = levels[1:]
+    assert second["start_from"] == ["ball[17, 64]"]
+    assert third["start_from"] == ["ball[33, 128]", "ball[17, 64]"]
+    assert third["start_residual"] <= 0.1 * second["start_residual"]
+    assert third["newton_total"] == 1
 
 
 # traced heap peak of a second solve of that problem, in bytes per node,

@@ -344,6 +344,23 @@ def test_load_rejects_corruption(tmp_path):
         load_grid(_edited(path, tmp_path, "layout.grid", header=lambda h: {**h, "layout": "moebius"}))
 
 
+def test_load_compares_the_header_spacing_against_the_grids_own(tmp_path):
+    # a spacing far below 1e-8 is still told apart from a wrong one
+    dom = GridDomain.box(((0.0, 1e-9), (0.0, 1.0)), (5, 5))
+    path = tmp_path / "tiny.grid"
+    save_grid(path, dom, np.arange(25.0), "euclidean:n=2")
+    back, vals, _ = load_grid(path)
+    assert back.spacing == dom.spacing and np.array_equal(vals, np.arange(25.0))
+
+    def spacing(header):
+        assert header["spacing"][0] == 2.5e-10
+        header["spacing"][0] = 3e-9
+        return header
+
+    with pytest.raises(DomainMismatch, match="spacing"):
+        load_grid(_edited(path, tmp_path, "spacing.grid", header=spacing))
+
+
 @pytest.mark.parametrize("cut", [1, 7, 9])
 def test_load_refuses_a_payload_of_partial_values(tmp_path, cut):
     dom = GridDomain.ball(1.0, 4, 16)
@@ -540,11 +557,23 @@ _PROLONG_DOMAINS = [
     ids=["ball", "annulus", "interval", "box", "periodic-box"],
 )
 def test_restrict_undoes_prolong_bitwise(dom):
-    fine = refine_domain(dom, 2)
     vals = np.random.default_rng(3).standard_normal(dom.num_nodes)
-    prolonged = prolong_values(dom, fine, vals)
-    assert prolonged.shape == (fine.num_nodes,)
-    assert np.array_equal(restrict_values(fine, dom, prolonged), vals)
+    for factor in (2, 4, 8):
+        fine = refine_domain(dom, factor)
+        prolonged = prolong_values(dom, fine, vals)
+        assert prolonged.shape == (fine.num_nodes,)
+        assert np.array_equal(restrict_values(fine, dom, prolonged), vals)
+
+
+@pytest.mark.parametrize(
+    "dom", _PROLONG_DOMAINS,
+    ids=["ball", "annulus", "interval", "box", "periodic-box"],
+)
+def test_prolong_by_four_is_two_prolongations_by_two(dom):
+    vals = np.random.default_rng(5).standard_normal(dom.num_nodes)
+    mid = refine_domain(dom, 2)
+    twice = prolong_values(mid, refine_domain(dom, 4), prolong_values(dom, mid, vals))
+    assert np.array_equal(prolong_values(dom, refine_domain(dom, 4), vals), twice)
 
 
 @pytest.mark.parametrize(
@@ -623,11 +652,20 @@ def test_prolong_on_the_ball_is_sixth_order_through_the_pole():
         assert a >= 40.0 * b
 
 
-def test_prolong_rejects_anything_but_a_factor_two_refinement():
+def test_prolong_rejects_anything_but_a_power_of_two_refinement():
     coarse = GridDomain.ball(1.0, 4, 16)
     vals = np.zeros(coarse.num_nodes)
     with pytest.raises(DomainMismatch):
-        prolong_values(coarse, refine_domain(coarse, 4), vals)
+        prolong_values(coarse, GridDomain.ball(1.0, 12, 48), vals)  # factor 3
+    with pytest.raises(DomainMismatch):
+        prolong_values(coarse, GridDomain.ball(2.0, 16, 64), vals)  # factor 4, radius 2
+    box = GridDomain.box(((0.0, 1.0), (0.0, 2.0)), (5, 5))
+    with pytest.raises(DomainMismatch):
+        prolong_values(box, GridDomain.box(((0.0, 1.0), (0.0, 2.0)), (13, 13)),
+                       np.zeros(box.num_nodes))  # factor 3
+    with pytest.raises(DomainMismatch):
+        prolong_values(box, GridDomain.box(((0.0, 1.0), (0.0, 3.0)), (17, 17)),
+                       np.zeros(box.num_nodes))  # factor 4, another extent
     with pytest.raises(DomainMismatch):
         prolong_values(coarse, coarse, vals)
     with pytest.raises(DomainMismatch):

@@ -38,3 +38,20 @@ def test_one_benign_case_and_the_comparison(tmp_path):
     changed = tmp_path / "b.jsonl"
     changed.write_text("".join(json.dumps(r) + "\n" for r in altered.values()))
     assert stress.main(["compare", str(path), str(changed)]) == 1
+
+
+def test_the_nested_grid_has_96_distinct_cases():
+    labels = [stress.label(case) for case in stress.nested_cases()]
+    assert len(labels) == len(set(labels)) == 96
+
+
+def test_one_nested_case_runs_the_cli_on_three_levels():
+    case = {"nr": 64, "nphi": 256, "D": 0.5, "k": 0.9, "cap": 0.05, "perturb": 0.0}
+    rec = stress.run_nested_case(case)
+    assert rec["case"] == "64x256 D=0.5 k=0.9 cap=k+0.05 perturb=0"
+    assert rec["exit_code"] == 0 and rec["status"] == "converged"
+    assert [level["start"] for level in rec["levels"]] == ["continuation", "prolonged",
+                                                          "prolonged"]
+    assert all(level["newton_total"] > 0 for level in rec["levels"])
+    assert len(rec["solution_sha256"]) == 64
+    assert rec == stress.run_nested_case(case)  # a rerun is bitwise the same
